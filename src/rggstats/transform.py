@@ -6,10 +6,11 @@ rows:
 
     p_out(n) = sum_N P(N) * p_scatter(n | N, M).
 
-Each row is computed exactly (see :mod:`.combinatorics`); only the mixture
-weights and the final accumulation are doubles.  The closed-form moment
-maps that follow from the same counting are provided alongside, including
-the order-2 and order-3 correlation laws
+Each row is an exact rational rounded once to float (see
+:mod:`.combinatorics`; very large ``N + M`` use a float product instead);
+only the mixture weights and the final accumulation are doubles.  The
+closed-form moment maps that follow from the same counting are provided
+alongside, including the order-2 and order-3 correlation laws
 
     g2_out = 2 * g2_in * M / (M + 1),
     g3_out = 6 * g3_in * M^2 / ((M + 1) * (M + 2)),

@@ -14,7 +14,7 @@ from rggstats import (
     pmf_mean,
     thermal_ratio,
 )
-from rggstats.combinatorics import EXACT_LIMIT, _fock_scatter_array
+from rggstats.combinatorics import EXACT_LIMIT, _fock_scatter_array, _numerator_store
 
 
 def enumerate_marginal(N, M):
@@ -98,6 +98,39 @@ class TestFockScatterExact:
         assert row.probs == tuple(float(f) for f in exact)
         assert row.tail_mass == 0.0
 
+    @pytest.mark.parametrize("N,M", [(5.0, 3), (True, 3), (1.0, 3), (5, 3.0), (1, True)])
+    def test_validation_after_warm_call(self, N, M):
+        for warm in [(5, 3), (1, 3), (1, 1)]:
+            fock_scatter_fractions(*warm)
+            fock_scatter_pmf(*warm)
+        with pytest.raises(TypeError):
+            fock_scatter_fractions(N, M)
+        with pytest.raises(TypeError):
+            fock_scatter_pmf(N, M)
+
+
+def _clear_row_caches():
+    _fock_scatter_array.cache_clear()
+    _numerator_store.cache_clear()
+
+
+class TestExactRouteBitIdentical:
+    @pytest.mark.parametrize("M", [1, 2, 3, 8, 64, 200, 4096])
+    def test_float_rows_are_rounded_fractions(self, M):
+        for N in [*range(60), 200, 1000, 3000]:
+            expected = tuple(float(f) for f in fock_scatter_fractions(N, M))
+            assert fock_scatter_pmf(N, M).probs == expected, (N, M)
+
+    @pytest.mark.parametrize("N,M", [(200, 8), (1000, 64), (59, 4096), (3000, 3)])
+    def test_cold_row_equals_row_after_sweep(self, N, M):
+        _clear_row_caches()
+        cold = fock_scatter_pmf(N, M).probs
+        _clear_row_caches()
+        for other in (N + 40, 3, N - 1):
+            fock_scatter_pmf(other, M)
+        _fock_scatter_array.cache_clear()  # rebuild from the warm numerators
+        assert fock_scatter_pmf(N, M).probs == cold
+
 
 class TestThermalRatio:
     def test_matches_exact_row_ratios(self):
@@ -156,15 +189,32 @@ class TestApproxScatter:
             approx_scatter_pmf(0, 5, 0)
 
 
-class TestLogGammaFallback:
+class TestFloatRoute:
     def test_matches_exact_above_threshold(self):
         N, M = 30, EXACT_LIMIT - 10  # N + M just over the exact-path cutoff
         assert N + M > EXACT_LIMIT
-        via_log = _fock_scatter_array(N, M)
+        via_ratios = _fock_scatter_array(N, M)
         exact = np.array([float(f) for f in fock_scatter_fractions(N, M)])
-        assert np.abs(via_log - exact).max() < 1e-13
+        assert np.abs(via_ratios - exact).max() < 1e-13
 
     def test_big_support_normalizes(self):
         p = fock_scatter_pmf(25000, 4)
         assert abs(sum(p.probs) - 1.0) < 1e-9
         assert pmf_mean(p) == pytest.approx(25000 / 4, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "N,M", [(30, 19980), (300, 24500), (455, 25900), (3000, 20000), (5000, 30000)]
+    )
+    def test_relative_error_against_exact(self, N, M):
+        assert N + M > EXACT_LIMIT
+        row = _fock_scatter_array(N, M)
+        z = math.comb(N + M - 1, M - 1)
+        c = math.comb(N + M - 2, M - 2)  # numerator of entry n, exact
+        n = 0
+        # int / int true division is the exact rational rounded once
+        while (exact := c / z) > 1e-300:
+            assert abs(row[n] / exact - 1.0) <= 1e-13, n
+            c = c * (N - n) // (N - n + M - 2)
+            n += 1
+        assert n > 30
+        assert row[n:].max(initial=0.0) <= 1e-300
