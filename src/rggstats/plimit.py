@@ -9,25 +9,36 @@ is summarized by simple closed forms:
 * factorial moments map as ``<n^(k)> = <N^(k)> * k! / M^k``
   (:func:`limit_factorial_moment`), so every normalized correlation picks
   up ``k!`` per stage (:func:`gn_limit`);
-* an N-photon input lands on the distribution given by an alternating
-  finite sum (:func:`fock_pn_limit`), which is *violently* cancellative:
-  the terms grow like ``N!`` while the result stays of order one.  All
-  evaluation here is exact big-integer / rational arithmetic, converted
-  to double only at the end.  :func:`fock_pn_limit_float64` keeps a
-  deliberately naive double-precision transcription around to demonstrate
-  why that matters.
+* an N-photon input lands on the distribution of :func:`fock_pn_limit`.
 
-Outside its validity domain (cells comparable to or fewer than photons)
-the limit formula can return negative "probabilities".  Those are reported
-as-is by the scalar evaluator and flagged - never clipped - when a full
-pmf is requested.
+All three are one model: binomial thinning of the photons with a random
+transmissivity ``t ~ Exp(rate M)``,
+
+    p_n = E[C(N, n) t^n (1-t)^(N-n)] = C(N, n) * M * J_n,
+    J_n = int_0^inf e^(-M t) t^n (1-t)^(N-n) dt,
+
+and ``E[t^k] = k!/M^k`` is the ``k!`` law.  Unlike a real transmissivity,
+``t`` is not confined to [0, 1]: where ``(1-t)`` goes negative carries
+enough weight (cells comparable to or fewer than photons) the "pmf" has
+negative entries.  Those are reported as-is by the scalar evaluator and
+flagged - never clipped - when a full pmf is requested.
+
+Expanding ``(1-t)^(N-n)`` defines the limit as the alternating sum
+
+    p_n = (N!/n!) * sum_{k=n..N} (-1)^(k-n) k! / ((N-k)! (k-n)! M^k),
+
+whose terms grow like ``N!`` while the result stays of order one, so it
+cancels violently.  :func:`fock_pn_limit_float64` keeps a deliberately
+naive double-precision transcription of it to demonstrate why that
+matters.  The exact evaluation instead runs the three-term recurrence of
+the ``J_n`` (the contiguous relations of Kummer's U, DLMF 13.3) in
+integers, O(N) steps, and rounds each entry to double once at the end.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import factorial as _float_factorial
@@ -57,6 +68,15 @@ def _check_NM(N: int, M: int) -> tuple[int, int]:
     if M < 1:
         raise ValueError(f"cell count M must be >= 1, got {M}")
     return N, M
+
+
+def _check_n(n: int) -> int:
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+        raise TypeError(f"n must be an integer, got {n!r}")
+    n = int(n)
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    return n
 
 
 def coherent_limit_pmf(mean: float, M: int) -> Pmf:
@@ -99,35 +119,47 @@ def gn_limit(g_in: float, order: int, stages: int = 1) -> float:
     return float(math.factorial(order) ** stages) * g_in
 
 
-@lru_cache(maxsize=1024)
+def _exact_div(numerator: int, divisor: int, N: int, M: int) -> int:
+    quotient, remainder = divmod(numerator, divisor)
+    if remainder:
+        raise NormalizationFailure(
+            f"deep-cascade recurrence for N={N}, M={M} left remainder "
+            f"{remainder} on division by {divisor}"
+        )
+    return quotient
+
+
 def _limit_numerators(N: int, M: int) -> tuple[tuple[int, ...], int]:
     """Exact integer numerators s_n with p_n = s_n / M**N.
 
-    The alternating sum
+    With ``K_n = M**(N+1) * J_n`` (see the module docstring) every ``K_n``
+    is an integer and ``s_n = C(N, n) * K_n``.  The ``K_n`` follow from
 
-        p_n = (N!/n!) * sum_{k=n..N} (-1)^(k-n) k! / ((N-k)! (k-n)! M^k)
+        K_0 = sum_i (-1)^i N!/(N-i)! M^(N-i)        (Horner in M)
+        N K_1 = M^(N+1) - (M+N) K_0
+        (N-n) K_(n+1) = n K_(n-1) + (2n-N-M) K_n,   n = 1..N-1,
 
-    is regrouped over j = k - n into integer coefficients
-    ``c_j = (N!/(N-n-j)!) * binom(n+j, j)`` so every intermediate stays an
-    exact integer; one rational division per entry happens at the end.
+    O(N) big-integer steps.  Every division is exact; a remainder would be
+    an arithmetic bug and raises :class:`NormalizationFailure`.
     """
-    pow_m = [1] * (N + 1)
-    for i in range(1, N + 1):
-        pow_m[i] = pow_m[i - 1] * M
-    numerators = []
-    falling = 1  # N! / (N - n)!
-    for n in range(N + 1):
-        if n > 0:
-            falling *= N - n + 1
-        c = falling
-        s = c * pow_m[N - n]
-        sign = 1
-        for j in range(1, N - n + 1):
-            c = c * (N - n - j + 1) * (n + j) // j
-            sign = -sign
-            s += sign * c * pow_m[N - n - j]
-        numerators.append(s)
-    return tuple(numerators), pow_m[N]
+    k_prev = 0
+    falling = 1  # N! / (N - i)!
+    for i in range(N + 1):
+        if i:
+            falling *= N - i + 1
+        k_prev = k_prev * M + (-falling if i & 1 else falling)
+    denominator = M**N
+    if N == 0:
+        return (k_prev,), denominator
+    k_cur = _exact_div(denominator * M - (M + N) * k_prev, N, N, M)
+    numerators = [k_prev, N * k_cur]
+    binom = N
+    for n in range(1, N):
+        k_next = _exact_div(n * k_prev + (2 * n - N - M) * k_cur, N - n, N, M)
+        binom = binom * (N - n) // (n + 1)  # C(N, n + 1)
+        numerators.append(binom * k_next)
+        k_prev, k_cur = k_cur, k_next
+    return tuple(numerators), denominator
 
 
 def fock_pn_limit(N: int, M: int, n: int) -> float:
@@ -140,15 +172,11 @@ def fock_pn_limit(N: int, M: int, n: int) -> float:
     breakdown.
     """
     N, M = _check_NM(N, M)
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise TypeError(f"n must be an integer, got {n!r}")
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    n = _check_n(n)
     if n > N:
         return 0.0
     numerators, denominator = _limit_numerators(N, M)
-    return float(Fraction(numerators[n], denominator))
+    return numerators[n] / denominator
 
 
 def fock_pn_limit_fractions(N: int, M: int) -> tuple[Fraction, ...]:
@@ -182,10 +210,10 @@ def fock_pn_limit_pmf(N: int, M: int) -> Pmf:
     if numerators[worst] < 0:
         raise InvalidPmf(
             f"deep-cascade form is not a distribution at N={N}, M={M}: "
-            f"p_{worst} = {float(Fraction(numerators[worst], denominator))!r} < 0; "
+            f"p_{worst} = {numerators[worst] / denominator!r} < 0; "
             "raw values available via fock_pn_limit"
         )
-    return Pmf(tuple(float(Fraction(s, denominator)) for s in numerators), 0.0)
+    return Pmf(tuple(s / denominator for s in numerators), 0.0)
 
 
 def fock_pn_limit_float64(N: int, M: int, n: int) -> float:
@@ -197,6 +225,7 @@ def fock_pn_limit_float64(N: int, M: int, n: int) -> float:
     Use :func:`fock_pn_limit` for answers.
     """
     N, M = _check_NM(N, M)
+    n = _check_n(n)
     if n > N:
         return 0.0
     k = np.arange(n, N + 1, dtype=float)

@@ -6,6 +6,7 @@ import pytest
 
 from rggstats import (
     InvalidPmf,
+    NormalizationFailure,
     coherent_limit_pmf,
     correlation_report,
     fock_pn_limit,
@@ -18,6 +19,33 @@ from rggstats import (
     thermal_pmf,
     total_variation,
 )
+from rggstats.plimit import _exact_div, _limit_numerators
+
+
+def _alternating_sum_numerators(N, M):
+    """Reference: the defining alternating sum, O(N^2) exact integer steps.
+
+    p_n = (N!/n!) * sum_{k=n..N} (-1)^(k-n) k! / ((N-k)! (k-n)! M^k), with
+    the sum regrouped over j = k - n into integer coefficients
+    c_j = (N!/(N-n-j)!) * C(n+j, j), so that p_n = s_n / M**N.
+    """
+    pow_m = [1] * (N + 1)
+    for i in range(1, N + 1):
+        pow_m[i] = pow_m[i - 1] * M
+    numerators = []
+    falling = 1  # N! / (N - n)!
+    for n in range(N + 1):
+        if n > 0:
+            falling *= N - n + 1
+        c = falling
+        s = c * pow_m[N - n]
+        sign = 1
+        for j in range(1, N - n + 1):
+            c = c * (N - n - j + 1) * (n + j) // j
+            sign = -sign
+            s += sign * c * pow_m[N - n - j]
+        numerators.append(s)
+    return tuple(numerators), pow_m[N]
 
 
 class TestCoherentLimit:
@@ -116,6 +144,28 @@ class TestFockLimitExact:
         assert abs(rep.g2 - 2.0 * (1.0 - 1.0 / 60)) < 1e-12
 
 
+class TestRecurrenceAgainstAlternatingSum:
+    @pytest.mark.parametrize("M", [1, 2, 3, 10, 60, 200])
+    def test_equal_numerators_small_N(self, M):
+        for N in range(61):
+            assert _limit_numerators(N, M) == _alternating_sum_numerators(N, M), N
+
+    def test_equal_numerators_large_N(self):
+        assert _limit_numerators(300, 600) == _alternating_sum_numerators(300, 600)
+
+    def test_inexact_division_raises(self):
+        assert _exact_div(-12, 4, 3, 2) == -3
+        with pytest.raises(NormalizationFailure, match="remainder 1"):
+            _exact_div(13, 4, 3, 2)
+
+    def test_normalization_and_mean_exact_at_large_N(self):
+        N = M = 2000
+        numerators, denominator = _limit_numerators(N, M)
+        assert denominator == M**N
+        assert sum(numerators) == denominator
+        assert sum(n * s for n, s in enumerate(numerators)) == N * M ** (N - 1)
+
+
 class TestLimitVsSingleStage:
     def test_tv_decreases_with_more_cells(self):
         tvs = [
@@ -127,6 +177,21 @@ class TestLimitVsSingleStage:
 
     def test_single_photon_is_already_converged(self):
         assert total_variation(fock_scatter_pmf(1, 9), fock_pn_limit_pmf(1, 9)) == 0.0
+
+
+@pytest.mark.parametrize("evaluate", [fock_pn_limit, fock_pn_limit_float64])
+class TestPhotonIndexValidation:
+    def test_negative_n_rejected(self, evaluate):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            evaluate(5, 4, -1)
+
+    @pytest.mark.parametrize("n", [2.0, True])
+    def test_non_integer_n_rejected(self, evaluate, n):
+        with pytest.raises(TypeError, match="n must be an integer"):
+            evaluate(5, 4, n)
+
+    def test_numpy_integer_n_accepted(self, evaluate):
+        assert evaluate(5, 4, np.int64(2)) == pytest.approx(fock_pn_limit(5, 4, 2))
 
 
 class TestFloat64Transcription:
