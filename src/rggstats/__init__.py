@@ -18,7 +18,6 @@ from .core import (
     NormalizationFailure,
     OutOfRange,
     Pmf,
-    ScatterParams,
     SqueezedCoherent,
     TailTooHeavy,
     Thermal,
@@ -30,7 +29,6 @@ from .core import (
     total_variation,
 )
 from .inputs import (
-    SqueezedParams,
     fock_pmf,
     input_pmf,
     poisson_pmf,
@@ -81,10 +79,8 @@ __all__ = [
     "Coherent",
     "Thermal",
     "SqueezedCoherent",
-    "SqueezedParams",
     "Custom",
     "InputStateSpec",
-    "ScatterParams",
     "CorrelationReport",
     "MCRunResult",
     "EmpiricalReport",

@@ -36,7 +36,6 @@ __all__ = [
     "SqueezedCoherent",
     "Custom",
     "InputStateSpec",
-    "ScatterParams",
     "CorrelationReport",
     "MCRunResult",
     "InvalidPmf",
@@ -235,32 +234,6 @@ class Custom:
 
 
 InputStateSpec = Union[Fock, Coherent, Thermal, SqueezedCoherent, Custom]
-
-
-@dataclass(frozen=True)
-class ScatterParams:
-    """How to scatter: over how many speckle cells, and how many times in series.
-
-    ``M`` is the number of statistically independent cells the detection
-    plane is divided into (one detector pixel collects one cell).  ``stages``
-    chains that many diffusers back to back, feeding each stage's per-pixel
-    output into the next.
-    """
-
-    M: int
-    stages: int = 1
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.M, (int, np.integer)) or isinstance(self.M, bool):
-            raise TypeError(f"M must be an integer, got {self.M!r}")
-        object.__setattr__(self, "M", int(self.M))
-        if self.M < 1:
-            raise ValueError(f"M must be >= 1, got {self.M}")
-        if not isinstance(self.stages, (int, np.integer)) or isinstance(self.stages, bool):
-            raise TypeError(f"stages must be an integer, got {self.stages!r}")
-        object.__setattr__(self, "stages", int(self.stages))
-        if self.stages < 1:
-            raise ValueError(f"stages must be >= 1, got {self.stages}")
 
 
 @dataclass(frozen=True)

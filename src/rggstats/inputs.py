@@ -24,8 +24,7 @@ import cmath
 import math
 
 import numpy as np
-from scipy import stats
-from scipy.linalg import expm
+from scipy.special import gammaln, pdtrc, xlogy
 
 from .core import (
     Coherent,
@@ -42,7 +41,6 @@ from .core import (
 __all__ = [
     "TAIL_TARGET",
     "N_CAP",
-    "SqueezedParams",
     "fock_pmf",
     "poisson_pmf",
     "thermal_pmf",
@@ -57,10 +55,6 @@ TAIL_TARGET = 1e-12
 
 #: Hard cap on stored support, whatever the tail target says.
 N_CAP = 4096
-
-#: Parameter bundle for squeezed coherent states; same value object the
-#: dispatch layer uses.
-SqueezedParams = SqueezedCoherent
 
 _NEG_INF = float("-inf")
 
@@ -79,17 +73,18 @@ def poisson_pmf(mean: float) -> Pmf:
         raise ValueError(f"mean must be finite and >= 0, got {mean!r}")
     if mean == 0.0:
         return Pmf((1.0,))
-    dist = stats.poisson(mean)
-    # Locate the smallest n with P(N > n) < TAIL_TARGET; isf gets us close
-    # and the two loops pin down the exact boundary.
-    n_max = int(dist.isf(TAIL_TARGET))
-    while dist.sf(n_max) >= TAIL_TARGET:
+    # Locate the smallest n with P(N > n) < TAIL_TARGET: the normal tail
+    # (z = 7.03 at 1e-12) plus a skewness allowance gets us close and the
+    # two loops pin down the exact boundary.
+    n_max = math.ceil(mean + 7.03 * math.sqrt(mean) + 8.0)
+    while pdtrc(n_max, mean) >= TAIL_TARGET:
         n_max += 1
-    while n_max > 0 and dist.sf(n_max - 1) < TAIL_TARGET:
+    while n_max > 0 and pdtrc(n_max - 1, mean) < TAIL_TARGET:
         n_max -= 1
     n_max = min(n_max, N_CAP)
-    probs = np.exp(dist.logpmf(np.arange(n_max + 1)))
-    return Pmf(tuple(probs), max(0.0, float(dist.sf(n_max))))
+    k = np.arange(n_max + 1)
+    probs = np.exp(xlogy(k, mean) - gammaln(k + 1) - mean)
+    return Pmf(tuple(probs), max(0.0, float(pdtrc(n_max, mean))))
 
 
 def thermal_pmf(mean: float) -> Pmf:
@@ -216,6 +211,8 @@ def squeezed_oracle_pmf(params: SqueezedCoherent, dim: int) -> Pmf:
         If the top basis state carries squared amplitude above 1e-12 at
         either stage, meaning the basis visibly clipped the state.
     """
+    from scipy.linalg import expm  # oracle only; kept off the import path
+
     if not isinstance(params, SqueezedCoherent):
         raise TypeError(f"expected SqueezedCoherent parameters, got {type(params).__name__}")
     dim = int(dim)

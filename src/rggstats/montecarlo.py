@@ -3,13 +3,23 @@
 Every frame draws a photon number ``N`` from the input distribution and
 then one of the ``binom(N + M - 1, M - 1)`` occupation patterns uniformly
 at random, recording the count on pixel 0.  Uniform patterns are produced
-by the stars-and-bars bijection: choose ``M - 1`` distinct "bar" positions
-among ``N + M - 1`` slots and read off the gaps.
+by the stars-and-bars bijection: mark ``min(M - 1, N)`` of the
+``N + M - 1`` slots as bars (or as stars, when there are fewer stars than
+bars) and read off the gaps; pixel 0's count is the first bar's index.
 
-Randomness is counter-based: frame ``f`` uses a Philox stream keyed by
-``(seed, f)``, so the result is bit-for-bit reproducible no matter how the
-frames are partitioned across workers, and any frame can be replayed in
-isolation.
+Randomness is a counter hash, after Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3" (SC'11).  Draw ``j`` of frame ``f`` under
+``seed`` is u(seed, f, j), the SplitMix64 finalizer in ``uint64``
+arithmetic: the frame key is the finalizer of the seed's key plus
+``f + 1`` Weyl increments, and draw ``j`` the finalizer of the frame key
+plus ``j + 1`` increments.  Draw 0 picks the photon number; draws
+``1 .. N + M - 1`` are 63-bit slot keys, and the smallest keys are marked.
+No state passes from one frame to the next, so
+
+* whole chunks of frames are sampled as numpy arrays, about ``2**18``
+  slot keys at a time (``_CHUNK_KEYS``); the budget bounds the working
+  memory, and the results are bit-identical however frames are chunked;
+* any frame can be replayed on its own (``_replay_frame``).
 
 Error bars come from a delete-one-block jackknife over 100 equal blocks of
 frames: correlations are ratios of moments, so naive per-frame variance
@@ -76,59 +86,148 @@ class MCConfig:
 def sample_configuration(N: int, M: int, rng: np.random.Generator) -> np.ndarray:
     """Draw one occupation pattern of N photons on M cells, uniformly.
 
-    Places ``M - 1`` bars on ``N + M - 1`` slots (distinct positions chosen
-    uniformly via a partial shuffle) and returns the gap sizes, which is a
-    bijection onto occupation patterns, so uniformity is inherited rather
-    than approximated.
+    Runs the same stars-and-bars core as :func:`run_mc`, on a counter
+    stream keyed by one 64-bit seed drawn from ``rng``.
     """
     if N < 0:
         raise ValueError(f"photon number must be >= 0, got {N}")
     if M < 1:
         raise ValueError(f"cell count must be >= 1, got {M}")
+    keys = _frame_keys(int(rng.integers(2**64, dtype=np.uint64)), np.zeros(1, dtype=np.int64))
+    return _occupations(keys, np.array([N], dtype=np.int64), int(M))[0]
+
+
+# SplitMix64 constants (Steele, Lea & Flood 2014): the Weyl increment and
+# the two multipliers of the finalizer.
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+#: Pads slot-key rows; above every 63-bit key, so never selected.
+_SENTINEL = np.uint64(2**64 - 1)
+
+#: Slot keys per chunk of frames, for a frame of mean width.  It bounds the
+#: sampler's working memory (a few arrays of this many 8-byte words), not
+#: its results, which do not depend on how frames are chunked.
+_CHUNK_KEYS = 1 << 18
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer, in place on a ``uint64`` array (wraps mod 2^64)."""
+    t = z >> np.uint64(30)
+    z ^= t
+    z *= _MIX1
+    np.right_shift(z, np.uint64(27), out=t)
+    z ^= t
+    z *= _MIX2
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    return z
+
+
+def _frame_keys(seed: int, frames: np.ndarray) -> np.ndarray:
+    """Per-frame stream keys: SplitMix64 of the frame counter under the seed."""
+    seed_key = _mix(np.array([seed], dtype=np.uint64))
+    return _mix(seed_key + _GOLDEN * (frames.astype(np.uint64) + np.uint64(1)))
+
+
+def _draws(keys: np.ndarray, first: int, count: int) -> np.ndarray:
+    """u(seed, frame, j) for j = first .. first + count - 1, one row per frame key.
+
+    Draw j of a frame is the finalizer of the frame key plus (j + 1) Weyl
+    increments: a SplitMix64 stream seeded by the frame key.
+    """
+    j = np.arange(first + 1, first + count + 1, dtype=np.uint64)
+    return _mix(keys[:, None] + _GOLDEN * j)
+
+
+def _occupations(keys: np.ndarray, n: np.ndarray, M: int) -> np.ndarray:
+    """Uniform occupation patterns, one row of M counts per frame.
+
+    Frame f holds ``n[f]`` photons in ``n[f] + M - 1`` slots; slot s gets
+    the 63-bit key u(seed, f, s + 1) >> 1.  The ``min(M - 1, n)`` smallest
+    keys mark the bars when ``n >= M - 1`` and the stars otherwise; either
+    way the marked set is a uniform subset of its size, so the gaps between
+    bars are a uniform pattern.
+
+    Frames are processed in groups of one key-row width.  A frame of the
+    stars branch (fewer than ``2M - 2`` slots) is grouped with frames of the
+    same photon number, so every row of a group marks the same number of
+    keys.  A frame of the bars branch is grouped by its slot count rounded
+    up to a quarter of its octave, and the row is padded with
+    ``_SENTINEL``: less than a quarter of each row is padding.
+    """
+    occ = np.zeros((len(n), M), dtype=np.int64)
     if M == 1:
-        return np.array([N], dtype=np.int64)
-    bars = np.sort(rng.permutation(N + M - 1)[: M - 1])
-    edges = np.empty(M + 1, dtype=np.int64)
-    edges[0] = -1
-    edges[1:M] = bars
-    edges[M] = N + M - 1
-    return np.diff(edges) - 1
+        occ[:, 0] = n
+        return occ
+    slots = n + (M - 1)
+    _, octave = np.frexp(slots)  # slots < 2**octave
+    step = np.left_shift(np.int64(1), np.maximum(octave - 3, 0))
+    widths = np.where(n < M - 1, slots, -(-slots // step) * step)
+    for w in np.flatnonzero(np.bincount(widths[n > 0])).tolist():
+        rows = np.flatnonzero(widths == w)
+        size = min(w - (M - 1), M - 1)
+        key = _draws(keys[rows], 1, w)
+        key >>= np.uint64(1)
+        if size == M - 1:  # bars
+            key[np.arange(w) >= slots[rows, None]] = _SENTINEL
+        marked = np.sort(np.argpartition(key, size - 1, axis=1)[:, :size], axis=1)
+        if size == M - 1:  # gaps between bars, with virtual ones at -1 and n + M - 1
+            occ[rows] = np.diff(marked, axis=1, prepend=-1, append=slots[rows, None]) - 1
+        else:  # star i has marked[i] - i bars before it
+            cell = marked - np.arange(size) + M * np.arange(len(rows))[:, None]
+            occ[rows] = np.bincount(cell.ravel(), minlength=len(rows) * M).reshape(-1, M)
+    return occ
 
 
-def _frame_rng(seed: int, frame: int) -> np.random.Generator:
-    # counter-keyed: independent of how many draws other frames consumed
-    return np.random.Generator(np.random.Philox(key=seed, counter=frame << 64))
+def _sample_frames(
+    cdf: np.ndarray, seed: int, frames: np.ndarray, M: int
+) -> np.ndarray:
+    """Occupation patterns of the given frames: draw 0 picks the photon number."""
+    keys = _frame_keys(seed, frames)
+    u = (_draws(keys, 0, 1)[:, 0] >> np.uint64(11)) * 2.0**-53
+    # tail draws (probability <= recorded tail_mass) clamp to the last entry
+    n = np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
+    return _occupations(keys, n, M)
+
+
+def _replay_frame(cfg: MCConfig, frame: int) -> np.ndarray:
+    """Occupation pattern of one frame of the run ``cfg``, computed on its own."""
+    cdf = np.cumsum(input_pmf(cfg.input).as_array())
+    return _sample_frames(cdf, cfg.seed, np.array([frame], dtype=np.int64), cfg.M)[0]
 
 
 def run_mc(cfg: MCConfig) -> MCRunResult:
     """Run the sampler and histogram the photon count on pixel 0."""
-    pmf = input_pmf(cfg.input)
-    cdf = np.cumsum(pmf.as_array())
-    top = len(cdf) - 1
-
+    probs = input_pmf(cfg.input).as_array()
+    cdf = np.cumsum(probs)
     width = len(cdf)
     n_blocks = min(JACKKNIFE_BLOCKS, cfg.frames)
     hist = np.zeros(width, dtype=np.int64)
-    blocks = np.zeros((n_blocks, width), dtype=np.int64)
+    blocks = np.zeros(n_blocks * width, dtype=np.int64)
     patterns: Counter | None = Counter() if cfg.record_configurations else None
 
-    for frame in range(cfg.frames):
-        rng = _frame_rng(cfg.seed, frame)
-        # tail draws (probability <= recorded tail_mass) clamp to the last entry
-        n_in = min(int(np.searchsorted(cdf, rng.random(), side="right")), top)
-        occupation = sample_configuration(n_in, cfg.M, rng)
-        n_pixel = int(occupation[0])
-        hist[n_pixel] += 1
-        blocks[frame * n_blocks // cfg.frames, n_pixel] += 1
+    # frames per chunk, sized for the mean frame (N + M draws)
+    chunk = max(1, int(_CHUNK_KEYS // (np.arange(width) @ probs + cfg.M)))
+    for start in range(0, cfg.frames, chunk):
+        frames = np.arange(start, min(start + chunk, cfg.frames), dtype=np.int64)
+        occupation = _sample_frames(cdf, cfg.seed, frames, cfg.M)
+        n_pixel = occupation[:, 0]
+        hist += np.bincount(n_pixel, minlength=width)
+        block = frames * n_blocks // cfg.frames
+        blocks += np.bincount(block * width + n_pixel, minlength=n_blocks * width)
         if patterns is not None:
-            patterns[tuple(int(x) for x in occupation)] += 1
+            rows, counts = np.unique(occupation, axis=0, return_counts=True)
+            for row, count in zip(rows.tolist(), counts.tolist()):
+                patterns[tuple(row)] += count
 
     return MCRunResult(
-        histogram=tuple(int(c) for c in hist),
+        histogram=tuple(hist.tolist()),
         frames=cfg.frames,
         seed=cfg.seed,
         M=cfg.M,
-        block_histograms=tuple(tuple(int(c) for c in row) for row in blocks),
+        block_histograms=tuple(tuple(row) for row in blocks.reshape(n_blocks, width).tolist()),
         configuration_counts=tuple(sorted(patterns.items())) if patterns is not None else None,
     )
 

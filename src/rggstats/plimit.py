@@ -170,6 +170,10 @@ def fock_pn_limit(N: int, M: int, n: int) -> float:
     negative when ``M`` is too small for the limit form to be a valid
     distribution; it is returned unmodified so callers can see the
     breakdown.
+
+    Each call rebuilds the whole row of ``N + 1`` exact numerators, O(N)
+    big-integer steps, to read one entry.  For several entries of one row
+    call :func:`fock_pn_limit_pmf` or :func:`fock_pn_limit_fractions` once.
     """
     N, M = _check_NM(N, M)
     n = _check_n(n)

@@ -6,9 +6,14 @@ guarantee are all exercised exactly as a shell user would hit them.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rggstats
 from rggstats import (
     Pmf,
     fock_pn_limit_pmf,
@@ -334,3 +339,21 @@ class TestErrorHandling:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+
+
+class TestImportPath:
+    def test_cli_import_leaves_heavy_scipy_modules_out(self):
+        # scipy.stats and scipy.linalg cost most of a CLI call's start-up;
+        # only the squeezed-state oracle needs one of them, on demand
+        env = dict(os.environ)
+        src = str(Path(rggstats.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import sys, rggstats.cli; "
+            "print([m for m in ('scipy.stats', 'scipy.linalg') if m in sys.modules])"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

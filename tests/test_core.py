@@ -14,7 +14,6 @@ from rggstats import (
     MCRunResult,
     OutOfRange,
     Pmf,
-    ScatterParams,
     SqueezedCoherent,
     TailTooHeavy,
     Thermal,
@@ -180,16 +179,6 @@ class TestInputStateSpecs:
         Custom(Pmf((1.0,)))
         with pytest.raises(TypeError):
             Custom([1.0])
-
-    def test_scatter_params(self):
-        p = ScatterParams(M=8)
-        assert (p.M, p.stages) == (8, 1)
-        with pytest.raises(ValueError):
-            ScatterParams(M=0)
-        with pytest.raises(ValueError):
-            ScatterParams(M=2, stages=0)
-        with pytest.raises(TypeError):
-            ScatterParams(M=2.0)
 
 
 class TestCorrelationReport:

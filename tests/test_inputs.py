@@ -12,7 +12,6 @@ from rggstats import (
     Fock,
     Pmf,
     SqueezedCoherent,
-    SqueezedParams,
     Thermal,
     correlation_report,
     fock_pmf,
@@ -158,9 +157,6 @@ class TestSqueezedCoherent:
         p = squeezed_coherent_pmf(state)
         assert p.probs[0] == 0.0  # underflows as a probability, harmlessly
         assert abs(pmf_mean(p) - 900.0) < 1e-6 * 900.0
-
-    def test_squeezed_params_is_the_state_type(self):
-        assert SqueezedParams is SqueezedCoherent
 
 
 class TestSqueezedOracle:

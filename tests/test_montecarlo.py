@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from rggstats import (
     Fock,
     MCConfig,
     Pmf,
+    Thermal,
     ZeroMean,
     config_count,
     correlation_report,
@@ -20,7 +22,8 @@ from rggstats import (
     sample_configuration,
     scatter_pmf,
 )
-from rggstats.montecarlo import _frame_rng
+from rggstats import montecarlo
+from rggstats.montecarlo import _replay_frame
 
 
 class TestSampleConfiguration:
@@ -108,11 +111,51 @@ class TestRunMC:
         # the result of frame f depends only on (seed, f)
         cfg = MCConfig(Fock(4), 2, 10, seed=31)
         result = run_mc(cfg)
-        rng = _frame_rng(31, 3)
-        rng.random()  # the frame's photon-number draw comes first
-        occ = sample_configuration(4, 2, rng)
+        occ = _replay_frame(cfg, 3)
+        assert occ.sum() == 4
         frame3 = result.block_histograms[3]
         assert frame3[int(occ[0])] == 1
+
+    def test_recorded_configurations_are_frame_replays(self):
+        cfg = MCConfig(Thermal(3.0), 5, 400, seed=17, record_configurations=True)
+        replays = Counter(tuple(_replay_frame(cfg, f).tolist()) for f in range(cfg.frames))
+        assert run_mc(cfg).configuration_counts == tuple(sorted(replays.items()))
+
+    @pytest.mark.parametrize("budget", [1, 40, 333])
+    def test_result_does_not_depend_on_chunking(self, monkeypatch, budget):
+        # thermal counts put frames of both branches (n < M - 1 and
+        # n >= M - 1) and of many widths into one chunk
+        cfg = MCConfig(Thermal(3.0), 6, 700, seed=4242, record_configurations=True)
+        whole = run_mc(cfg)
+        monkeypatch.setattr(montecarlo, "_CHUNK_KEYS", budget)
+        assert run_mc(cfg) == whole
+
+    @pytest.mark.parametrize(
+        "N, M, seed",
+        [
+            (4, 3, 61),  # bars: N >= M - 1
+            (3, 4, 62),  # N = M - 1, the edge between the two branches
+            (2, 6, 63),  # stars: M - 1 > N
+        ],
+    )
+    def test_uniform_over_configurations(self, N, M, seed):
+        frames = 200 * config_count(N, M)
+        result = run_mc(MCConfig(Fock(N), M, frames, seed=seed, record_configurations=True))
+        assert len(result.configuration_counts) == config_count(N, M)
+        assert all(sum(pattern) == N for pattern, _ in result.configuration_counts)
+        _, p = stats.chisquare([count for _, count in result.configuration_counts])
+        assert p > 1e-3
+
+    def test_single_cell_holds_every_photon(self):
+        result = run_mc(MCConfig(Coherent(2.0), 1, 500, seed=14, record_configurations=True))
+        assert result.configuration_counts == tuple(
+            ((n,), count) for n, count in enumerate(result.histogram) if count
+        )
+
+    @pytest.mark.parametrize("M", [1, 6])
+    def test_vacuum_fills_no_cell(self, M):
+        result = run_mc(MCConfig(Fock(0), M, 50, seed=0, record_configurations=True))
+        assert result.configuration_counts == (((0,) * M, 50),)
 
 
 class TestEmpiricalReport:
