@@ -29,7 +29,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import OutOfRange, Pmf
 
@@ -178,5 +177,10 @@ def approx_scatter_pmf(N: int, M: int, n_max: int) -> Pmf:
     beta_c = (M - 2) / (2.0 * N * (N + M - 2))
     n = np.arange(n_max + 1)
     log_w = -beta0 * n - beta_c * (n * (n - 1.0))
-    probs = np.exp(log_w - logsumexp(log_w))
+    # log-sum-exp about the unique maximum log_w[0] = 0, as log1p of the
+    # other weights; the max slot is zeroed, not dropped, so the pairwise sum
+    # adds in the same order as scipy.special.logsumexp and the bits agree
+    w = np.exp(log_w)
+    w[0] = 0.0
+    probs = np.exp(log_w - np.log1p(w.sum()))
     return Pmf(tuple(probs), 0.0)

@@ -89,12 +89,17 @@ def sample_configuration(N: int, M: int, rng: np.random.Generator) -> np.ndarray
     Runs the same stars-and-bars core as :func:`run_mc`, on a counter
     stream keyed by one 64-bit seed drawn from ``rng``.
     """
+    if not isinstance(N, (int, np.integer)) or isinstance(N, bool):
+        raise TypeError(f"photon number must be an integer, got {N!r}")
+    if not isinstance(M, (int, np.integer)) or isinstance(M, bool):
+        raise TypeError(f"cell count must be an integer, got {M!r}")
+    N, M = int(N), int(M)
     if N < 0:
         raise ValueError(f"photon number must be >= 0, got {N}")
     if M < 1:
         raise ValueError(f"cell count must be >= 1, got {M}")
     keys = _frame_keys(int(rng.integers(2**64, dtype=np.uint64)), np.zeros(1, dtype=np.int64))
-    return _occupations(keys, np.array([N], dtype=np.int64), int(M))[0]
+    return _occupations(keys, np.array([N], dtype=np.int64), M)[0]
 
 
 # SplitMix64 constants (Steele, Lea & Flood 2014): the Weyl increment and

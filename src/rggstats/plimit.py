@@ -41,7 +41,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import factorial as _float_factorial
 
 from .core import InvalidPmf, NormalizationFailure, Pmf
 from .inputs import thermal_pmf
@@ -228,6 +227,8 @@ def fock_pn_limit_float64(N: int, M: int, n: int) -> float:
     is garbage (inf/nan or wildly wrong) long before N = 200 at large M.
     Use :func:`fock_pn_limit` for answers.
     """
+    from scipy.special import factorial as _float_factorial  # measuring stick only
+
     N, M = _check_NM(N, M)
     n = _check_n(n)
     if n > N:

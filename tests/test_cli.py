@@ -357,3 +357,28 @@ class TestImportPath:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_coherent_commands_load_no_scipy(self, tmp_path):
+        # the production paths run on numpy and math alone; scipy serves only
+        # the squeezed-state oracle and the float64 measuring stick
+        env = dict(os.environ)
+        src = str(Path(rggstats.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        coherent = ["--kind", "coherent", "--mean", "6.0", "--M", "4"]
+        commands = [
+            ["scatter", *coherent],
+            ["gn", *coherent],
+            ["mc", *coherent, "--frames", "4000", "--seed", "3"],
+            ["figure", "fig2", "--M", "6", "--nbar", "30"],
+        ]
+        code = (
+            "import sys, rggstats.cli\n"
+            f"for i, argv in enumerate({commands!r}):\n"
+            f"    assert rggstats.cli.main([*argv, '--out', {str(tmp_path)!r} + f'/{{i}}']) == 0\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "[]"

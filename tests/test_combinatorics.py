@@ -180,6 +180,22 @@ class TestApproxScatter:
         assert abs(sum(p.probs) - 1.0) < 1e-12
         assert len(p) == 31
 
+    @pytest.mark.parametrize(
+        "N, M, n_max",
+        [(1, 3, 0), (1, 3, 1), (30, 6, 30), (200, 200, 200), (255, 4, 85),
+         (1000, 64, 500), (3000, 4096, 3000), (10000, 3, 50), (100000, 10**5, 5000)],
+    )
+    def test_bits_match_scipy_logsumexp(self, N, M, n_max):
+        # the numpy normalisation reproduces scipy's rounding bit for bit
+        from scipy.special import logsumexp
+
+        beta0 = math.log1p((M - 2) / N)
+        beta_c = (M - 2) / (2.0 * N * (N + M - 2))
+        n = np.arange(n_max + 1)
+        log_w = -beta0 * n - beta_c * (n * (n - 1.0))
+        reference = tuple(np.exp(log_w - logsumexp(log_w)))
+        assert approx_scatter_pmf(N, M, n_max).probs == reference
+
     def test_domain(self):
         with pytest.raises(ValueError):
             approx_scatter_pmf(10, 2, 5)  # needs M >= 3

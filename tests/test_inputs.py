@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import pdtrc
 
 from rggstats import (
     Coherent,
@@ -81,6 +82,52 @@ class TestPoisson:
         p = poisson_pmf(8000.0)
         assert len(p) == N_CAP + 1
         assert p.tail_mass > 0.1  # far too heavy for moments, but bookkept
+
+    # Worst relative error against mpmath of the scipy form
+    # exp(xlogy(k, mean) - gammaln(k + 1) - mean), over the entries above
+    # 1e-300, measured at 50 digits: the new entries must do no worse.
+    SCIPY_FORM_WORST = {
+        0.1: 1.3916e-15,
+        8.0: 1.2628e-14,
+        150.0: 3.7700e-13,
+        455.0: 8.6477e-13,
+        3000.0: 7.4796e-12,
+    }
+
+    @pytest.mark.parametrize("mean", sorted(SCIPY_FORM_WORST))
+    def test_entries_no_less_accurate_than_scipy_form(self, mean):
+        p = poisson_pmf(mean)
+        worst = 0.0
+        with mpmath.workdps(50):
+            m = mpmath.mpf(mean)
+            exact = mpmath.exp(-m)
+            for n, x in enumerate(p.probs):
+                if n:
+                    exact *= m / n
+                if exact > mpmath.mpf("1e-300"):
+                    worst = max(worst, float(abs(x - exact) / exact))
+        assert worst <= self.SCIPY_FORM_WORST[mean]
+
+    @staticmethod
+    def _pdtrc_support_end(mean):
+        # the truncation rule on scipy's Poisson survival function
+        n = math.ceil(mean + 7.03 * math.sqrt(mean) + 8.0)
+        while pdtrc(n, mean) >= TAIL_TARGET:
+            n += 1
+        while n > 0 and pdtrc(n - 1, mean) < TAIL_TARGET:
+            n -= 1
+        return min(n, N_CAP)
+
+    GRID = [*np.geomspace(1e-3, 5000.0, 216), 8000.0]
+
+    def test_support_end_matches_pdtrc_search(self):
+        got = [poisson_pmf(m).n_max for m in self.GRID]
+        assert got == [self._pdtrc_support_end(m) for m in self.GRID]
+
+    def test_tail_mass_matches_pdtrc(self):
+        for m in self.GRID:
+            p = poisson_pmf(m)
+            assert p.tail_mass == pytest.approx(pdtrc(p.n_max, m), rel=1e-9, abs=0.0)
 
 
 class TestThermal:

@@ -45,6 +45,17 @@ class TestSampleConfiguration:
         rng = np.random.default_rng(0)
         assert sample_configuration(7, 1, rng).tolist() == [7]
 
+    @pytest.mark.parametrize(
+        "N, M", [(2.5, 3), (True, 3), (3, 2.7), (3, False), (2.0, 3), ("3", 3), (3, None)]
+    )
+    def test_non_integer_counts_rejected(self, N, M):
+        with pytest.raises(TypeError):
+            sample_configuration(N, M, np.random.default_rng(0))
+
+    def test_numpy_integer_counts_accepted(self):
+        occ = sample_configuration(np.int64(5), np.int32(3), np.random.default_rng(0))
+        assert occ.sum() == 5 and len(occ) == 3
+
     def test_uniform_over_configurations(self):
         # N=2, M=2: three patterns, each 1/3
         rng = np.random.default_rng(12)
