@@ -47,6 +47,7 @@ from .combinatorics import (
 from .transform import (
     cascade_pmf,
     correlation_report,
+    gn_out_predicted,
     g2_out_predicted,
     g3_out_predicted,
     scatter_pmf,
@@ -117,6 +118,7 @@ __all__ = [
     "cascade_pmf",
     "second_moment_out",
     "correlation_report",
+    "gn_out_predicted",
     "g2_out_predicted",
     "g3_out_predicted",
     # many-diffuser limit

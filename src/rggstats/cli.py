@@ -3,16 +3,21 @@
 Subcommands
 -----------
 scatter   single-cell pmf after one or more diffusers, as CSV
-gn        correlation report (exact, law-predicted, deep-cascade limit), as JSON
+gn        correlations: exact, law-predicted at every order, deep-cascade limit; JSON
 plimit    N-photon single-diffuser pmf vs. deep-cascade limit, CSV + JSON
 mc        Monte Carlo run with jackknife error bars, CSV + JSON
 figure    canned parameter recipes reproducing the standard plots
 
-Settings come from an INI-style config file (``--config``, sections listed
-below) with command-line flags taking precedence key by key.  Every output
-file embeds the fully resolved configuration and the engine version, and
-rerunning a command with the same resolved configuration reproduces the
-output byte for byte (no timestamps, no machine identifiers).
+Each setting is declared once, in the tables ``_KEYS``, ``_KINDS``,
+``_FIGURES`` and ``_COMMANDS``; the flags, the keys each INI section accepts
+and the resolution (flag, then ``--config`` file, then default) follow from
+them.  Flags the chosen subcommand, recipe or input kind does not read, and
+sections no subcommand reads, are configuration errors, found before any
+numeric work; the sections of other subcommands are ignored.
+
+Every output file embeds the fully resolved configuration and the engine
+version, and rerunning a command with the same resolved configuration
+reproduces the output byte for byte (no timestamps, no machine identifiers).
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure,
 4 I/O failure.
@@ -25,6 +30,7 @@ import configparser
 import json
 import math
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +41,6 @@ from .core import (
     Custom,
     DimTooSmall,
     Fock,
-    InputStateSpec,
     InvalidPmf,
     OutOfRange,
     Pmf,
@@ -55,7 +60,7 @@ from .transform import (
     cascade_pmf,
     correlation_report,
     g2_out_predicted,
-    g3_out_predicted,
+    gn_out_predicted,
     scatter_pmf,
 )
 
@@ -63,14 +68,15 @@ __all__ = ["ConfigError", "main"]
 
 _ENGINE = {"name": "rggstats", "version": __version__}
 
-FIGURES = ("fig2", "fig3a", "fig3b", "fig3c", "fig3d", "fig5a", "fig5b")
-
 
 class ConfigError(Exception):
     """Bad or missing configuration; maps to exit code 2."""
 
 
 _REQUIRED = object()
+_NUMERIC_FAILURES = (
+    TailTooHeavy, ZeroMass, ZeroMean, OutOfRange, DimTooSmall, InvalidPmf, ArithmeticError
+)
 
 
 def _parse_bool(raw: str) -> bool:
@@ -82,8 +88,333 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _parse_int(raw: str) -> int:
-    return int(raw.strip(), 10)
+def _load_custom_pmf(pmf_csv: str, tail_mass: float) -> Custom:
+    file = Path(pmf_csv)
+    if not file.is_file():
+        raise ConfigError(f"custom pmf file not found: {pmf_csv}")
+    probs: list[float] = []
+    with file.open(encoding="utf-8") as handle:
+        header: list[str] | None = None
+        for line in handle:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            cells = line.split(",")
+            if header is None:
+                header = [c.strip().lower() for c in cells]
+                if "n" not in header or "p" not in header:
+                    raise ConfigError(f"{pmf_csv}: need columns 'n' and 'p', got {header}")
+                continue
+            row = dict(zip(header, cells))
+            try:
+                n, p = int(row["n"]), float(row["p"])
+            except (KeyError, ValueError) as exc:
+                raise ConfigError(f"{pmf_csv}: bad row {line!r}: {exc}") from exc
+            if n != len(probs):
+                raise ConfigError(f"{pmf_csv}: rows must cover n = 0,1,2,... got n={n}")
+            probs.append(p)
+    if not probs:
+        raise ConfigError(f"{pmf_csv}: no pmf rows found")
+    try:
+        return Custom(Pmf(tuple(probs), tail_mass))
+    except InvalidPmf as exc:
+        raise ConfigError(f"{pmf_csv}: {exc}") from exc
+
+
+# --- the settings tables --------------------------------------------------------
+
+# key: (type, flag, help).  The type parses both the flag and the config value
+# (bool: a --flag/--no-flag pair, and yes/no, on/off, true/false or 1/0 in the
+# config).  Keys without a flag are set in the config file only.
+_KEYS = {
+    "kind": (str, "--kind", None),
+    "n": (int, "--n", "photon number of the Fock input"),
+    "mean": (float, "--mean", "mean photon number (coherent/thermal)"),
+    "alpha_mag": (float, "--alpha-mag", "displacement magnitude of the squeezed input"),
+    "alpha_phase": (float, "--alpha-phase", "displacement phase of the squeezed input"),
+    "r": (float, "--r", "squeezing magnitude of the squeezed input"),
+    "theta": (float, "--theta", "squeezing phase of the squeezed input"),
+    "pmf_csv": (str, "--pmf-csv", "CSV with columns n,p (custom)"),
+    "tail_mass": (float, "--tail-mass", "tail mass of the custom pmf"),
+    "m": (int, "--M", "number of speckle cells"),
+    "stages": (int, "--stages", "diffusers in series"),
+    "approx": (bool, "--approx", "also emit the small-n approximation column"),
+    "approx_nmax": (int, "--approx-nmax", "support cap for the approximation"),
+    "order": (int, "--order", "highest correlation order"),
+    "frames": (int, "--frames", "number of frames"),
+    "seed": (int, "--seed", "base seed"),
+    "record_configurations": (
+        bool, "--record-configurations", "tally complete occupation patterns (memory-hungry)"
+    ),
+    "nbar": (int, "--nbar", "input mean photon number"),
+    "m_max": (int, None, None),
+    "n_sweep_max": (int, None, None),
+}
+
+# input kind: (state constructor, {[input] key: default})
+_KINDS = {
+    "fock": (Fock, {"n": _REQUIRED}),
+    "coherent": (Coherent, {"mean": _REQUIRED}),
+    "thermal": (Thermal, {"mean": _REQUIRED}),
+    "squeezed": (
+        SqueezedCoherent, {"alpha_mag": 0.0, "alpha_phase": 0.0, "r": 0.0, "theta": 0.0}
+    ),
+    "custom": (_load_custom_pmf, {"pmf_csv": _REQUIRED, "tail_mass": 0.0}),
+}
+_INPUT_KEYS = dict.fromkeys(["kind", *(key for _, keys in _KINDS.values() for key in keys)])
+
+
+# --- deterministic output helpers ----------------------------------------------
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _open(path: Path):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path.open("w", encoding="utf-8", newline="\n")
+
+
+def _write_csv(path: Path, cfg: dict, header: list[str], columns) -> None:
+    """Columns may be ragged; the short ones are padded with blanks."""
+    with _open(path) as handle:
+        handle.write(f"# engine = {_ENGINE['name']} {_ENGINE['version']}\n")
+        for section in sorted(cfg):
+            for key in sorted(cfg[section]):
+                handle.write(f"# {section}.{key} = {_cell(cfg[section][key])}\n")
+        handle.write(",".join(header) + "\n")
+        for row in zip_longest(*columns):
+            handle.write(",".join(_cell(x) for x in row) + "\n")
+
+
+def _write_json(path: Path, cfg: dict, payload: dict) -> None:
+    with _open(path) as handle:
+        document = {"engine": _ENGINE, "config": cfg, **payload}
+        json.dump(document, handle, sort_keys=True, indent=2)
+        handle.write("\n")
+
+
+def _pmf_columns(*pmfs) -> list:
+    """An n column as long as the longest pmf, then the entries of each."""
+    return [range(max(map(len, pmfs))), *(p.probs for p in pmfs)]
+
+
+def _limit(cfg: dict, spec, out: Path) -> None:
+    """plimit, fig5a, fig5b: an N-photon single-stage pmf next to its deep-cascade limit."""
+    [settings] = cfg.values()  # [plimit], or [figure] with the recipe name
+    name = settings.get("name", "plimit")
+    one_stage = fock_scatter_pmf(settings["n"], settings["m"])
+    limit = fock_pn_limit_pmf(settings["n"], settings["m"])
+    payload = {"total_variation": total_variation(one_stage, limit)}
+    if name == "plimit":
+        payload.update(mean_single_stage=pmf_mean(one_stage), mean_limit=pmf_mean(limit))
+    header = ["n", "p_single_stage", "p_limit"]
+    _write_csv(out / f"{name}.csv", cfg, header, _pmf_columns(one_stage, limit))
+    _write_json(out / f"{name}.json", cfg, payload)
+
+
+# --- subcommands ----------------------------------------------------------------
+# Each takes the resolved configuration, the input state (None for commands
+# that read no [input]) and the output directory.
+
+
+def cmd_scatter(cfg: dict, spec, out: Path) -> None:
+    settings = cfg["scatter"]
+    M, stages, approx = settings["m"], settings["stages"], settings["approx"]
+    if approx and stages != 1:
+        raise ConfigError("the small-n approximation applies to a single stage only")
+
+    source = input_pmf(spec)
+    scattered = cascade_pmf(source, M, stages)
+    thermal_ref = thermal_pmf(pmf_mean(scattered))
+    columns = [range(len(scattered)), scattered.probs, thermal_ref.probs]
+    header = ["n", "p_exact", "p_thermal_ref"]
+    if approx:
+        n_eff = spec.n if isinstance(spec, Fock) else round(pmf_mean(source))
+        n_top = min(settings.get("approx_nmax", n_eff), n_eff)
+        columns.append(approx_scatter_pmf(n_eff, M, n_top).probs)
+        header.append("p_approx")
+        settings.update(approx_n=n_eff, approx_nmax=n_top)
+    _write_csv(out / "scatter.csv", cfg, header, columns)
+
+
+def _report_as_dict(report) -> dict:
+    moments = {str(i + 1): x for i, x in enumerate(report.factorial_moments)}
+    g = {str(i + 2): x for i, x in enumerate(report.g)}
+    return {"mean": report.mean, "factorial_moments": moments, "g": g}
+
+
+def cmd_gn(cfg: dict, spec, out: Path) -> None:
+    M, stages, order = cfg["scatter"]["m"], cfg["scatter"]["stages"], cfg["gn"]["order"]
+    source = input_pmf(spec)
+    incoming = correlation_report(source, order)
+    outgoing = correlation_report(cascade_pmf(source, M, stages), order)
+
+    predicted = {}
+    for k in range(2, order + 1):
+        g = incoming.g_at(k)
+        for _ in range(stages):
+            g = gn_out_predicted(g, k, M)
+        predicted[str(k)] = g
+
+    payload = {
+        "input": _report_as_dict(incoming),
+        "output": _report_as_dict(outgoing),
+        "predicted": predicted,
+        "difference": {k: outgoing.g_at(int(k)) - v for k, v in predicted.items()},
+        "deep_cascade_limit": {
+            str(k): gn_limit(incoming.g_at(k), k, stages) for k in range(2, order + 1)
+        },
+    }
+    _write_json(out / "gn.json", cfg, payload)
+
+
+def cmd_mc(cfg: dict, spec, out: Path) -> None:
+    M, settings = cfg["scatter"]["m"], cfg["mc"]
+    frames, order = settings["frames"], settings["order"]
+    record = settings["record_configurations"]
+    config = MCConfig(spec, M, frames, settings["seed"], record_configurations=record)
+    # the exact side is cheap and checks the order before the sampler runs
+    exact_pmf = scatter_pmf(input_pmf(spec), M)
+    exact = correlation_report(exact_pmf, order)
+    result = run_mc(config)
+    empirical = empirical_report(result, order)
+
+    counts = result.histogram
+    columns = [range(len(counts)), counts, [c / frames for c in counts], exact_pmf.probs]
+    _write_csv(out / "mc.csv", cfg, ["n", "count", "p_empirical", "p_exact"], columns)
+
+    z_scores = {}
+    for k in range(2, order + 1):
+        se = empirical.g_se[k - 2]
+        gap = empirical.report.g_at(k) - exact.g_at(k)
+        z_scores[str(k)] = gap / se if se > 0 else None
+    payload = {
+        "empirical": _report_as_dict(empirical.report),
+        "standard_errors": {
+            "mean": empirical.mean_se,
+            "g": {str(k): empirical.g_se[k - 2] for k in range(2, order + 1)},
+        },
+        "exact": _report_as_dict(exact),
+        "z": z_scores,
+        "blocks": empirical.blocks,
+    }
+    _write_json(out / "mc.json", cfg, payload)
+
+
+# --- figure recipes ---------------------------------------------------------------
+
+
+def _fig2(cfg: dict, spec, out: Path) -> None:
+    M, nbar = cfg["figure"]["m"], cfg["figure"]["nbar"]
+    fock_out = fock_scatter_pmf(nbar, M)
+    poisson_out = scatter_pmf(input_pmf(Coherent(float(nbar))), M)
+    columns = _pmf_columns(fock_out, poisson_out, thermal_pmf(nbar / M))
+    header = ["n", "p_fock", "p_poisson", "p_thermal_ref"]
+    if M >= 3:
+        columns.append(approx_scatter_pmf(nbar, M, nbar).probs)
+        header.append("p_fock_approx")
+    _write_csv(out / "fig2.csv", cfg, header, columns)
+
+
+def _fig3a(cfg: dict, spec, out: Path) -> None:
+    M, nbar = cfg["figure"]["m"], cfg["figure"]["nbar"]
+    fock_out = fock_scatter_pmf(nbar, M)
+    poisson_out = scatter_pmf(input_pmf(Coherent(float(nbar))), M)
+    thermal_out = scatter_pmf(input_pmf(Thermal(float(nbar))), M)
+    columns = _pmf_columns(fock_out, poisson_out, thermal_out)
+    _write_csv(out / "fig3a.csv", cfg, ["n", "p_fock", "p_poisson", "p_thermal"], columns)
+
+
+def _fig3b(cfg: dict, spec, out: Path) -> None:
+    cells = range(1, cfg["figure"]["m_max"] + 1)
+    # Fock inputs of 2, 5 and 10 photons, then a Poissonian input of any mean
+    g2_inputs = [1.0 - 1.0 / n_in for n_in in (2, 5, 10)] + [1.0]
+    columns = [cells, *([g2_out_predicted(g2, M) for M in cells] for g2 in g2_inputs)]
+    header = ["M", "g2_fock2", "g2_fock5", "g2_fock10", "g2_poisson"]
+    _write_csv(out / "fig3b.csv", cfg, header, columns)
+
+
+def _fig3c(cfg: dict, spec, out: Path) -> None:
+    M, n_sweep = cfg["figure"]["m"], range(1, cfg["figure"]["n_sweep_max"] + 1)
+    g2_in = [1.0 - 1.0 / n_in for n_in in n_sweep]
+    columns = [n_sweep, g2_in, [g2_out_predicted(g2, M) for g2 in g2_in]]
+    _write_csv(out / "fig3c.csv", cfg, ["N", "g2_in", "g2_out"], columns)
+
+
+def _fig3d(cfg: dict, spec, out: Path) -> None:
+    settings = cfg["figure"]
+    M, nbar, r = settings["m"], settings["nbar"], settings["r"]
+    if math.sinh(r) ** 2 > nbar:
+        raise ConfigError(f"squeezing r={r} alone already exceeds the target mean {nbar}")
+    alpha_mag = settings["alpha_mag"] = math.sqrt(nbar - math.sinh(r) ** 2)
+    rows = []
+    for theta in np.linspace(0.0, 2.0 * math.pi, 65):
+        state = SqueezedCoherent(alpha_mag, settings["alpha_phase"], r, float(theta))
+        source = input_pmf(state)
+        g2_in = correlation_report(source, 2).g2
+        g2_out = correlation_report(scatter_pmf(source, M), 2).g2
+        rows.append([float(theta), g2_in, g2_out, g2_out_predicted(g2_in, M)])
+    header = ["theta", "g2_in", "g2_out", "g2_out_law"]
+    _write_csv(out / "fig3d.csv", cfg, header, zip(*rows))
+
+
+# recipe: (function, {[figure] key: default}); fig2 deliberately has no default M
+_FIGURES = {
+    "fig2": (_fig2, {"m": _REQUIRED, "nbar": 200}),
+    "fig3a": (_fig3a, {"m": 8, "nbar": 8}),
+    "fig3b": (_fig3b, {"m_max": 64}),
+    "fig3c": (_fig3c, {"m": 200, "n_sweep_max": 50}),
+    "fig3d": (_fig3d, {"m": 200, "nbar": 8, "r": 1.0, "alpha_phase": 0.0}),
+    "fig5a": (_limit, {"n": 60, "m": 60}),
+    "fig5b": (_limit, {"n": 60, "m": 200}),
+}
+
+# subcommand: (function, reads [input], {section: {key: default}}, help).  The
+# figure row lists every recipe's keys; the chosen recipe's own defaults apply.
+_COMMANDS = {
+    "scatter": (
+        cmd_scatter, True,
+        {"scatter": {"m": _REQUIRED, "stages": 1, "approx": False, "approx_nmax": None}},
+        "single-cell pmf after scattering",
+    ),
+    "gn": (
+        cmd_gn, True,
+        {"scatter": {"m": _REQUIRED, "stages": 1}, "gn": {"order": 3}},
+        "correlation report: exact vs. law vs. limit",
+    ),
+    "plimit": (
+        _limit, False,
+        {"plimit": {"n": _REQUIRED, "m": _REQUIRED}},
+        "single stage vs. deep-cascade limit",
+    ),
+    "mc": (
+        cmd_mc, True,
+        {"scatter": {"m": _REQUIRED},
+         "mc": {"frames": 100_000, "seed": 0, "order": 2, "record_configurations": False}},
+        "Monte Carlo sampler with jackknife errors",
+    ),
+    "figure": (
+        None, False,
+        {"figure": {key: None for _, keys in _FIGURES.values() for key in keys}},
+        "canned parameter recipes",
+    ),
+}
+
+
+def _accepted_keys() -> dict[str, set[str]]:
+    """Every config section some subcommand reads, with the keys it accepts."""
+    accepted = {"input": set(_INPUT_KEYS)}
+    for _, _, sections, _ in _COMMANDS.values():
+        for section, keys in sections.items():
+            accepted.setdefault(section, set()).update(keys)
+    return accepted
+
+
+# --- resolution -------------------------------------------------------------------
 
 
 def _load_config(path: str | None) -> configparser.ConfigParser | None:
@@ -101,514 +432,88 @@ def _load_config(path: str | None) -> configparser.ConfigParser | None:
     return parser
 
 
-_KNOWN_KEYS = {
-    "input": {
-        "kind", "n", "mean", "alpha_mag", "alpha_phase", "r", "theta",
-        "pmf_csv", "tail_mass",
-    },
-    "scatter": {"m", "stages", "approx", "approx_nmax"},
-    "gn": {"order"},
-    "plimit": {"n", "m"},
-    "mc": {"frames", "seed", "order", "record_configurations"},
-    "figure": {"m", "nbar", "n", "r", "alpha_phase", "m_max", "n_sweep_max"},
-}
-
-
-def _check_section(cp: configparser.ConfigParser | None, section: str) -> None:
-    if cp is None or not cp.has_section(section):
-        return
-    unknown = sorted(set(cp[section]) - _KNOWN_KEYS[section])
-    if unknown:
-        raise ConfigError(f"unknown key(s) in [{section}]: {', '.join(unknown)}")
-
-
-def _resolve(cp, flag_value, section, key, parse, default=_REQUIRED):
-    """Flag beats config beats default; missing required settings are errors."""
-    if flag_value is not None:
-        return flag_value
-    if cp is not None and cp.has_section(section) and key in cp[section]:
-        raw = cp[section][key]
-        try:
-            return parse(raw)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
-    if default is _REQUIRED:
-        raise ConfigError(f"missing required setting [{section}] {key} (or its flag)")
-    return default
-
-
-def _load_custom_pmf(path: str, tail_mass: float) -> Pmf:
-    file = Path(path)
-    if not file.is_file():
-        raise ConfigError(f"custom pmf file not found: {path}")
-    probs: list[float] = []
-    with file.open(encoding="utf-8") as handle:
-        header: list[str] | None = None
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            cells = line.split(",")
-            if header is None:
-                header = [c.strip().lower() for c in cells]
-                if "n" not in header or "p" not in header:
-                    raise ConfigError(f"{path}: need columns 'n' and 'p', got {header}")
-                continue
-            row = dict(zip(header, cells))
+def _settings(cp, args, section: str, defaults: dict) -> dict:
+    """Flag beats config beats default; a key left at a None default is omitted."""
+    values = {}
+    given = cp[section] if cp is not None and cp.has_section(section) else {}
+    for key, default in defaults.items():
+        value = getattr(args, key, None)
+        if value is None and key in given:
+            raw = given[key]
+            kind = _KEYS[key][0]
             try:
-                n, p = int(row["n"]), float(row["p"])
-            except (KeyError, ValueError) as exc:
-                raise ConfigError(f"{path}: bad row {line!r}: {exc}") from exc
-            if n != len(probs):
-                raise ConfigError(f"{path}: rows must cover n = 0,1,2,... got n={n}")
-            probs.append(p)
-    if not probs:
-        raise ConfigError(f"{path}: no pmf rows found")
-    try:
-        return Pmf(tuple(probs), tail_mass)
-    except InvalidPmf as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+                value = _parse_bool(raw) if kind is bool else kind(raw)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+        if value is None:
+            if default is _REQUIRED:
+                raise ConfigError(f"missing required setting [{section}] {key} (or its flag)")
+            value = default
+        if value is not None:
+            values[key] = value
+    return values
 
 
-def _resolve_input(cp, args) -> tuple[InputStateSpec, dict]:
-    _check_section(cp, "input")
-    kind = _resolve(cp, getattr(args, "kind", None), "input", "kind", str.strip)
-    kind = kind.lower()
-    resolved: dict = {"kind": kind}
-    try:
-        if kind == "fock":
-            n = _resolve(cp, args.n, "input", "n", _parse_int)
-            resolved["n"] = n
-            return Fock(n), resolved
-        if kind == "coherent":
-            mean = _resolve(cp, args.mean, "input", "mean", float)
-            resolved["mean"] = mean
-            return Coherent(mean), resolved
-        if kind == "thermal":
-            mean = _resolve(cp, args.mean, "input", "mean", float)
-            resolved["mean"] = mean
-            return Thermal(mean), resolved
-        if kind == "squeezed":
-            alpha_mag = _resolve(cp, args.alpha_mag, "input", "alpha_mag", float, 0.0)
-            alpha_phase = _resolve(cp, args.alpha_phase, "input", "alpha_phase", float, 0.0)
-            r = _resolve(cp, args.r, "input", "r", float, 0.0)
-            theta = _resolve(cp, args.theta, "input", "theta", float, 0.0)
-            resolved.update(
-                alpha_mag=alpha_mag, alpha_phase=alpha_phase, r=r, theta=theta
-            )
-            return SqueezedCoherent(alpha_mag, alpha_phase, r, theta), resolved
-        if kind == "custom":
-            path = _resolve(cp, args.pmf_csv, "input", "pmf_csv", str.strip)
-            tail = _resolve(cp, args.tail_mass, "input", "tail_mass", float, 0.0)
-            resolved.update(pmf_csv=path, tail_mass=tail)
-            return Custom(_load_custom_pmf(path, tail)), resolved
-    except ValueError as exc:
-        raise ConfigError(f"invalid input state: {exc}") from exc
-    raise ConfigError(
-        f"unknown input kind {kind!r}; expected fock, coherent, thermal, squeezed or custom"
-    )
-
-
-# --- deterministic output helpers ----------------------------------------------
-
-
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _flatten_config(resolved: dict) -> list[tuple[str, object]]:
-    flat: list[tuple[str, object]] = []
-    for section in sorted(resolved):
-        for key in sorted(resolved[section]):
-            flat.append((f"{section}.{key}", resolved[section][key]))
-    return flat
-
-
-def _write_csv(path: Path, resolved: dict, header: list[str], rows) -> None:
-    with path.open("w", encoding="utf-8", newline="\n") as handle:
-        handle.write(f"# engine = {_ENGINE['name']} {_ENGINE['version']}\n")
-        for key, value in _flatten_config(resolved):
-            handle.write(f"# {key} = {_cell(value)}\n")
-        handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(_cell(x) for x in row) + "\n")
-
-
-def _write_json(path: Path, resolved: dict, payload: dict) -> None:
-    document = {"engine": _ENGINE, "config": resolved, **payload}
-    with path.open("w", encoding="utf-8", newline="\n") as handle:
-        json.dump(document, handle, sort_keys=True, indent=2)
-        handle.write("\n")
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _columns_to_rows(columns: list[list]) -> list[list]:
-    """Zip ragged columns into rows, padding the short ones with blanks."""
-    length = max(len(c) for c in columns)
-    return [
-        [col[i] if i < len(col) else None for col in columns] for i in range(length)
-    ]
-
-
-# --- subcommands ----------------------------------------------------------------
-
-
-def cmd_scatter(args) -> None:
+def _resolve(args) -> tuple:
+    """Return the command function, the resolved configuration and the input state."""
     cp = _load_config(args.config)
-    _check_section(cp, "scatter")
-    spec, input_resolved = _resolve_input(cp, args)
-    M = _resolve(cp, args.M, "scatter", "m", _parse_int)
-    stages = _resolve(cp, args.stages, "scatter", "stages", _parse_int, 1)
-    approx = _resolve(cp, args.approx, "scatter", "approx", _parse_bool, False)
-    approx_nmax = _resolve(cp, args.approx_nmax, "scatter", "approx_nmax", _parse_int, None)
+    func, reads_input, sections, _ = _COMMANDS[args.command]
+    context = args.command
+    if args.command == "figure":
+        func, keys = _FIGURES[args.name]
+        sections, context = {"figure": keys}, f"figure {args.name}"
+    if cp is not None:
+        accepted = _accepted_keys()
+        unknown = sorted(set(cp.sections()) - set(accepted))
+        if unknown:
+            raise ConfigError(f"unknown config section(s): [{'], ['.join(unknown)}]")
+        for section in [*sections, "input"] if reads_input else sections:
+            stray = sorted(set(cp[section]) - accepted[section]) if section in cp else []
+            if stray:
+                raise ConfigError(f"unknown key(s) in [{section}]: {', '.join(stray)}")
 
-    resolved = {
-        "input": input_resolved,
-        "scatter": {"m": M, "stages": stages, "approx": approx},
-    }
-    if approx_nmax is not None:
-        resolved["scatter"]["approx_nmax"] = approx_nmax
+    if reads_input:
+        kind = _settings(cp, args, "input", {"kind": _REQUIRED})["kind"].lower()
+        if kind not in _KINDS:
+            expected = "fock, coherent, thermal, squeezed or custom"
+            raise ConfigError(f"unknown input kind {kind!r}; expected {expected}")
+        make, keys = _KINDS[kind]
+        sections, context = {"input": keys, **sections}, f"input kind {kind}"
+    read = {"kind"}.union(*sections.values())
+    unread = [flag for key, (_, flag, _) in _KEYS.items()
+              if key not in read and getattr(args, key, None) is not None]
+    if unread:
+        raise ConfigError(f"flag(s) {', '.join(unread)} not read by {context}")
 
-    source = input_pmf(spec)
-    out = cascade_pmf(source, M, stages)
-    thermal_ref = thermal_pmf(pmf_mean(out))
-
-    columns = [
-        list(range(len(out))),
-        list(out.probs),
-        list(thermal_ref.probs),
-    ]
-    header = ["n", "p_exact", "p_thermal_ref"]
-    if approx:
-        if stages != 1:
-            raise ConfigError("the small-n approximation applies to a single stage only")
-        n_eff = spec.n if isinstance(spec, Fock) else round(pmf_mean(source))
-        n_top = n_eff if approx_nmax is None else min(approx_nmax, n_eff)
-        approx_pmf = approx_scatter_pmf(n_eff, M, n_top)
-        columns.append(list(approx_pmf.probs))
-        header.append("p_approx")
-        resolved["scatter"]["approx_n"] = n_eff
-        resolved["scatter"]["approx_nmax"] = n_top
-
-    _write_csv(_out_dir(args) / "scatter.csv", resolved, header, _columns_to_rows(columns))
-
-
-def _report_as_dict(report) -> dict:
-    return {
-        "mean": report.mean,
-        "factorial_moments": {
-            str(i + 1): x for i, x in enumerate(report.factorial_moments)
-        },
-        "g": {str(i + 2): x for i, x in enumerate(report.g)},
-    }
-
-
-def cmd_gn(args) -> None:
-    cp = _load_config(args.config)
-    _check_section(cp, "scatter")
-    _check_section(cp, "gn")
-    spec, input_resolved = _resolve_input(cp, args)
-    M = _resolve(cp, args.M, "scatter", "m", _parse_int)
-    stages = _resolve(cp, args.stages, "scatter", "stages", _parse_int, 1)
-    order = _resolve(cp, args.order, "gn", "order", _parse_int, 3)
-
-    resolved = {
-        "input": input_resolved,
-        "scatter": {"m": M, "stages": stages},
-        "gn": {"order": order},
-    }
-
-    source = input_pmf(spec)
-    incoming = correlation_report(source, order)
-    outgoing = correlation_report(cascade_pmf(source, M, stages), order)
-
-    g2_pred = incoming.g2
-    for _ in range(stages):
-        g2_pred = g2_out_predicted(g2_pred, M)
-    predicted = {"2": g2_pred}
-    if order >= 3:
-        g3_pred = incoming.g3
-        for _ in range(stages):
-            g3_pred = g3_out_predicted(g3_pred, M)
-        predicted["3"] = g3_pred
-
-    payload = {
-        "input": _report_as_dict(incoming),
-        "output": _report_as_dict(outgoing),
-        "predicted": predicted,
-        "difference": {
-            k: outgoing.g_at(int(k)) - v for k, v in predicted.items()
-        },
-        "deep_cascade_limit": {
-            str(k): gn_limit(incoming.g_at(k), k, stages) for k in range(2, order + 1)
-        },
-    }
-    _write_json(_out_dir(args) / "gn.json", resolved, payload)
-
-
-def cmd_plimit(args) -> None:
-    cp = _load_config(args.config)
-    _check_section(cp, "plimit")
-    n_photons = _resolve(cp, args.n, "plimit", "n", _parse_int)
-    M = _resolve(cp, args.M, "plimit", "m", _parse_int)
-    resolved = {"plimit": {"n": n_photons, "m": M}}
-
-    one_stage = fock_scatter_pmf(n_photons, M)
-    limit = fock_pn_limit_pmf(n_photons, M)
-    tv = total_variation(one_stage, limit)
-
-    rows = _columns_to_rows(
-        [list(range(len(one_stage))), list(one_stage.probs), list(limit.probs)]
-    )
-    out = _out_dir(args)
-    _write_csv(out / "plimit.csv", resolved, ["n", "p_single_stage", "p_limit"], rows)
-    _write_json(
-        out / "plimit.json",
-        resolved,
-        {
-            "total_variation": tv,
-            "mean_single_stage": pmf_mean(one_stage),
-            "mean_limit": pmf_mean(limit),
-        },
-    )
-
-
-def cmd_mc(args) -> None:
-    cp = _load_config(args.config)
-    _check_section(cp, "scatter")
-    _check_section(cp, "mc")
-    spec, input_resolved = _resolve_input(cp, args)
-    M = _resolve(cp, args.M, "scatter", "m", _parse_int)
-    frames = _resolve(cp, args.frames, "mc", "frames", _parse_int, 100_000)
-    seed = _resolve(cp, args.seed, "mc", "seed", _parse_int, 0)
-    order = _resolve(cp, args.order, "mc", "order", _parse_int, 2)
-    record = _resolve(
-        cp, args.record_configurations, "mc", "record_configurations", _parse_bool, False
-    )
-
-    resolved = {
-        "input": input_resolved,
-        "scatter": {"m": M},
-        "mc": {
-            "frames": frames,
-            "seed": seed,
-            "order": order,
-            "record_configurations": record,
-        },
-    }
-
-    result = run_mc(MCConfig(spec, M, frames, seed, record_configurations=record))
-    empirical = empirical_report(result, order)
-    exact_pmf = scatter_pmf(input_pmf(spec), M)
-    exact = correlation_report(exact_pmf, order)
-
-    counts = np.asarray(result.histogram)
-    exact_probs = exact_pmf.probs
-    rows = _columns_to_rows(
-        [
-            list(range(len(counts))),
-            [int(c) for c in counts],
-            [c / frames for c in counts.tolist()],
-            list(exact_probs),
-        ]
-    )
-    out = _out_dir(args)
-    _write_csv(out / "mc.csv", resolved, ["n", "count", "p_empirical", "p_exact"], rows)
-
-    z_scores = {}
-    for k in range(2, order + 1):
-        se = empirical.g_se[k - 2]
-        gap = empirical.report.g_at(k) - exact.g_at(k)
-        z_scores[str(k)] = gap / se if se > 0 else None
-    payload = {
-        "empirical": _report_as_dict(empirical.report),
-        "standard_errors": {
-            "mean": empirical.mean_se,
-            "g": {str(k): empirical.g_se[k - 2] for k in range(2, order + 1)},
-        },
-        "exact": _report_as_dict(exact),
-        "z": z_scores,
-        "blocks": empirical.blocks,
-    }
-    _write_json(out / "mc.json", resolved, payload)
-
-
-# --- figure recipes ---------------------------------------------------------------
-
-
-def _figure_fig2(cp, args, out: Path) -> None:
-    M = _resolve(cp, args.M, "figure", "m", _parse_int)  # deliberately no default
-    nbar = _resolve(cp, args.nbar, "figure", "nbar", _parse_int, 200)
-    resolved = {"figure": {"name": "fig2", "m": M, "nbar": nbar}}
-
-    fock_out = fock_scatter_pmf(nbar, M)
-    poisson_out = scatter_pmf(input_pmf(Coherent(float(nbar))), M)
-    thermal_ref = thermal_pmf(nbar / M)
-    columns = [
-        list(range(max(len(fock_out), len(poisson_out), len(thermal_ref)))),
-        list(fock_out.probs),
-        list(poisson_out.probs),
-        list(thermal_ref.probs),
-    ]
-    header = ["n", "p_fock", "p_poisson", "p_thermal_ref"]
-    if M >= 3:
-        columns.append(list(approx_scatter_pmf(nbar, M, nbar).probs))
-        header.append("p_fock_approx")
-    _write_csv(out / "fig2.csv", resolved, header, _columns_to_rows(columns))
-
-
-def _figure_fig3a(cp, args, out: Path) -> None:
-    M = _resolve(cp, args.M, "figure", "m", _parse_int, 8)
-    nbar = _resolve(cp, args.nbar, "figure", "nbar", _parse_int, 8)
-    resolved = {"figure": {"name": "fig3a", "m": M, "nbar": nbar}}
-    fock_out = fock_scatter_pmf(nbar, M)
-    poisson_out = scatter_pmf(input_pmf(Coherent(float(nbar))), M)
-    thermal_out = scatter_pmf(input_pmf(Thermal(float(nbar))), M)
-    columns = [
-        list(range(max(len(fock_out), len(poisson_out), len(thermal_out)))),
-        list(fock_out.probs),
-        list(poisson_out.probs),
-        list(thermal_out.probs),
-    ]
-    _write_csv(
-        out / "fig3a.csv",
-        resolved,
-        ["n", "p_fock", "p_poisson", "p_thermal"],
-        _columns_to_rows(columns),
-    )
-
-
-def _figure_fig3b(cp, args, out: Path) -> None:
-    m_max = _resolve(cp, None, "figure", "m_max", _parse_int, 64)
-    resolved = {"figure": {"name": "fig3b", "m_max": m_max}}
-    rows = []
-    for M in range(1, m_max + 1):
-        row = [M]
-        for n_in in (2, 5, 10):
-            row.append(g2_out_predicted(1.0 - 1.0 / n_in, M))
-        row.append(g2_out_predicted(1.0, M))  # Poissonian input, any mean
-        rows.append(row)
-    _write_csv(
-        out / "fig3b.csv",
-        resolved,
-        ["M", "g2_fock2", "g2_fock5", "g2_fock10", "g2_poisson"],
-        rows,
-    )
-
-
-def _figure_fig3c(cp, args, out: Path) -> None:
-    M = _resolve(cp, args.M, "figure", "m", _parse_int, 200)
-    n_sweep_max = _resolve(cp, None, "figure", "n_sweep_max", _parse_int, 50)
-    resolved = {"figure": {"name": "fig3c", "m": M, "n_sweep_max": n_sweep_max}}
-    rows = []
-    for n_in in range(1, n_sweep_max + 1):
-        g2_in = 1.0 - 1.0 / n_in
-        rows.append([n_in, g2_in, g2_out_predicted(g2_in, M)])
-    _write_csv(out / "fig3c.csv", resolved, ["N", "g2_in", "g2_out"], rows)
-
-
-def _figure_fig3d(cp, args, out: Path) -> None:
-    M = _resolve(cp, args.M, "figure", "m", _parse_int, 200)
-    nbar = _resolve(cp, args.nbar, "figure", "nbar", _parse_int, 8)
-    r = _resolve(cp, args.r, "figure", "r", float, 1.0)
-    alpha_phase = _resolve(cp, args.alpha_phase, "figure", "alpha_phase", float, 0.0)
-    if math.sinh(r) ** 2 > nbar:
-        raise ConfigError(
-            f"squeezing r={r} alone already exceeds the target mean {nbar}"
-        )
-    alpha_mag = math.sqrt(nbar - math.sinh(r) ** 2)
-    resolved = {
-        "figure": {
-            "name": "fig3d",
-            "m": M,
-            "nbar": nbar,
-            "r": r,
-            "alpha_phase": alpha_phase,
-            "alpha_mag": alpha_mag,
-        }
-    }
-    rows = []
-    for theta in np.linspace(0.0, 2.0 * math.pi, 65):
-        state = SqueezedCoherent(alpha_mag, alpha_phase, r, float(theta))
-        source = input_pmf(state)
-        g2_in = correlation_report(source, 2).g2
-        g2_out = correlation_report(scatter_pmf(source, M), 2).g2
-        rows.append([float(theta), g2_in, g2_out, g2_out_predicted(g2_in, M)])
-    _write_csv(
-        out / "fig3d.csv",
-        resolved,
-        ["theta", "g2_in", "g2_out", "g2_out_law"],
-        rows,
-    )
-
-
-def _figure_fig5(name: str, default_M: int, cp, args, out: Path) -> None:
-    n_photons = _resolve(cp, args.n, "figure", "n", _parse_int, 60)
-    M = _resolve(cp, args.M, "figure", "m", _parse_int, default_M)
-    resolved = {"figure": {"name": name, "n": n_photons, "m": M}}
-    one_stage = fock_scatter_pmf(n_photons, M)
-    limit = fock_pn_limit_pmf(n_photons, M)
-    rows = _columns_to_rows(
-        [list(range(len(one_stage))), list(one_stage.probs), list(limit.probs)]
-    )
-    _write_csv(out / f"{name}.csv", resolved, ["n", "p_single_stage", "p_limit"], rows)
-    _write_json(
-        out / f"{name}.json",
-        resolved,
-        {"total_variation": total_variation(one_stage, limit)},
-    )
-
-
-def cmd_figure(args) -> None:
-    cp = _load_config(args.config)
-    _check_section(cp, "figure")
-    out = _out_dir(args)
-    if args.name == "fig2":
-        _figure_fig2(cp, args, out)
-    elif args.name == "fig3a":
-        _figure_fig3a(cp, args, out)
-    elif args.name == "fig3b":
-        _figure_fig3b(cp, args, out)
-    elif args.name == "fig3c":
-        _figure_fig3c(cp, args, out)
-    elif args.name == "fig3d":
-        _figure_fig3d(cp, args, out)
-    elif args.name == "fig5a":
-        _figure_fig5("fig5a", 60, cp, args, out)
-    else:
-        _figure_fig5("fig5b", 200, cp, args, out)
+    cfg = {name: _settings(cp, args, name, defaults) for name, defaults in sections.items()}
+    spec = None
+    if reads_input:
+        try:
+            spec = make(**cfg["input"])
+        except ValueError as exc:
+            raise ConfigError(f"invalid input state: {exc}") from exc
+        cfg["input"]["kind"] = kind
+    if args.command == "figure":
+        cfg["figure"]["name"] = args.name
+    return func, cfg, spec
 
 
 # --- argument parsing ---------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="INI config file; flags override it")
-    parser.add_argument("--out", default=".", help="output directory (default: .)")
-
-
-def _add_input_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("input state")
-    group.add_argument(
-        "--kind", choices=["fock", "coherent", "thermal", "squeezed", "custom"]
-    )
-    group.add_argument("--n", type=int, help="photon number (fock)")
-    group.add_argument("--mean", type=float, help="mean photon number (coherent/thermal)")
-    group.add_argument("--alpha-mag", type=float, help="displacement magnitude (squeezed)")
-    group.add_argument("--alpha-phase", type=float, help="displacement phase (squeezed)")
-    group.add_argument("--r", type=float, help="squeezing magnitude (squeezed)")
-    group.add_argument("--theta", type=float, help="squeezing phase (squeezed)")
-    group.add_argument("--pmf-csv", help="CSV with columns n,p (custom)")
-    group.add_argument("--tail-mass", type=float, help="tail mass of the custom pmf")
+def _add_flags(group, defaults: dict) -> None:
+    for key, default in defaults.items():
+        kind, flag, help = _KEYS[key]
+        if flag is None:
+            continue
+        if kind is bool:
+            action = argparse.BooleanOptionalAction
+            group.add_argument(flag, dest=key, action=action, help=help)
+            continue
+        if default is not None and default is not _REQUIRED:
+            help = f"{help} (default {default})"
+        choices = list(_KINDS) if key == "kind" else None
+        group.add_argument(flag, dest=key, type=kind, choices=choices, help=help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -618,78 +523,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"rggstats {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_scatter = sub.add_parser("scatter", help="single-cell pmf after scattering")
-    _add_common(p_scatter)
-    _add_input_flags(p_scatter)
-    p_scatter.add_argument("--M", type=int, help="number of speckle cells")
-    p_scatter.add_argument("--stages", type=int, help="diffusers in series (default 1)")
-    p_scatter.add_argument(
-        "--approx", action=argparse.BooleanOptionalAction,
-        help="also emit the small-n approximation column",
-    )
-    p_scatter.add_argument("--approx-nmax", type=int, help="support cap for the approximation")
-    p_scatter.set_defaults(func=cmd_scatter)
-
-    p_gn = sub.add_parser("gn", help="correlation report: exact vs. law vs. limit")
-    _add_common(p_gn)
-    _add_input_flags(p_gn)
-    p_gn.add_argument("--M", type=int, help="number of speckle cells")
-    p_gn.add_argument("--stages", type=int, help="diffusers in series (default 1)")
-    p_gn.add_argument("--order", type=int, help="highest correlation order (default 3)")
-    p_gn.set_defaults(func=cmd_gn)
-
-    p_plimit = sub.add_parser("plimit", help="single stage vs. deep-cascade limit")
-    _add_common(p_plimit)
-    p_plimit.add_argument("--n", type=int, help="input photon number")
-    p_plimit.add_argument("--M", type=int, help="number of speckle cells")
-    p_plimit.set_defaults(func=cmd_plimit)
-
-    p_mc = sub.add_parser("mc", help="Monte Carlo sampler with jackknife errors")
-    _add_common(p_mc)
-    _add_input_flags(p_mc)
-    p_mc.add_argument("--M", type=int, help="number of speckle cells")
-    p_mc.add_argument("--frames", type=int, help="number of frames (default 100000)")
-    p_mc.add_argument("--seed", type=int, help="base seed (default 0)")
-    p_mc.add_argument("--order", type=int, help="highest correlation order (default 2)")
-    p_mc.add_argument(
-        "--record-configurations", action=argparse.BooleanOptionalAction,
-        help="tally complete occupation patterns (memory-hungry)",
-    )
-    p_mc.set_defaults(func=cmd_mc)
-
-    p_figure = sub.add_parser("figure", help="canned parameter recipes")
-    _add_common(p_figure)
-    p_figure.add_argument("name", choices=list(FIGURES))
-    p_figure.add_argument(
-        "--M", type=int, help="speckle cells (required for fig2; recipes vary)"
-    )
-    p_figure.add_argument("--nbar", type=int, help="input mean photon number")
-    p_figure.add_argument("--n", type=int, help="input photon number (fig5a/fig5b)")
-    p_figure.add_argument("--r", type=float, help="squeezing magnitude (fig3d)")
-    p_figure.add_argument("--alpha-phase", type=float, help="displacement phase (fig3d)")
-    p_figure.set_defaults(func=cmd_figure)
-
+    for command, (_, reads_input, sections, help) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help)
+        p.add_argument("--config", help="INI config file; flags override it")
+        p.add_argument("--out", default=".", help="output directory (default: .)")
+        if command == "figure":
+            p.add_argument("name", choices=list(_FIGURES))
+        if reads_input:
+            _add_flags(p.add_argument_group("input state"), _INPUT_KEYS)
+        for defaults in sections.values():
+            _add_flags(p, defaults)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        func, cfg, spec = _resolve(args)
+        func(cfg, spec, Path(args.out))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (
-        TailTooHeavy,
-        ZeroMass,
-        ZeroMean,
-        OutOfRange,
-        DimTooSmall,
-        InvalidPmf,
-        ArithmeticError,
-    ) as exc:
+    except _NUMERIC_FAILURES as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import OutOfRange, Pmf
+from .core import OutOfRange, Pmf, _as_int
 
 __all__ = [
     "EXACT_LIMIT",
@@ -46,22 +46,9 @@ __all__ = [
 EXACT_LIMIT = 20000
 
 
-def _check_counts(N: int, M: int) -> tuple[int, int]:
-    if not isinstance(N, (int, np.integer)) or isinstance(N, bool):
-        raise TypeError(f"photon number N must be an integer, got {N!r}")
-    if not isinstance(M, (int, np.integer)) or isinstance(M, bool):
-        raise TypeError(f"cell count M must be an integer, got {M!r}")
-    N, M = int(N), int(M)
-    if N < 0:
-        raise ValueError(f"photon number N must be >= 0, got {N}")
-    if M < 1:
-        raise ValueError(f"cell count M must be >= 1, got {M}")
-    return N, M
-
-
 def config_count(N: int, M: int) -> int:
     """Number of ways to place N indistinguishable photons on M cells."""
-    N, M = _check_counts(N, M)
+    N, M = _as_int("photon number N", N, 0), _as_int("cell count M", M, 1)
     return math.comb(N + M - 1, M - 1)
 
 
@@ -98,7 +85,7 @@ def fock_scatter_fractions(N: int, M: int) -> tuple[Fraction, ...]:
     mass; for ``M >= 2`` the general counting formula applies (at ``M = 2``
     it reduces to the uniform distribution on ``0..N``).
     """
-    N, M = _check_counts(N, M)
+    N, M = _as_int("photon number N", N, 0), _as_int("cell count M", M, 1)
     if M == 1:
         return (Fraction(0),) * N + (Fraction(1),)
     numerators, z = _exact_row(N, M)
@@ -127,7 +114,7 @@ def _fock_scatter_array(N: int, M: int) -> np.ndarray:
 
 def fock_scatter_pmf(N: int, M: int) -> Pmf:
     """Single-cell count distribution for an N-photon input, in doubles."""
-    N, M = _check_counts(N, M)
+    N, M = _as_int("photon number N", N, 0), _as_int("cell count M", M, 1)
     return Pmf(tuple(_fock_scatter_array(N, M)), 0.0)
 
 
@@ -139,12 +126,10 @@ def thermal_ratio(N: int, M: int, n: int) -> float:
     while both entries are nonzero, i.e. for ``0 <= n < N``, and for
     ``M >= 2`` (the single-cell pmf is a point mass with no ratio to take).
     """
-    N, M = _check_counts(N, M)
+    N, M = _as_int("photon number N", N, 0), _as_int("cell count M", M, 1)
     if M < 2:
         raise ValueError(f"successive ratio needs M >= 2, got M={M}")
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise TypeError(f"n must be an integer, got {n!r}")
-    n = int(n)
+    n = _as_int("n", n)
     if not 0 <= n < N:
         raise OutOfRange(f"ratio defined for 0 <= n < N={N}, got n={n}")
     return (N - n) / (N - n + M - 2)
@@ -163,14 +148,12 @@ def approx_scatter_pmf(N: int, M: int, n_max: int) -> Pmf:
     against N; requires ``M >= 3`` (for ``M = 2`` the exact pmf is flat and
     the expansion is pointless) and ``n_max <= N``.
     """
-    N, M = _check_counts(N, M)
+    N, M = _as_int("photon number N", N, 0), _as_int("cell count M", M, 1)
     if N < 1:
         raise ValueError(f"approximation needs N >= 1, got N={N}")
     if M < 3:
         raise ValueError(f"approximation needs M >= 3, got M={M}")
-    if not isinstance(n_max, (int, np.integer)) or isinstance(n_max, bool):
-        raise TypeError(f"n_max must be an integer, got {n_max!r}")
-    n_max = int(n_max)
+    n_max = _as_int("n_max", n_max)
     if not 0 <= n_max <= N:
         raise ValueError(f"n_max must lie in 0..N={N}, got {n_max}")
     beta0 = math.log1p((M - 2) / N)

@@ -59,6 +59,21 @@ PMF_SUM_TOL = 1e-9
 TAIL_CEILING = 1e-6
 
 
+def _as_int(name: str, value, minimum: int | None = None) -> int:
+    """``value`` as a plain int, checked against ``minimum`` when one is given.
+
+    Raises :class:`TypeError` for anything but an int or numpy integer (a
+    bool included, so ``True`` never passes for 1) and :class:`ValueError`
+    for a value below ``minimum``.
+    """
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
 class InvalidPmf(ValueError):
     """Raised when numbers claiming to be a pmf fail the invariants."""
 
@@ -158,11 +173,7 @@ class Fock:
     n: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):
-            raise TypeError(f"photon number must be an integer, got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))
-        if self.n < 0:
-            raise ValueError(f"photon number must be >= 0, got {self.n}")
+        object.__setattr__(self, "n", _as_int("photon number", self.n, 0))
 
 
 @dataclass(frozen=True)

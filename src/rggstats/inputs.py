@@ -36,6 +36,7 @@ from .core import (
     SqueezedCoherent,
     Thermal,
     UnstableEvaluation,
+    _as_int,
 )
 
 __all__ = [
@@ -61,9 +62,7 @@ _NEG_INF = float("-inf")
 
 def fock_pmf(n: int) -> Pmf:
     """Point mass at photon number ``n``."""
-    if n < 0:
-        raise ValueError(f"photon number must be >= 0, got {n}")
-    return Pmf((0.0,) * int(n) + (1.0,))
+    return Pmf((0.0,) * _as_int("photon number", n, 0) + (1.0,))
 
 
 def poisson_pmf(mean: float) -> Pmf:
@@ -279,9 +278,7 @@ def squeezed_oracle_pmf(params: SqueezedCoherent, dim: int) -> Pmf:
 
     if not isinstance(params, SqueezedCoherent):
         raise TypeError(f"expected SqueezedCoherent parameters, got {type(params).__name__}")
-    dim = int(dim)
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    dim = _as_int("dim", dim, 1)
     xi = params.r * cmath.exp(1j * params.theta)
     alpha = params.alpha_mag * cmath.exp(1j * params.alpha_phase)
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CorrelationReport, InputStateSpec, MCRunResult, Pmf
+from .core import CorrelationReport, InputStateSpec, MCRunResult, Pmf, _as_int
 from .inputs import input_pmf
 from .transform import correlation_report
 
@@ -66,19 +66,9 @@ class MCConfig:
     record_configurations: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.M, (int, np.integer)) or isinstance(self.M, bool):
-            raise TypeError(f"M must be an integer, got {self.M!r}")
-        object.__setattr__(self, "M", int(self.M))
-        if self.M < 1:
-            raise ValueError(f"M must be >= 1, got {self.M}")
-        if not isinstance(self.frames, (int, np.integer)) or isinstance(self.frames, bool):
-            raise TypeError(f"frames must be an integer, got {self.frames!r}")
-        object.__setattr__(self, "frames", int(self.frames))
-        if self.frames < 1:
-            raise ValueError(f"frames must be >= 1, got {self.frames}")
-        if not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool):
-            raise TypeError(f"seed must be an integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "M", _as_int("M", self.M, 1))
+        object.__setattr__(self, "frames", _as_int("frames", self.frames, 1))
+        object.__setattr__(self, "seed", _as_int("seed", self.seed))
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
 
@@ -89,15 +79,7 @@ def sample_configuration(N: int, M: int, rng: np.random.Generator) -> np.ndarray
     Runs the same stars-and-bars core as :func:`run_mc`, on a counter
     stream keyed by one 64-bit seed drawn from ``rng``.
     """
-    if not isinstance(N, (int, np.integer)) or isinstance(N, bool):
-        raise TypeError(f"photon number must be an integer, got {N!r}")
-    if not isinstance(M, (int, np.integer)) or isinstance(M, bool):
-        raise TypeError(f"cell count must be an integer, got {M!r}")
-    N, M = int(N), int(M)
-    if N < 0:
-        raise ValueError(f"photon number must be >= 0, got {N}")
-    if M < 1:
-        raise ValueError(f"cell count must be >= 1, got {M}")
+    N, M = _as_int("photon number", N, 0), _as_int("cell count", M, 1)
     keys = _frame_keys(int(rng.integers(2**64, dtype=np.uint64)), np.zeros(1, dtype=np.int64))
     return _occupations(keys, np.array([N], dtype=np.int64), M)[0]
 

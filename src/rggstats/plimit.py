@@ -42,7 +42,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import InvalidPmf, NormalizationFailure, Pmf
+from .core import InvalidPmf, NormalizationFailure, Pmf, _as_int
 from .inputs import thermal_pmf
 
 __all__ = [
@@ -56,45 +56,19 @@ __all__ = [
 ]
 
 
-def _check_NM(N: int, M: int) -> tuple[int, int]:
-    if not isinstance(N, (int, np.integer)) or isinstance(N, bool):
-        raise TypeError(f"photon number N must be an integer, got {N!r}")
-    if not isinstance(M, (int, np.integer)) or isinstance(M, bool):
-        raise TypeError(f"cell count M must be an integer, got {M!r}")
-    N, M = int(N), int(M)
-    if N < 0:
-        raise ValueError(f"photon number N must be >= 0, got {N}")
-    if M < 1:
-        raise ValueError(f"cell count M must be >= 1, got {M}")
-    return N, M
-
-
-def _check_n(n: int) -> int:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise TypeError(f"n must be an integer, got {n!r}")
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return n
-
-
 def coherent_limit_pmf(mean: float, M: int) -> Pmf:
     """Deep-cascade output for a coherent input: thermal with mean ``mean / M``."""
     mean = float(mean)
     if not math.isfinite(mean) or mean < 0.0:
         raise ValueError(f"mean must be finite and >= 0, got {mean!r}")
-    _, M = _check_NM(0, M)
+    M = _as_int("cell count M", M, 1)
     return thermal_pmf(mean / M)
 
 
 def limit_factorial_moment(input_moment: float, order: int, M: int) -> float:
     """Deep-cascade factorial moment: ``input_moment * order! / M**order``."""
-    if not isinstance(order, (int, np.integer)) or isinstance(order, bool):
-        raise TypeError(f"order must be an integer, got {order!r}")
-    order = int(order)
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    _, M = _check_NM(0, M)
+    order = _as_int("order", order, 1)
+    M = _as_int("cell count M", M, 1)
     return input_moment * (math.factorial(order) / M**order)
 
 
@@ -105,16 +79,8 @@ def gn_limit(g_in: float, order: int, stages: int = 1) -> float:
     contributes a clean factor ``order!`` - thermal light (g2 = 2) turns
     into 2**stages super-bunched light, independent of intensity.
     """
-    if not isinstance(order, (int, np.integer)) or isinstance(order, bool):
-        raise TypeError(f"order must be an integer, got {order!r}")
-    order = int(order)
-    if order < 2:
-        raise ValueError(f"order must be >= 2, got {order}")
-    if not isinstance(stages, (int, np.integer)) or isinstance(stages, bool):
-        raise TypeError(f"stages must be an integer, got {stages!r}")
-    stages = int(stages)
-    if stages < 1:
-        raise ValueError(f"stages must be >= 1, got {stages}")
+    order = _as_int("order", order, 2)
+    stages = _as_int("stages", stages, 1)
     return float(math.factorial(order) ** stages) * g_in
 
 
@@ -174,8 +140,8 @@ def fock_pn_limit(N: int, M: int, n: int) -> float:
     big-integer steps, to read one entry.  For several entries of one row
     call :func:`fock_pn_limit_pmf` or :func:`fock_pn_limit_fractions` once.
     """
-    N, M = _check_NM(N, M)
-    n = _check_n(n)
+    N, M = _as_int("photon number N", N, 0), _as_int("cell count M", M, 1)
+    n = _as_int("n", n, 0)
     if n > N:
         return 0.0
     numerators, denominator = _limit_numerators(N, M)
@@ -184,7 +150,7 @@ def fock_pn_limit(N: int, M: int, n: int) -> float:
 
 def fock_pn_limit_fractions(N: int, M: int) -> tuple[Fraction, ...]:
     """Exact rational deep-cascade pmf entries for an N-photon input."""
-    N, M = _check_NM(N, M)
+    N, M = _as_int("photon number N", N, 0), _as_int("cell count M", M, 1)
     numerators, denominator = _limit_numerators(N, M)
     return tuple(Fraction(s, denominator) for s in numerators)
 
@@ -202,7 +168,7 @@ def fock_pn_limit_pmf(N: int, M: int) -> Pmf:
         domain where the limit form is a distribution.  Use
         :func:`fock_pn_limit` to inspect the raw values.
     """
-    N, M = _check_NM(N, M)
+    N, M = _as_int("photon number N", N, 0), _as_int("cell count M", M, 1)
     numerators, denominator = _limit_numerators(N, M)
     if sum(numerators) != denominator:
         raise NormalizationFailure(
@@ -229,8 +195,8 @@ def fock_pn_limit_float64(N: int, M: int, n: int) -> float:
     """
     from scipy.special import factorial as _float_factorial  # measuring stick only
 
-    N, M = _check_NM(N, M)
-    n = _check_n(n)
+    N, M = _as_int("photon number N", N, 0), _as_int("cell count M", M, 1)
+    n = _as_int("n", n, 0)
     if n > N:
         return 0.0
     k = np.arange(n, N + 1, dtype=float)

@@ -10,38 +10,32 @@ Each row is an exact rational rounded once to float (see
 :mod:`.combinatorics`; very large ``N + M`` use a float product instead);
 only the mixture weights and the final accumulation are doubles.  The
 closed-form moment maps that follow from the same counting are provided
-alongside, including the order-2 and order-3 correlation laws
+alongside, including the correlation law of every order k
 
-    g2_out = 2 * g2_in * M / (M + 1),
-    g3_out = 6 * g3_in * M^2 / ((M + 1) * (M + 2)),
+    gk_out = k! * gk_in * M^k / (M (M + 1) ... (M + k - 1)),
 
-which hold exactly for every input state and photon number.
+so g2_out = 2 g2_in M / (M + 1) and g3_out = 6 g3_in M^2 / ((M + 1)(M + 2)).
+It holds exactly for every input state and photon number.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .combinatorics import _fock_scatter_array
-from .core import CorrelationReport, Pmf, ZeroMean, pmf_mean
+from .core import CorrelationReport, Pmf, ZeroMean, _as_int, pmf_mean
 
 __all__ = [
     "scatter_pmf",
     "cascade_pmf",
     "second_moment_out",
     "correlation_report",
+    "gn_out_predicted",
     "g2_out_predicted",
     "g3_out_predicted",
 ]
-
-
-def _check_M(M) -> int:
-    if not isinstance(M, (int, np.integer)) or isinstance(M, bool):
-        raise TypeError(f"cell count M must be an integer, got {M!r}")
-    M = int(M)
-    if M < 1:
-        raise ValueError(f"cell count M must be >= 1, got {M}")
-    return M
 
 
 def scatter_pmf(input_pmf: Pmf, M: int) -> Pmf:
@@ -53,7 +47,7 @@ def scatter_pmf(input_pmf: Pmf, M: int) -> Pmf:
     the output's ``tail_mass`` unchanged.  ``M = 1`` is the identity: a
     single cell collects every photon.
     """
-    M = _check_M(M)
+    M = _as_int("cell count M", M, 1)
     if M == 1:
         return input_pmf
     out = np.zeros(len(input_pmf))
@@ -65,11 +59,7 @@ def scatter_pmf(input_pmf: Pmf, M: int) -> Pmf:
 
 def cascade_pmf(input_pmf: Pmf, M: int, stages: int) -> Pmf:
     """Feed the single-cell output of each diffuser into the next, ``stages`` times."""
-    if not isinstance(stages, (int, np.integer)) or isinstance(stages, bool):
-        raise TypeError(f"stages must be an integer, got {stages!r}")
-    stages = int(stages)
-    if stages < 1:
-        raise ValueError(f"stages must be >= 1, got {stages}")
+    stages = _as_int("stages", stages, 1)
     out = input_pmf
     for _ in range(stages):
         out = scatter_pmf(out, M)
@@ -85,7 +75,7 @@ def second_moment_out(input_pmf: Pmf, M: int) -> float:
 
     Evaluated from the stored entries (any recorded tail is excluded).
     """
-    M = _check_M(M)
+    M = _as_int("cell count M", M, 1)
     arr = input_pmf.as_array()
     n = np.arange(len(arr))
     m1 = float(n @ arr)
@@ -100,11 +90,7 @@ def correlation_report(p: Pmf, order: int = 2) -> CorrelationReport:
     distributions with no photons at all, where the normalization is
     undefined.
     """
-    if not isinstance(order, (int, np.integer)) or isinstance(order, bool):
-        raise TypeError(f"order must be an integer, got {order!r}")
-    order = int(order)
-    if order < 2:
-        raise ValueError(f"order must be >= 2, got {order}")
+    order = _as_int("order", order, 2)
     mean = pmf_mean(p)
     if mean == 0.0:
         raise ZeroMean("correlations are undefined for a zero-mean distribution")
@@ -121,13 +107,31 @@ def correlation_report(p: Pmf, order: int = 2) -> CorrelationReport:
     )
 
 
+def gn_out_predicted(g_in: float, order: int, M: int) -> float:
+    """Map an input g^(k) through one diffuser: ``g_in k! M^k / (M (M+1) ... (M+k-1))``.
+
+    One stage thins the photons binomially with a Beta(1, M - 1)
+    transmissivity t, so the k-th factorial moment gains E[t^k] =
+    k! / (M (M+1) ... (M+k-1)) and the mean E[t] = 1/M.  Exact in rationals:
+    a :class:`fractions.Fraction` ``g_in`` gives a Fraction back.
+    """
+    order = _as_int("order", order, 2)
+    M = _as_int("cell count M", M, 1)
+    # numerator and exact integer denominator apart, one division at the end:
+    # orders 2 and 3 then round exactly as 2 g M / (M + 1) and
+    # 6 g M M / ((M + 1) (M + 2)) do (for M < 2**53)
+    x, d = math.factorial(order) * g_in, 1
+    for j in range(1, order):
+        x *= M
+        d *= M + j
+    return x / d
+
+
 def g2_out_predicted(g2_in: float, M: int) -> float:
     """Map an input g^(2) through one diffuser: ``2 g2 M / (M + 1)``."""
-    M = _check_M(M)
-    return 2.0 * g2_in * M / (M + 1.0)
+    return gn_out_predicted(g2_in, 2, M)
 
 
 def g3_out_predicted(g3_in: float, M: int) -> float:
     """Map an input g^(3) through one diffuser: ``6 g3 M^2 / ((M+1)(M+2))``."""
-    M = _check_M(M)
-    return 6.0 * g3_in * M * M / ((M + 1.0) * (M + 2.0))
+    return gn_out_predicted(g3_in, 3, M)

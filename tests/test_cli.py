@@ -5,6 +5,7 @@ it writes, so exit codes, config resolution, and the deterministic-output
 guarantee are all exercised exactly as a shell user would hit them.
 """
 
+import argparse
 import json
 import os
 import subprocess
@@ -18,10 +19,12 @@ from rggstats import (
     Pmf,
     fock_pn_limit_pmf,
     fock_scatter_pmf,
+    gn_out_predicted,
     scatter_pmf,
     total_variation,
 )
-from rggstats.cli import main
+from rggstats import cli
+from rggstats.cli import build_parser, main
 from rggstats.combinatorics import approx_scatter_pmf
 
 
@@ -136,6 +139,21 @@ class TestGnCommand:
         doc = json.loads((tmp_path / "gn.json").read_text(encoding="utf-8"))
         assert doc["predicted"]["3"] == pytest.approx(6 * 64 / (9 * 10), abs=1e-9)
         assert doc["deep_cascade_limit"]["3"] == pytest.approx(6.0, abs=1e-9)
+
+    def test_every_order_is_predicted(self, tmp_path):
+        argv = ["gn", "--kind", "thermal", "--mean", "3.0", "--M", "5", "--stages", "2",
+                "--order", "5", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        doc = json.loads((tmp_path / "gn.json").read_text(encoding="utf-8"))
+        assert sorted(doc["predicted"]) == sorted(doc["difference"]) == ["2", "3", "4", "5"]
+        for k, value in doc["predicted"].items():
+            assert abs(doc["difference"][k]) < 1e-9 * value
+        g4_in = doc["input"]["g"]["4"]
+        assert doc["predicted"]["4"] == gn_out_predicted(gn_out_predicted(g4_in, 4, 5), 4, 5)
+        # thermal input, g^(4) = 4! up to the truncated tail; each stage multiplies
+        # by 4! M^4 / (M (M+1) (M+2) (M+3))
+        per_stage = 24 * 5**4 / (5 * 6 * 7 * 8)
+        assert doc["predicted"]["4"] == pytest.approx(24 * per_stage**2, rel=1e-6)
 
     def test_vacuum_input_is_numeric_failure(self, tmp_path):
         rc = main(["gn", "--kind", "fock", "--n", "0", "--M", "4", "--out", str(tmp_path)])
@@ -339,6 +357,148 @@ class TestErrorHandling:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+
+
+INPUT_FLAGS = {
+    "--kind", "--n", "--mean", "--alpha-mag", "--alpha-phase", "--r", "--theta",
+    "--pmf-csv", "--tail-mass",
+}
+
+SHARED_CONFIG = """\
+[input]
+kind = fock
+n = 5
+
+[scatter]
+m = 4
+stages = 1
+
+[gn]
+order = 3
+
+[plimit]
+n = 10
+m = 20
+
+[mc]
+frames = 500
+seed = 3
+
+[figure]
+m = 40
+nbar = 10
+n = 12
+r = 0.4
+alpha_phase = 0.1
+m_max = 12
+n_sweep_max = 9
+"""
+
+
+class TestOptionSurface:
+    """The flags and config keys are generated from one table; these pin them."""
+
+    FLAGS = {
+        "scatter": {"--config", "--out", *INPUT_FLAGS, "--M", "--stages", "--approx",
+                    "--no-approx", "--approx-nmax"},
+        "gn": {"--config", "--out", *INPUT_FLAGS, "--M", "--stages", "--order"},
+        "plimit": {"--config", "--out", "--n", "--M"},
+        "mc": {"--config", "--out", *INPUT_FLAGS, "--M", "--frames", "--seed", "--order",
+               "--record-configurations", "--no-record-configurations"},
+        "figure": {"--config", "--out", "--M", "--nbar", "--n", "--r", "--alpha-phase"},
+    }
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_flags_of_each_subcommand(self, command):
+        parser = build_parser()
+        subparsers = next(
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        assert set(subparsers.choices) == set(self.FLAGS)
+        actions = subparsers.choices[command]._actions
+        flags = {flag for action in actions for flag in action.option_strings}
+        assert flags - {"-h", "--help"} == self.FLAGS[command]
+
+    def test_keys_of_each_config_section(self):
+        assert cli._accepted_keys() == {
+            "input": {"kind", "n", "mean", "alpha_mag", "alpha_phase", "r", "theta",
+                      "pmf_csv", "tail_mass"},
+            "scatter": {"m", "stages", "approx", "approx_nmax"},
+            "gn": {"order"},
+            "plimit": {"n", "m"},
+            "mc": {"frames", "seed", "order", "record_configurations"},
+            "figure": {"m", "nbar", "n", "r", "alpha_phase", "m_max", "n_sweep_max"},
+        }
+
+
+class TestUnreadSettings:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["figure", "fig3b", "--M", "10", "--nbar", "3", "--r", "2"], "--nbar"),
+            (["figure", "fig3c", "--nbar", "3"], "--nbar"),
+            (["figure", "fig3a", "--r", "0.5"], "--r"),
+            (["figure", "fig2", "--M", "6", "--n", "4"], "--n"),
+            (["figure", "fig5b", "--alpha-phase", "0.3"], "--alpha-phase"),
+            (["scatter", "--kind", "fock", "--n", "4", "--mean", "7", "--M", "5"], "--mean"),
+            (["scatter", "--kind", "thermal", "--mean", "2", "--tail-mass", "0", "--M", "4"],
+             "--tail-mass"),
+            (["gn", "--kind", "coherent", "--mean", "2", "--theta", "1", "--M", "5"], "--theta"),
+            (["mc", "--kind", "squeezed", "--alpha-mag", "1", "--n", "3", "--M", "4"], "--n"),
+        ],
+    )
+    def test_flag_not_read_is_rejected(self, tmp_path, capsys, argv, flag):
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "not read by" in err and flag in err
+        assert not (tmp_path / "out").exists()
+
+    def test_flag_not_read_by_the_configured_kind_is_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[input]\nkind = fock\nn = 3\n", encoding="utf-8")
+        rc = main(["scatter", "--config", str(cfg), "--mean", "2.0", "--M", "4",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert "--mean not read by input kind fock" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", ["scater", "figures", "Input", "monte_carlo"])
+    def test_section_no_command_reads_is_rejected(self, tmp_path, capsys, section):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(
+            f"[input]\nkind = fock\nn = 3\n\n[scatter]\nm = 4\n\n[{section}]\nm = 4\n",
+            encoding="utf-8",
+        )
+        assert main(["scatter", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert f"[{section}]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["scatter"], ["gn"], ["plimit"], ["mc"], ["figure", "fig3a"], ["figure", "fig3c"],
+         ["figure", "fig5a"]],
+    )
+    def test_one_config_serves_every_command(self, tmp_path, argv):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(SHARED_CONFIG, encoding="utf-8")
+        assert main([*argv, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+
+class TestChecksPrecedeCompute:
+    @pytest.mark.parametrize(
+        "argv, heavy",
+        [
+            (["mc", "--kind", "coherent", "--mean", "8", "--M", "8", "--frames", "3000000",
+              "--order", "1"], "run_mc"),
+            (["scatter", "--kind", "thermal", "--mean", "140", "--M", "64", "--stages", "2",
+              "--approx"], "cascade_pmf"),
+            (["figure", "fig3b", "--M", "10"], "g2_out_predicted"),
+        ],
+    )
+    def test_bad_setting_exits_before_the_heavy_call(self, monkeypatch, tmp_path, argv, heavy):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{heavy} ran before the settings were checked")
+
+        monkeypatch.setattr(cli, heavy, refuse)
+        assert main([*argv, "--out", str(tmp_path)]) == 2
 
 
 class TestImportPath:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rggstats.core import _as_int
 from rggstats import (
     Coherent,
     CorrelationReport,
@@ -147,6 +148,26 @@ class TestTotalVariation:
 
     def test_tail_counts_as_an_outcome(self):
         assert total_variation(Pmf((0.9,), 0.1), Pmf((1.0,))) == pytest.approx(0.1)
+
+
+class TestAsInt:
+    @pytest.mark.parametrize("value", [0, 7, np.int64(7), np.uint8(7), 2**70])
+    def test_integers_pass_as_plain_int(self, value):
+        out = _as_int("x", value, 0)
+        assert out == int(value) and type(out) is int
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, False, np.bool_(True), "3", None, 1 + 0j])
+    def test_non_integers_raise_type_error(self, value):
+        with pytest.raises(TypeError, match="x must be an integer"):
+            _as_int("x", value, 0)
+
+    @pytest.mark.parametrize("value, minimum", [(-1, 0), (0, 1), (np.int32(1), 2)])
+    def test_below_minimum_raises_value_error(self, value, minimum):
+        with pytest.raises(ValueError, match=f"x must be >= {minimum}"):
+            _as_int("x", value, minimum)
+
+    def test_no_minimum_accepts_negatives(self):
+        assert _as_int("x", -5) == -5
 
 
 class TestInputStateSpecs:

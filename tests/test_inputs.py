@@ -40,6 +40,15 @@ class TestFock:
         with pytest.raises(ValueError):
             fock_pmf(-1)
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, "2"])
+    def test_non_integer_rejected(self, n):
+        # a float or a bool used to be truncated into a point mass at int(n)
+        with pytest.raises(TypeError, match="photon number must be an integer"):
+            fock_pmf(n)
+
+    def test_numpy_integer_accepted(self):
+        assert fock_pmf(np.int64(3)) == fock_pmf(3)
+
 
 class TestPoisson:
     def test_zero_mean_is_vacuum(self):
@@ -234,6 +243,17 @@ class TestSqueezedOracle:
     def test_dim_too_small_is_detected(self):
         with pytest.raises(DimTooSmall):
             squeezed_oracle_pmf(SqueezedCoherent(5.0, 0.0, 0.0, 0.0), 12)
+
+    @pytest.mark.parametrize("dim", [30.7, 30.0, True])
+    def test_non_integer_dim_rejected(self, dim):
+        # 30.7 used to run on 30 levels, True on a 1-level basis
+        with pytest.raises(TypeError, match="dim must be an integer"):
+            squeezed_oracle_pmf(SqueezedCoherent(1.0, 0.0, 0.0, 0.0), dim)
+
+    @pytest.mark.parametrize("dim", [0, -3])
+    def test_dim_below_one_rejected(self, dim):
+        with pytest.raises(ValueError, match="dim must be >= 1"):
+            squeezed_oracle_pmf(SqueezedCoherent(1.0, 0.0, 0.0, 0.0), dim)
 
     def test_recommended_dim_holds_the_state(self):
         state = SqueezedCoherent(2.0, 0.0, 1.0, 0.7)

@@ -14,6 +14,7 @@ from rggstats import (
     fock_scatter_pmf,
     g2_out_predicted,
     g3_out_predicted,
+    gn_out_predicted,
     pmf_mean,
     poisson_pmf,
     scatter_pmf,
@@ -123,9 +124,11 @@ class TestCorrelationLaws:
         assert g2_out_predicted(1.0, 8) == pytest.approx(16 / 9, abs=1e-15)
 
     def test_laws_are_identity_at_single_cell(self):
-        for g in (0.0, 0.5, 1.0, 2.0):
+        for g in (0.0, 0.5, 0.75, 1.0, 2.0):
             assert g2_out_predicted(g, 1) == g
             assert g3_out_predicted(g, 1) == g
+            for k in range(2, 8):
+                assert gn_out_predicted(g, k, 1) == g
 
     def test_g3_law_value(self):
         # Fock(8): g3_in = 42/64; output 6 * (42/64) * 64/90 = 2.8
@@ -168,6 +171,51 @@ class TestCorrelationLaws:
         assert worst[200] < 0.01
         assert worst[1000] < 0.003
         assert worst[1000] < worst[200] < worst[50]
+
+
+def falling(n, k):
+    return math.prod(range(n - k + 1, n + 1))
+
+
+class TestGnLaw:
+    @pytest.mark.parametrize("N", [1, 3, 7, 12, 25])
+    @pytest.mark.parametrize("M", [2, 3, 5, 8, 40])
+    def test_law_equals_exact_factorial_moments(self, N, M):
+        # one diffuser, Fock(N) input, every order 2..6, all in exact rationals
+        row = fock_scatter_fractions(N, M)
+        mean_out = Fraction(N, M)
+        for k in range(2, 7):
+            g_in = Fraction(falling(N, k), N**k)
+            g_out = sum(p * falling(n, k) for n, p in enumerate(row)) / mean_out**k
+            assert gn_out_predicted(g_in, k, M) == g_out
+
+    def test_order_2_and_3_keep_the_closed_form_bits(self):
+        # the one law reproduces the old order-2/3 expressions bit for bit
+        rng = np.random.default_rng(11)
+        gs = np.concatenate([rng.random(200) * 10, rng.exponential(1.0, 200), [0.0, 1.0, 2.0]])
+        Ms = [1, 2, 3, 7, 64, 4096, 10**6, 2**40 + 3, 2**53 - 3]
+        for g in map(float, gs):
+            for M in Ms:
+                assert gn_out_predicted(g, 2, M) == 2.0 * g * M / (M + 1.0)
+                assert gn_out_predicted(g, 3, M) == 6.0 * g * M * M / ((M + 1.0) * (M + 2.0))
+                assert g2_out_predicted(g, M) == gn_out_predicted(g, 2, M)
+                assert g3_out_predicted(g, M) == gn_out_predicted(g, 3, M)
+
+    def test_higher_orders_hold_through_the_pmf_route(self):
+        for p in random_pmfs(20, 40, seed=5):
+            rep_in = correlation_report(p, 6)
+            for M in (2, 5, 30):
+                rep_out = correlation_report(scatter_pmf(p, M), 6)
+                for k in range(2, 7):
+                    law = gn_out_predicted(rep_in.g_at(k), k, M)
+                    assert rep_out.g_at(k) == pytest.approx(law, rel=1e-10)
+
+    @pytest.mark.parametrize("order, M, error", [
+        (1, 4, ValueError), (2.0, 4, TypeError), (3, 0, ValueError), (3, 4.0, TypeError),
+    ])
+    def test_validation(self, order, M, error):
+        with pytest.raises(error):
+            gn_out_predicted(1.0, order, M)
 
 
 class TestCascade:
