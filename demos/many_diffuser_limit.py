@@ -11,7 +11,7 @@ says so instead of clipping.
 
 from rggstats import (
     InvalidPmf,
-    fock_pn_limit,
+    fock_pn_limit_fractions,
     fock_pn_limit_pmf,
     fock_scatter_pmf,
     total_variation,
@@ -35,7 +35,7 @@ def main() -> None:
         fock_pn_limit_pmf(2, 1)
     except InvalidPmf as exc:
         print(f"small-M pathology, reported not hidden:\n  {exc}")
-    raw = [fock_pn_limit(2, 1, n) for n in range(3)]
+    raw = [float(p) for p in fock_pn_limit_fractions(2, 1)]
     print(f"  raw closed-form values at N=2, M=1: {raw}")
 
 

@@ -22,10 +22,8 @@ from .core import (
     TailTooHeavy,
     Thermal,
     UnstableEvaluation,
-    ZeroMass,
     ZeroMean,
     pmf_mean,
-    pmf_normalize,
     total_variation,
 )
 from .inputs import (
@@ -42,7 +40,6 @@ from .combinatorics import (
     config_count,
     fock_scatter_fractions,
     fock_scatter_pmf,
-    thermal_ratio,
 )
 from .transform import (
     cascade_pmf,
@@ -51,23 +48,19 @@ from .transform import (
     g2_out_predicted,
     g3_out_predicted,
     scatter_pmf,
-    second_moment_out,
 )
 from .plimit import (
     coherent_limit_pmf,
-    fock_pn_limit,
     fock_pn_limit_float64,
     fock_pn_limit_fractions,
     fock_pn_limit_pmf,
     gn_limit,
-    limit_factorial_moment,
 )
 from .montecarlo import (
     EmpiricalReport,
     MCConfig,
     empirical_report,
     run_mc,
-    sample_configuration,
 )
 
 __version__ = "0.1.0"
@@ -89,7 +82,6 @@ __all__ = [
     # errors
     "InvalidPmf",
     "TailTooHeavy",
-    "ZeroMass",
     "ZeroMean",
     "OutOfRange",
     "DimTooSmall",
@@ -97,7 +89,6 @@ __all__ = [
     "NormalizationFailure",
     # pmf utilities
     "pmf_mean",
-    "pmf_normalize",
     "total_variation",
     # input states
     "fock_pmf",
@@ -111,26 +102,21 @@ __all__ = [
     "config_count",
     "fock_scatter_fractions",
     "fock_scatter_pmf",
-    "thermal_ratio",
     "approx_scatter_pmf",
     # transforms and correlation laws
     "scatter_pmf",
     "cascade_pmf",
-    "second_moment_out",
     "correlation_report",
     "gn_out_predicted",
     "g2_out_predicted",
     "g3_out_predicted",
     # many-diffuser limit
     "coherent_limit_pmf",
-    "limit_factorial_moment",
     "gn_limit",
-    "fock_pn_limit",
     "fock_pn_limit_fractions",
     "fock_pn_limit_pmf",
     "fock_pn_limit_float64",
     # Monte Carlo
-    "sample_configuration",
     "run_mc",
     "empirical_report",
 ]

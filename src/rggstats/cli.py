@@ -47,7 +47,6 @@ from .core import (
     SqueezedCoherent,
     TailTooHeavy,
     Thermal,
-    ZeroMass,
     ZeroMean,
     pmf_mean,
     total_variation,
@@ -75,7 +74,7 @@ class ConfigError(Exception):
 
 _REQUIRED = object()
 _NUMERIC_FAILURES = (
-    TailTooHeavy, ZeroMass, ZeroMean, OutOfRange, DimTooSmall, InvalidPmf, ArithmeticError
+    TailTooHeavy, ZeroMean, OutOfRange, DimTooSmall, InvalidPmf, ArithmeticError
 )
 
 
@@ -116,7 +115,7 @@ def _load_custom_pmf(pmf_csv: str, tail_mass: float) -> Custom:
     if not probs:
         raise ConfigError(f"{pmf_csv}: no pmf rows found")
     try:
-        return Custom(Pmf(tuple(probs), tail_mass))
+        return Custom(Pmf(probs, tail_mass))
     except InvalidPmf as exc:
         raise ConfigError(f"{pmf_csv}: {exc}") from exc
 
@@ -423,7 +422,7 @@ def _load_config(path: str | None) -> configparser.ConfigParser | None:
     file = Path(path)
     if not file.is_file():
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         with file.open(encoding="utf-8") as handle:
             parser.read_file(handle)

@@ -30,14 +30,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import OutOfRange, Pmf, _as_int
+from .core import Pmf, _as_int
 
 __all__ = [
     "EXACT_LIMIT",
     "config_count",
     "fock_scatter_fractions",
     "fock_scatter_pmf",
-    "thermal_ratio",
     "approx_scatter_pmf",
 ]
 
@@ -115,24 +114,7 @@ def _fock_scatter_array(N: int, M: int) -> np.ndarray:
 def fock_scatter_pmf(N: int, M: int) -> Pmf:
     """Single-cell count distribution for an N-photon input, in doubles."""
     N, M = _as_int("photon number N", N, 0), _as_int("cell count M", M, 1)
-    return Pmf(tuple(_fock_scatter_array(N, M)), 0.0)
-
-
-def thermal_ratio(N: int, M: int, n: int) -> float:
-    """Successive-probability ratio p_{n+1} / p_n of the scattered N-photon pmf.
-
-    Equal to ``1 / (1 + (M - 2) / (N - n))``: the scattered distribution is
-    geometric-like with an occupation-dependent temperature.  Only defined
-    while both entries are nonzero, i.e. for ``0 <= n < N``, and for
-    ``M >= 2`` (the single-cell pmf is a point mass with no ratio to take).
-    """
-    N, M = _as_int("photon number N", N, 0), _as_int("cell count M", M, 1)
-    if M < 2:
-        raise ValueError(f"successive ratio needs M >= 2, got M={M}")
-    n = _as_int("n", n)
-    if not 0 <= n < N:
-        raise OutOfRange(f"ratio defined for 0 <= n < N={N}, got n={n}")
-    return (N - n) / (N - n + M - 2)
+    return Pmf(_fock_scatter_array(N, M), 0.0)
 
 
 def approx_scatter_pmf(N: int, M: int, n_max: int) -> Pmf:
@@ -166,4 +148,4 @@ def approx_scatter_pmf(N: int, M: int, n_max: int) -> Pmf:
     w = np.exp(log_w)
     w[0] = 0.0
     probs = np.exp(log_w - np.log1p(w.sum()))
-    return Pmf(tuple(probs), 0.0)
+    return Pmf(probs, 0.0)

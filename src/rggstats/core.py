@@ -11,7 +11,7 @@ Conventions
   ``n = 0, 1, ..., n_max`` together with an explicit ``tail_mass`` holding
   whatever probability lies beyond ``n_max``.  Constructors validate and
   *never* silently renormalize; fixing up an unnormalized histogram is the
-  caller's job (see :func:`pmf_normalize`).
+  caller's job.
 * Probabilities are doubles.  Exact rational arithmetic lives in the
   modules that need it (``combinatorics``, ``plimit``); by the time numbers
   reach a :class:`Pmf` they are floats.
@@ -20,7 +20,6 @@ Conventions
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Union
 
@@ -40,14 +39,12 @@ __all__ = [
     "MCRunResult",
     "InvalidPmf",
     "TailTooHeavy",
-    "ZeroMass",
     "ZeroMean",
     "OutOfRange",
     "DimTooSmall",
     "UnstableEvaluation",
     "NormalizationFailure",
     "pmf_mean",
-    "pmf_normalize",
     "total_variation",
 ]
 
@@ -82,10 +79,6 @@ class TailTooHeavy(ValueError):
     """Raised when a moment is requested of a pmf with too much unresolved tail."""
 
 
-class ZeroMass(ValueError):
-    """Raised when normalizing a vector with no probability mass at all."""
-
-
 class ZeroMean(ValueError):
     """Raised when a normalized correlation needs a positive mean and there is none."""
 
@@ -112,9 +105,10 @@ class Pmf:
 
     Parameters
     ----------
-    probs : sequence of float
+    probs : 1-d sequence or array of float
         ``probs[n]`` is the probability of counting exactly ``n`` photons.
-        Must be non-empty, finite and non-negative.
+        Must be non-empty, finite and non-negative.  Stored as a tuple of
+        Python floats.
     tail_mass : float, optional
         Probability mass beyond the last stored entry (default 0).  Kept
         explicit so truncation of infinite-support states loses bookkeeping
@@ -123,7 +117,7 @@ class Pmf:
     Raises
     ------
     InvalidPmf
-        If any entry is negative or non-finite, or if
+        If ``probs`` is not 1-d, if any entry is negative or non-finite, or if
         ``sum(probs) + tail_mass`` is farther than ``PMF_SUM_TOL`` from 1.
     """
 
@@ -131,12 +125,15 @@ class Pmf:
     tail_mass: float = 0.0
 
     def __post_init__(self) -> None:
-        probs = tuple(float(p) for p in self.probs)
+        arr = np.asarray(self.probs, dtype=float)
+        if arr.ndim != 1:
+            raise InvalidPmf(f"pmf entries must form a 1-d sequence, got shape {arr.shape}")
+        if arr.size == 0:
+            raise InvalidPmf("pmf needs at least the n=0 entry")
+        # tolist gives Python floats, which repr as plain numbers
+        probs = tuple(arr.tolist())
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "tail_mass", float(self.tail_mass))
-        if len(probs) == 0:
-            raise InvalidPmf("pmf needs at least the n=0 entry")
-        arr = np.asarray(probs)
         if not np.all(np.isfinite(arr)):
             raise InvalidPmf("pmf entries must be finite")
         if np.any(arr < 0.0):
@@ -276,12 +273,6 @@ class CorrelationReport:
         if any(x < 0.0 for x in self.factorial_moments) or any(x < 0.0 for x in self.g):
             raise ValueError("moments of a pmf cannot be negative")
 
-    def factorial_moment(self, order: int) -> float:
-        """``<n!/(n-order)!>`` for ``1 <= order <= self.order``."""
-        if not 1 <= order <= self.order:
-            raise OutOfRange(f"order {order} not in 1..{self.order}")
-        return self.factorial_moments[order - 1]
-
     def g_at(self, order: int) -> float:
         """``g^(order)`` for ``2 <= order <= self.order``."""
         if not 2 <= order <= self.order:
@@ -356,35 +347,6 @@ def pmf_mean(p: Pmf) -> float:
         )
     arr = p.as_array()
     return float(np.arange(len(arr)) @ arr)
-
-
-def pmf_normalize(p: "Pmf | Sequence[float] | np.ndarray") -> Pmf:
-    """Rescale entries to sum to one; accepts a Pmf or a raw weight vector.
-
-    This is the sanctioned way to turn a histogram or an unnormalized
-    weight vector into a :class:`Pmf` (whose constructor deliberately
-    rejects such input).  Any recorded tail is dropped.  Raises
-    :class:`ZeroMass` when there is nothing to rescale; weights must be
-    finite and non-negative.  Idempotent: normalizing an already
-    normalized pmf returns it unchanged.
-    """
-    if isinstance(p, Pmf):
-        arr = p.as_array()
-        # already normalized to within accumulated roundoff: nothing to do
-        if p.tail_mass == 0.0 and abs(float(arr.sum()) - 1.0) <= 1e-12:
-            return p
-    else:
-        arr = np.asarray(p, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise InvalidPmf("expected a non-empty 1-d weight vector")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidPmf("weights must be finite")
-        if np.any(arr < 0.0):
-            raise InvalidPmf("weights must be >= 0")
-    s = float(arr.sum())
-    if s <= 0.0:
-        raise ZeroMass("cannot normalize a pmf with zero total mass")
-    return Pmf(tuple(arr / s), 0.0)
 
 
 def total_variation(p: Pmf, q: Pmf) -> float:

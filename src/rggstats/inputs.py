@@ -80,13 +80,13 @@ def poisson_pmf(mean: float) -> Pmf:
         return Pmf((1.0,))
     if mean > N_CAP:
         probs = _poisson_terms(mean, N_CAP)
-        return Pmf(tuple(probs), max(0.0, 1.0 - math.fsum(probs)))
+        return Pmf(probs, max(0.0, 1.0 - math.fsum(probs)))
     # beyond mean + 12 sqrt(mean) + 30 the mass is below 1e-29, far under
     # any tail compared with TAIL_TARGET
     probs = _poisson_terms(mean, math.ceil(mean + 12.0 * math.sqrt(mean) + 30.0))
     tails = np.append(np.cumsum(probs[:0:-1])[::-1], 0.0)  # tails[n] = P(N > n)
     n_max = min(int(np.argmax(tails < TAIL_TARGET)), N_CAP)
-    return Pmf(tuple(probs[: n_max + 1]), float(tails[n_max]))
+    return Pmf(probs[: n_max + 1], float(tails[n_max]))
 
 
 #: Poisson entries below this index are the direct product
@@ -171,7 +171,7 @@ def thermal_pmf(mean: float) -> Pmf:
         n_max -= 1
     n_max = min(n_max, N_CAP)
     probs = (1.0 / (1.0 + mean)) * q ** np.arange(n_max + 1)
-    return Pmf(tuple(probs), q ** (n_max + 1))
+    return Pmf(probs, q ** (n_max + 1))
 
 
 def squeezed_coherent_pmf(params: SqueezedCoherent) -> Pmf:
@@ -255,7 +255,7 @@ def squeezed_coherent_pmf(params: SqueezedCoherent) -> Pmf:
         log_mag_prev, phase_prev = log_mag, phase
         log_mag, phase = log_mag_next, phase_next
 
-    return Pmf(tuple(probs), max(0.0, 1.0 - cum))
+    return Pmf(probs, max(0.0, 1.0 - cum))
 
 
 def squeezed_oracle_pmf(params: SqueezedCoherent, dim: int) -> Pmf:
@@ -273,8 +273,15 @@ def squeezed_oracle_pmf(params: SqueezedCoherent, dim: int) -> Pmf:
     DimTooSmall
         If the top basis state carries squared amplitude above 1e-12 at
         either stage, meaning the basis visibly clipped the state.
+    ImportError
+        If scipy is missing; it comes with the ``rggstats[test]`` extra.
     """
-    from scipy.linalg import expm  # oracle only; kept off the import path
+    try:
+        from scipy.linalg import expm  # oracle only; kept off the import path
+    except ImportError as exc:
+        raise ImportError(
+            "squeezed_oracle_pmf needs scipy: pip install 'rggstats[test]'"
+        ) from exc
 
     if not isinstance(params, SqueezedCoherent):
         raise TypeError(f"expected SqueezedCoherent parameters, got {type(params).__name__}")
@@ -297,7 +304,7 @@ def squeezed_oracle_pmf(params: SqueezedCoherent, dim: int) -> Pmf:
             f"increase dim (got {dim})"
         )
     probs = np.abs(psi) ** 2
-    return Pmf(tuple(probs), max(0.0, 1.0 - float(probs.sum())))
+    return Pmf(probs, max(0.0, 1.0 - float(probs.sum())))
 
 
 def recommended_oracle_dim(params: SqueezedCoherent) -> int:

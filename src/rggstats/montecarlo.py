@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CorrelationReport, InputStateSpec, MCRunResult, Pmf, _as_int
+from .core import CorrelationReport, InputStateSpec, MCRunResult, Pmf, ZeroMean, _as_int
 from .inputs import input_pmf
 from .transform import correlation_report
 
@@ -41,7 +41,6 @@ __all__ = [
     "JACKKNIFE_BLOCKS",
     "MCConfig",
     "EmpiricalReport",
-    "sample_configuration",
     "run_mc",
     "empirical_report",
 ]
@@ -71,17 +70,6 @@ class MCConfig:
         object.__setattr__(self, "seed", _as_int("seed", self.seed))
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
-
-
-def sample_configuration(N: int, M: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw one occupation pattern of N photons on M cells, uniformly.
-
-    Runs the same stars-and-bars core as :func:`run_mc`, on a counter
-    stream keyed by one 64-bit seed drawn from ``rng``.
-    """
-    N, M = _as_int("photon number", N, 0), _as_int("cell count", M, 1)
-    keys = _frame_keys(int(rng.integers(2**64, dtype=np.uint64)), np.zeros(1, dtype=np.int64))
-    return _occupations(keys, np.array([N], dtype=np.int64), M)[0]
 
 
 # SplitMix64 constants (Steele, Lea & Flood 2014): the Weyl increment and
@@ -238,22 +226,23 @@ class EmpiricalReport:
 def empirical_report(result: MCRunResult, order: int = 2) -> EmpiricalReport:
     """Estimate mean and g^(2)..g^(order) from a run, with jackknife errors."""
     total = np.asarray(result.histogram, dtype=float)
-    full = correlation_report(Pmf(tuple(total / result.frames), 0.0), order)
+    full = correlation_report(Pmf(total / result.frames, 0.0), order)
 
     if result.block_histograms is None or len(result.block_histograms) < 2:
         nan = float("nan")
         n_blocks = 0 if result.block_histograms is None else len(result.block_histograms)
         return EmpiricalReport(full, nan, (nan,) * (order - 1), result.frames, n_blocks)
 
-    block_rows = np.asarray(result.block_histograms, dtype=float)
-    n_blocks = block_rows.shape[0]
-    estimates = np.empty((n_blocks, order))  # column 0: mean, then g2, g3, ...
-    for i in range(n_blocks):
-        kept = total - block_rows[i]
-        frames_kept = kept.sum()
-        rep = correlation_report(Pmf(tuple(kept / frames_kept), 0.0), order)
-        estimates[i, 0] = rep.mean
-        estimates[i, 1:] = rep.g
+    # delete-one-block replicates, one row each; their factorial moments are
+    # one product with falling[n, j] = n (n - 1) ... (n - j)
+    kept = total - np.asarray(result.block_histograms, dtype=float)
+    n_blocks = kept.shape[0]
+    falling = np.cumprod(np.arange(len(total), dtype=float)[:, None] - np.arange(order), axis=1)
+    estimates = (kept / kept.sum(axis=1, keepdims=True)) @ falling
+    mean = estimates[:, :1]
+    if np.any(mean == 0.0):
+        raise ZeroMean("correlations are undefined for a zero-mean distribution")
+    estimates[:, 1:] /= mean ** np.arange(2, order + 1)  # column 0: mean, then g2, g3, ...
     deviations = estimates - estimates.mean(axis=0)
     se = np.sqrt((n_blocks - 1) / n_blocks * (deviations**2).sum(axis=0))
     return EmpiricalReport(

@@ -6,10 +6,9 @@ is summarized by simple closed forms:
 
 * a coherent input of mean ``m`` turns exactly thermal with mean ``m / M``
   per stage (:func:`coherent_limit_pmf`);
-* factorial moments map as ``<n^(k)> = <N^(k)> * k! / M^k``
-  (:func:`limit_factorial_moment`), so every normalized correlation picks
-  up ``k!`` per stage (:func:`gn_limit`);
-* an N-photon input lands on the distribution of :func:`fock_pn_limit`.
+* factorial moments map as ``<n^(k)> = <N^(k)> * k! / M^k``, so every
+  normalized correlation picks up ``k!`` per stage (:func:`gn_limit`);
+* an N-photon input lands on the distribution of :func:`fock_pn_limit_pmf`.
 
 All three are one model: binomial thinning of the photons with a random
 transmissivity ``t ~ Exp(rate M)``,
@@ -20,8 +19,9 @@ transmissivity ``t ~ Exp(rate M)``,
 and ``E[t^k] = k!/M^k`` is the ``k!`` law.  Unlike a real transmissivity,
 ``t`` is not confined to [0, 1]: where ``(1-t)`` goes negative carries
 enough weight (cells comparable to or fewer than photons) the "pmf" has
-negative entries.  Those are reported as-is by the scalar evaluator and
-flagged - never clipped - when a full pmf is requested.
+negative entries.  Those are reported as-is by
+:func:`fock_pn_limit_fractions` and flagged - never clipped - when a pmf
+is requested.
 
 Expanding ``(1-t)^(N-n)`` defines the limit as the alternating sum
 
@@ -47,9 +47,7 @@ from .inputs import thermal_pmf
 
 __all__ = [
     "coherent_limit_pmf",
-    "limit_factorial_moment",
     "gn_limit",
-    "fock_pn_limit",
     "fock_pn_limit_fractions",
     "fock_pn_limit_pmf",
     "fock_pn_limit_float64",
@@ -63,13 +61,6 @@ def coherent_limit_pmf(mean: float, M: int) -> Pmf:
         raise ValueError(f"mean must be finite and >= 0, got {mean!r}")
     M = _as_int("cell count M", M, 1)
     return thermal_pmf(mean / M)
-
-
-def limit_factorial_moment(input_moment: float, order: int, M: int) -> float:
-    """Deep-cascade factorial moment: ``input_moment * order! / M**order``."""
-    order = _as_int("order", order, 1)
-    M = _as_int("cell count M", M, 1)
-    return input_moment * (math.factorial(order) / M**order)
 
 
 def gn_limit(g_in: float, order: int, stages: int = 1) -> float:
@@ -127,27 +118,6 @@ def _limit_numerators(N: int, M: int) -> tuple[tuple[int, ...], int]:
     return tuple(numerators), denominator
 
 
-def fock_pn_limit(N: int, M: int, n: int) -> float:
-    """Deep-cascade single-cell probability of n photons from an N-photon input.
-
-    Exact rational evaluation, rounded once to double.  Returns 0 for
-    ``n > N`` (a passive medium creates no photons).  The value may be
-    negative when ``M`` is too small for the limit form to be a valid
-    distribution; it is returned unmodified so callers can see the
-    breakdown.
-
-    Each call rebuilds the whole row of ``N + 1`` exact numerators, O(N)
-    big-integer steps, to read one entry.  For several entries of one row
-    call :func:`fock_pn_limit_pmf` or :func:`fock_pn_limit_fractions` once.
-    """
-    N, M = _as_int("photon number N", N, 0), _as_int("cell count M", M, 1)
-    n = _as_int("n", n, 0)
-    if n > N:
-        return 0.0
-    numerators, denominator = _limit_numerators(N, M)
-    return numerators[n] / denominator
-
-
 def fock_pn_limit_fractions(N: int, M: int) -> tuple[Fraction, ...]:
     """Exact rational deep-cascade pmf entries for an N-photon input."""
     N, M = _as_int("photon number N", N, 0), _as_int("cell count M", M, 1)
@@ -166,7 +136,7 @@ def fock_pn_limit_pmf(N: int, M: int) -> Pmf:
     InvalidPmf
         If any exact entry is negative, i.e. (N, M) lies outside the
         domain where the limit form is a distribution.  Use
-        :func:`fock_pn_limit` to inspect the raw values.
+        :func:`fock_pn_limit_fractions` to inspect the raw values.
     """
     N, M = _as_int("photon number N", N, 0), _as_int("cell count M", M, 1)
     numerators, denominator = _limit_numerators(N, M)
@@ -180,9 +150,9 @@ def fock_pn_limit_pmf(N: int, M: int) -> Pmf:
         raise InvalidPmf(
             f"deep-cascade form is not a distribution at N={N}, M={M}: "
             f"p_{worst} = {numerators[worst] / denominator!r} < 0; "
-            "raw values available via fock_pn_limit"
+            "raw values available via fock_pn_limit_fractions"
         )
-    return Pmf(tuple(s / denominator for s in numerators), 0.0)
+    return Pmf([s / denominator for s in numerators], 0.0)
 
 
 def fock_pn_limit_float64(N: int, M: int, n: int) -> float:
@@ -191,9 +161,15 @@ def fock_pn_limit_float64(N: int, M: int, n: int) -> float:
     Kept as a measuring stick: factorials overflow the double range at
     171!, the alternating terms cancel catastrophically, and the result
     is garbage (inf/nan or wildly wrong) long before N = 200 at large M.
-    Use :func:`fock_pn_limit` for answers.
+    Use :func:`fock_pn_limit_pmf` or :func:`fock_pn_limit_fractions` for
+    answers.  Needs scipy, installed with the ``rggstats[test]`` extra.
     """
-    from scipy.special import factorial as _float_factorial  # measuring stick only
+    try:
+        from scipy.special import factorial as _float_factorial  # measuring stick only
+    except ImportError as exc:
+        raise ImportError(
+            "fock_pn_limit_float64 needs scipy: pip install 'rggstats[test]'"
+        ) from exc
 
     N, M = _as_int("photon number N", N, 0), _as_int("cell count M", M, 1)
     n = _as_int("n", n, 0)

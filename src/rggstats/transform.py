@@ -30,7 +30,6 @@ from .core import CorrelationReport, Pmf, ZeroMean, _as_int, pmf_mean
 __all__ = [
     "scatter_pmf",
     "cascade_pmf",
-    "second_moment_out",
     "correlation_report",
     "gn_out_predicted",
     "g2_out_predicted",
@@ -54,7 +53,7 @@ def scatter_pmf(input_pmf: Pmf, M: int) -> Pmf:
     for n_in, weight in enumerate(input_pmf.probs):
         if weight != 0.0:
             out[: n_in + 1] += weight * _fock_scatter_array(n_in, M)
-    return Pmf(tuple(out), input_pmf.tail_mass)
+    return Pmf(out, input_pmf.tail_mass)
 
 
 def cascade_pmf(input_pmf: Pmf, M: int, stages: int) -> Pmf:
@@ -64,23 +63,6 @@ def cascade_pmf(input_pmf: Pmf, M: int, stages: int) -> Pmf:
     for _ in range(stages):
         out = scatter_pmf(out, M)
     return out
-
-
-def second_moment_out(input_pmf: Pmf, M: int) -> float:
-    """Second moment <n^2> of the scattered single-cell distribution.
-
-    Closed form in the first two input moments:
-
-        <n^2> = 2 <N^2> / (M (M + 1)) + <N> (M - 1) / (M (M + 1)).
-
-    Evaluated from the stored entries (any recorded tail is excluded).
-    """
-    M = _as_int("cell count M", M, 1)
-    arr = input_pmf.as_array()
-    n = np.arange(len(arr))
-    m1 = float(n @ arr)
-    m2 = float((n * n) @ arr)
-    return (2.0 * m2 + (M - 1.0) * m1) / (M * (M + 1.0))
 
 
 def correlation_report(p: Pmf, order: int = 2) -> CorrelationReport:

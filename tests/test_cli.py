@@ -340,6 +340,14 @@ class TestErrorHandling:
         rc = main(["scatter", "--M", "4", "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 2
 
+    def test_percent_sign_in_config_value_is_taken_literally(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[input]\nkind = custom\npmf_csv = a%b.csv\n", encoding="utf-8")
+        rc = main(["scatter", "--M", "4", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "custom pmf file not found: a%b.csv" in capsys.readouterr().err
+
     def test_custom_pmf_with_gap_rejected(self, tmp_path):
         src = tmp_path / "input.csv"
         src.write_text("n,p\n0,0.5\n2,0.5\n", encoding="utf-8")
@@ -542,3 +550,18 @@ class TestImportPath:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+    @pytest.mark.parametrize(
+        "oracle",
+        [
+            lambda: rggstats.squeezed_oracle_pmf(rggstats.SqueezedCoherent(1, 0, 0.2, 0), 30),
+            lambda: rggstats.fock_pn_limit_float64(5, 4, 2),
+        ],
+        ids=["squeezed_oracle_pmf", "fock_pn_limit_float64"],
+    )
+    def test_oracles_without_scipy_name_the_test_extra(self, monkeypatch, oracle):
+        # scipy is a test-only dependency; a plain install has none
+        for module in ("scipy", "scipy.linalg", "scipy.special"):
+            monkeypatch.setitem(sys.modules, module, None)
+        with pytest.raises(ImportError, match=r"rggstats\[test\]"):
+            oracle()

@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 
 from rggstats import (
-    OutOfRange,
     approx_scatter_pmf,
     config_count,
     fock_scatter_fractions,
     fock_scatter_pmf,
     pmf_mean,
-    thermal_ratio,
 )
 from rggstats.combinatorics import EXACT_LIMIT, _fock_scatter_array, _numerator_store
 
@@ -133,29 +131,27 @@ class TestExactRouteBitIdentical:
 
 
 class TestThermalRatio:
+    # successive ratio p_{n+1} / p_n = (N - n) / (N - n + M - 2) of the row
+
     def test_matches_exact_row_ratios(self):
         for N, M in [(5, 3), (12, 7), (60, 60)]:
             row = fock_scatter_fractions(N, M)
             for n in range(N):
-                assert thermal_ratio(N, M, n) == float(row[n + 1] / row[n])
+                assert row[n + 1] / row[n] == Fraction(N - n, N - n + M - 2)
 
     def test_example_value(self):
-        assert thermal_ratio(200, 200, 0) == 200 / 398
+        row = fock_scatter_fractions(200, 200)
+        assert float(row[1] / row[0]) == 200 / 398
 
     def test_flat_for_two_cells(self):
-        assert thermal_ratio(9, 2, 4) == 1.0
+        row = fock_scatter_fractions(9, 2)
+        assert row[5] / row[4] == 1
 
     def test_large_n_limit(self):
+        # N + M above EXACT_LIMIT: the float route's first ratio
         N, M = 10**6, 200
-        assert abs(thermal_ratio(N, M, 0) - (1.0 - (M - 2) / N)) < 1e-7
-
-    def test_domain(self):
-        with pytest.raises(OutOfRange):
-            thermal_ratio(5, 3, 5)
-        with pytest.raises(OutOfRange):
-            thermal_ratio(5, 3, -1)
-        with pytest.raises(ValueError):
-            thermal_ratio(5, 1, 0)
+        row = _fock_scatter_array(N, M)
+        assert abs(row[1] / row[0] - (1.0 - (M - 2) / N)) < 1e-7
 
 
 class TestApproxScatter:

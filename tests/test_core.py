@@ -18,9 +18,7 @@ from rggstats import (
     SqueezedCoherent,
     TailTooHeavy,
     Thermal,
-    ZeroMass,
     pmf_mean,
-    pmf_normalize,
     total_variation,
 )
 
@@ -64,6 +62,16 @@ class TestPmfValidation:
         with pytest.raises(InvalidPmf):
             Pmf((0.5, 0.5 + 5e-9))
 
+    def test_array_list_and_int_inputs_store_the_same_floats(self):
+        for entries in ([0.25, 0.75], [0, 1]):
+            stored = [Pmf(probs).probs for probs in (np.array(entries), entries, tuple(entries))]
+            assert stored[0] == stored[1] == stored[2] == tuple(float(p) for p in entries)
+            assert all(type(p) is float for probs in stored for p in probs)
+
+    def test_rejects_two_dimensional_input(self):
+        with pytest.raises(InvalidPmf, match="1-d"):
+            Pmf(np.array([[0.5], [0.5]]))
+
     def test_as_array_is_a_copy(self):
         p = Pmf((1.0,))
         arr = p.as_array()
@@ -83,39 +91,6 @@ class TestPmfMean:
         with pytest.raises(TailTooHeavy):
             pmf_mean(Pmf((1.0 - 1e-5,), 1e-5))
 
-
-class TestPmfNormalize:
-    def test_rescales_raw_weights(self):
-        assert pmf_normalize([0.2, 0.2]).probs == (0.5, 0.5)
-
-    def test_zero_mass(self):
-        with pytest.raises(ZeroMass):
-            pmf_normalize([0.0, 0.0])
-
-    def test_rejects_negative_weights(self):
-        with pytest.raises(InvalidPmf):
-            pmf_normalize([1.0, -0.5])
-
-    def test_normalized_input_is_returned_unchanged(self):
-        p = Pmf((0.25, 0.75))
-        assert pmf_normalize(p) is p
-
-    def test_tiny_tail_is_absorbed(self):
-        # a sub-epsilon tail rescales by a factor indistinguishable from 1
-        p = Pmf((0.5, 0.5), 3e-43)
-        q = pmf_normalize(p)
-        assert q.probs == p.probs
-        assert q.tail_mass == 0.0
-
-    @given(
-        st.lists(st.floats(min_value=1e-6, max_value=1e6), min_size=1, max_size=40)
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_idempotent(self, weights):
-        once = pmf_normalize(weights)
-        assert pmf_normalize(once) is once
-        assert abs(sum(once.probs) - 1.0) < 1e-12
-
     @given(
         st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=2, max_size=30),
         st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=2, max_size=30),
@@ -125,12 +100,12 @@ class TestPmfNormalize:
     def test_mixture_mean_is_linear(self, wa, wb, w):
         if sum(wa) <= 0 or sum(wb) <= 0:
             return
-        a, b = pmf_normalize(wa), pmf_normalize(wb)
+        a, b = Pmf(np.divide(wa, sum(wa))), Pmf(np.divide(wb, sum(wb)))
         width = max(len(a), len(b))
         mix = np.zeros(width)
         mix[: len(a)] += w * a.as_array()
         mix[: len(b)] += (1.0 - w) * b.as_array()
-        mixed_mean = pmf_mean(Pmf(tuple(mix)))
+        mixed_mean = pmf_mean(Pmf(mix))
         expected = w * pmf_mean(a) + (1.0 - w) * pmf_mean(b)
         assert abs(mixed_mean - expected) <= 1e-12 * max(1.0, abs(expected))
 
@@ -210,14 +185,10 @@ class TestCorrelationReport:
 
     def test_accessors(self):
         rep = self._ok()
-        assert rep.factorial_moment(1) == rep.mean == 2.0
-        assert rep.factorial_moment(3) == 1.0
         assert rep.g_at(2) == rep.g2 == 0.75
         assert rep.g_at(3) == rep.g3 == 0.125
         with pytest.raises(OutOfRange):
             rep.g_at(4)
-        with pytest.raises(OutOfRange):
-            rep.factorial_moment(0)
 
     def test_length_checks(self):
         with pytest.raises(ValueError):

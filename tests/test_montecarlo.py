@@ -19,7 +19,6 @@ from rggstats import (
     fock_scatter_pmf,
     input_pmf,
     run_mc,
-    sample_configuration,
     scatter_pmf,
 )
 from rggstats import montecarlo
@@ -27,54 +26,50 @@ from rggstats.montecarlo import _replay_frame
 
 
 class TestSampleConfiguration:
+    """The stars-and-bars core of run_mc: one occupation pattern per frame."""
+
     def test_conservation(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
             N = int(rng.integers(0, 40))
             M = int(rng.integers(1, 12))
-            occ = sample_configuration(N, M, rng)
+            occ = _replay_frame(MCConfig(Fock(N), M, 1, seed=int(rng.integers(2**63))), 0)
             assert occ.sum() == N
             assert len(occ) == M
             assert (occ >= 0).all()
 
     def test_no_photons(self):
-        rng = np.random.default_rng(0)
-        assert sample_configuration(0, 5, rng).tolist() == [0, 0, 0, 0, 0]
+        assert _replay_frame(MCConfig(Fock(0), 5, 1, seed=0), 0).tolist() == [0, 0, 0, 0, 0]
 
     def test_single_cell(self):
-        rng = np.random.default_rng(0)
-        assert sample_configuration(7, 1, rng).tolist() == [7]
+        assert _replay_frame(MCConfig(Fock(7), 1, 1, seed=0), 0).tolist() == [7]
 
     @pytest.mark.parametrize(
         "N, M", [(2.5, 3), (True, 3), (3, 2.7), (3, False), (2.0, 3), ("3", 3), (3, None)]
     )
     def test_non_integer_counts_rejected(self, N, M):
         with pytest.raises(TypeError):
-            sample_configuration(N, M, np.random.default_rng(0))
+            MCConfig(Fock(N), M, 10, seed=0)
 
     def test_numpy_integer_counts_accepted(self):
-        occ = sample_configuration(np.int64(5), np.int32(3), np.random.default_rng(0))
+        cfg = MCConfig(Fock(np.int64(5)), np.int32(3), 10, seed=0)
+        occ = _replay_frame(cfg, 0)
         assert occ.sum() == 5 and len(occ) == 3
+        assert run_mc(cfg).frames == 10
 
     def test_uniform_over_configurations(self):
         # N=2, M=2: three patterns, each 1/3
-        rng = np.random.default_rng(12)
         draws = 60_000
-        counts = {}
-        for _ in range(draws):
-            key = tuple(sample_configuration(2, 2, rng))
-            counts[key] = counts.get(key, 0) + 1
+        result = run_mc(MCConfig(Fock(2), 2, draws, seed=12, record_configurations=True))
+        counts = dict(result.configuration_counts)
         assert set(counts) == {(0, 2), (1, 1), (2, 0)}
         _, p = stats.chisquare(list(counts.values()))
         assert p > 1e-3
 
     def test_marginal_matches_exact_row(self):
-        rng = np.random.default_rng(99)
         draws = 40_000
         N, M = 3, 3
-        hist = np.zeros(N + 1)
-        for _ in range(draws):
-            hist[sample_configuration(N, M, rng)[0]] += 1
+        hist = run_mc(MCConfig(Fock(N), M, draws, seed=99)).histogram
         expected = fock_scatter_pmf(N, M).as_array() * draws
         _, p = stats.chisquare(hist, expected)
         assert p > 1e-3
@@ -169,7 +164,39 @@ class TestRunMC:
         assert result.configuration_counts == (((0,) * M, 50),)
 
 
+def loop_jackknife_errors(result, order):
+    """Reference: one correlation_report per delete-one-block replicate."""
+    total = np.asarray(result.histogram, dtype=float)
+    estimates = []
+    for block in result.block_histograms:
+        kept = total - np.asarray(block, dtype=float)
+        rep = correlation_report(Pmf(kept / kept.sum()), order)
+        estimates.append((rep.mean, *rep.g))
+    estimates = np.array(estimates)
+    n = len(estimates)
+    return np.sqrt((n - 1) / n * ((estimates - estimates.mean(axis=0)) ** 2).sum(axis=0))
+
+
 class TestEmpiricalReport:
+    @pytest.mark.parametrize(
+        "spec, M", [(Coherent(8.0), 8), (Thermal(3.0), 5), (Fock(6), 3), (Coherent(0.5), 2)]
+    )
+    def test_errors_match_per_replicate_loop(self, spec, M):
+        for seed in (1, 2, 3):
+            result = run_mc(MCConfig(spec, M, 8000, seed=seed))
+            for order in (2, 3, 4):
+                rep = empirical_report(result, order)
+                expected = loop_jackknife_errors(result, order)
+                np.testing.assert_allclose((rep.mean_se, *rep.g_se), expected, rtol=1e-12, atol=0)
+
+    def test_zero_mean_replicate_raises(self):
+        # 100 frames, one block each; deleting the one frame with a photon
+        # leaves a replicate with zero mean
+        result = run_mc(MCConfig(Custom(Pmf((0.99, 0.01))), 1, 100, seed=5))
+        assert result.histogram == (99, 1)
+        with pytest.raises(ZeroMean):
+            empirical_report(result, 2)
+
     def test_degenerate_run_has_zero_error_bars(self):
         result = run_mc(MCConfig(Custom(Pmf((0.0, 1.0))), 1, 400, seed=4))
         rep = empirical_report(result, 2)

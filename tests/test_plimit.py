@@ -9,13 +9,11 @@ from rggstats import (
     NormalizationFailure,
     coherent_limit_pmf,
     correlation_report,
-    fock_pn_limit,
     fock_pn_limit_float64,
     fock_pn_limit_fractions,
     fock_pn_limit_pmf,
     fock_scatter_pmf,
     gn_limit,
-    limit_factorial_moment,
     thermal_pmf,
     total_variation,
 )
@@ -66,20 +64,12 @@ class TestCoherentLimit:
 
 
 class TestMomentMaps:
-    def test_first_order_single_cell_is_identity(self):
-        assert limit_factorial_moment(3.7, 1, 1) == 3.7
-
-    def test_second_order_value(self):
-        assert limit_factorial_moment(30.0, 2, 10) == pytest.approx(0.6, abs=1e-15)
-
     def test_gn_limit_values(self):
         assert gn_limit(2.0, 2) == 4.0  # thermal in, one deep stage
         assert gn_limit(1.0, 3) == 6.0
         assert gn_limit(1.0, 2, 3) == 8.0  # three stages: 2^3
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            limit_factorial_moment(1.0, 0, 5)
         with pytest.raises(ValueError):
             gn_limit(1.0, 1)
         with pytest.raises(ValueError):
@@ -103,11 +93,12 @@ class TestFockLimitExact:
         )
 
     def test_example_value(self):
-        assert fock_pn_limit(2, 10, 2) == 0.02
+        assert float(fock_pn_limit_fractions(2, 10)[2]) == 0.02
 
     def test_zero_beyond_input_photon_number(self):
-        assert fock_pn_limit(3, 7, 4) == 0.0
-        assert fock_pn_limit(3, 7, 100) == 0.0
+        # a passive medium creates no photons: the support ends at n = N
+        assert len(fock_pn_limit_fractions(3, 7)) == 4
+        assert fock_pn_limit_pmf(3, 7).n_max == 3
 
     @pytest.mark.parametrize("N,M", [(5, 5), (17, 23), (60, 200), (120, 60)])
     def test_normalization_exact(self, N, M):
@@ -127,7 +118,7 @@ class TestFockLimitExact:
             ) * Fraction(math.factorial(k), M**k)
 
     def test_negative_outside_validity_domain(self):
-        assert fock_pn_limit(2, 1, 1) == -2.0  # reported, not clipped
+        assert fock_pn_limit_fractions(2, 1)[1] == -2  # reported, not clipped
 
     def test_pmf_flags_negative_entries(self):
         with pytest.raises(InvalidPmf, match="not a distribution"):
@@ -179,7 +170,7 @@ class TestLimitVsSingleStage:
         assert total_variation(fock_scatter_pmf(1, 9), fock_pn_limit_pmf(1, 9)) == 0.0
 
 
-@pytest.mark.parametrize("evaluate", [fock_pn_limit, fock_pn_limit_float64])
+@pytest.mark.parametrize("evaluate", [fock_pn_limit_float64])
 class TestPhotonIndexValidation:
     def test_negative_n_rejected(self, evaluate):
         with pytest.raises(ValueError, match="n must be >= 0"):
@@ -191,23 +182,22 @@ class TestPhotonIndexValidation:
             evaluate(5, 4, n)
 
     def test_numpy_integer_n_accepted(self, evaluate):
-        assert evaluate(5, 4, np.int64(2)) == pytest.approx(fock_pn_limit(5, 4, 2))
+        exact = float(fock_pn_limit_fractions(5, 4)[2])
+        assert evaluate(5, 4, np.int64(2)) == pytest.approx(exact)
 
 
 class TestFloat64Transcription:
     def test_faithful_where_doubles_suffice(self):
         for N, M in [(8, 8), (30, 100)]:
+            exact = fock_pn_limit_fractions(N, M)
             for n in range(N + 1):
                 naive = fock_pn_limit_float64(N, M, n)
-                exact = fock_pn_limit(N, M, n)
-                assert abs(naive - exact) < 1e-12
+                assert abs(naive - float(exact[n])) < 1e-12
 
     def test_breaks_down_at_large_N(self):
         # factorials overflow doubles at 171!; the exact path is unimpressed
+        exact = fock_pn_limit_fractions(200, 1000)
         gaps = np.array(
-            [
-                abs(fock_pn_limit_float64(200, 1000, n) - fock_pn_limit(200, 1000, n))
-                for n in range(0, 21)
-            ]
+            [abs(fock_pn_limit_float64(200, 1000, n) - float(exact[n])) for n in range(0, 21)]
         )
         assert not np.all(gaps <= 1e-6)  # nan or huge somewhere

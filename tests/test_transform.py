@@ -18,7 +18,6 @@ from rggstats import (
     pmf_mean,
     poisson_pmf,
     scatter_pmf,
-    second_moment_out,
     thermal_pmf,
 )
 
@@ -64,24 +63,30 @@ class TestScatterPmf:
                 assert abs(pmf_mean(out) - pmf_mean(p) / M) < 1e-12
 
 
+def second_moment(p):
+    n = np.arange(len(p))
+    return float((n * n) @ p.as_array())
+
+
 class TestSecondMoment:
+    # closed form: <n^2> = (2 <N^2> + (M - 1) <N>) / (M (M + 1))
+
     def test_single_photon_two_cells(self):
-        assert second_moment_out(fock_pmf(1), 2) == 0.5
+        assert second_moment(scatter_pmf(fock_pmf(1), 2)) == 0.5
 
     def test_vacuum(self):
-        assert second_moment_out(fock_pmf(0), 5) == 0.0
+        assert second_moment(scatter_pmf(fock_pmf(0), 5)) == 0.0
 
     def test_exact_rational_cross_check(self):
+        # (2 * 25 + 2 * 5) / 12 = 5 for N = 5, M = 3
         row = fock_scatter_fractions(5, 3)
         direct = sum(n * n * p for n, p in enumerate(row))
         assert direct == Fraction(5)
-        assert second_moment_out(fock_pmf(5), 3) == pytest.approx(5.0, abs=1e-14)
 
     def test_two_routes_agree(self):
         src = poisson_pmf(8.0)
-        out = scatter_pmf(src, 8).as_array()
-        n = np.arange(len(out))
-        assert abs(float((n * n) @ out) - second_moment_out(src, 8)) < 1e-10
+        closed = (2.0 * second_moment(src) + 7.0 * pmf_mean(src)) / (8 * 9)
+        assert abs(second_moment(scatter_pmf(src, 8)) - closed) < 1e-10
 
 
 class TestCorrelationReport:
@@ -99,7 +104,7 @@ class TestCorrelationReport:
     def test_poisson_factorial_moments(self):
         rep = correlation_report(poisson_pmf(5.0), 4)
         for k in range(1, 5):
-            assert rep.factorial_moment(k) == pytest.approx(5.0**k, rel=1e-9)
+            assert rep.factorial_moments[k - 1] == pytest.approx(5.0**k, rel=1e-9)
 
     def test_scattered_single_photon_g2_is_exactly_zero(self):
         rep = correlation_report(scatter_pmf(fock_pmf(1), 17), 2)
