@@ -271,6 +271,11 @@ def cmd_gn(cfg: dict, spec, out: Path) -> None:
     _write_json(out / "gn.json", cfg, payload)
 
 
+def _finite_or_none(x: float) -> float | None:
+    """JSON has no NaN: a standard error that a run cannot estimate is null."""
+    return x if math.isfinite(x) else None
+
+
 def cmd_mc(cfg: dict, spec, out: Path) -> None:
     M, settings = cfg["scatter"]["m"], cfg["mc"]
     frames, order = settings["frames"], settings["order"]
@@ -294,8 +299,8 @@ def cmd_mc(cfg: dict, spec, out: Path) -> None:
     payload = {
         "empirical": _report_as_dict(empirical.report),
         "standard_errors": {
-            "mean": empirical.mean_se,
-            "g": {str(k): empirical.g_se[k - 2] for k in range(2, order + 1)},
+            "mean": _finite_or_none(empirical.mean_se),
+            "g": {str(k): _finite_or_none(empirical.g_se[k - 2]) for k in range(2, order + 1)},
         },
         "exact": _report_as_dict(exact),
         "z": z_scores,

@@ -8,15 +8,20 @@ indistinguishable photons over ``M`` cells is equally likely (bosonic
     p_n = b_{N-n} / z_N,   b_k = binom(k + M - 2, M - 2),
                            z_N = binom(N + M - 1, M - 1) = b_0 + ... + b_N.
 
-Rows are evaluated on one of two routes, split at ``N + M = EXACT_LIMIT``:
+The integer numerators ``b_k`` come from the recurrence
+``b_{k+1} = b_k (k + M - 1) // (k + 1)``, shared by every row and mixture
+of the same ``M``.  A single row is evaluated on one of two routes, split
+at ``N + M = EXACT_LIMIT``:
 
-* exact: the integer numerators ``b_k`` come from the recurrence
-  ``b_{k+1} = b_k (k + M - 1) // (k + 1)``, shared by every row of the same
-  ``M``, and each entry is one correctly rounded int/int division, so it is
+* exact: each entry is one correctly rounded int/int division, so it is
   the exact rational rounded once to float;
 * float: above the limit, ``p_n`` is the running product of the ratios
   ``p_{n+1} / p_n = (N - n) / (N - n + M - 2)``, normalized at the end,
   with a relative error of order 1e-15.
+
+A mixture of rows, ``sum_N P(N) b_{N-n} / z_N``, is one correlation of two
+sequences; :func:`_mixture_array` evaluates it from the exact integers at
+any ``N + M``, with a compensated sum.
 
 :func:`fock_scatter_fractions` returns the exact rationals themselves.
 """
@@ -25,10 +30,13 @@ from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import Pmf, _as_int
 
@@ -51,9 +59,11 @@ def config_count(N: int, M: int) -> int:
     return math.comb(N + M - 1, M - 1)
 
 
-# Numerator sequences b_0, b_1, ... of the last four M, grown on demand.  For
-# rows on the exact route one sequence takes at most about 23 MB (measured at
-# N + M = EXACT_LIMIT, M near 5500), so the store stays below ~92 MB.
+# Numerator sequences b_0, b_1, ... of the last four M, grown on demand to the
+# longest row or mixture asked for.  A row on the exact route needs at most
+# about 23 MB (measured at N + M = EXACT_LIMIT, M near 5500).  A mixture over
+# a truncated input state (N <= N_CAP = 4096) needs 0.3 MB at M = 64, 3 MB
+# at M = 4096 and 11 MB at M = 10**6 (measured), growing like log M.
 _numerator_lock = threading.Lock()  # guards the check-then-append on a store
 
 
@@ -62,13 +72,18 @@ def _numerator_store(M: int) -> list[int]:
     return [1]
 
 
-def _exact_row(N: int, M: int) -> tuple[list[int], int]:
-    """Numerators ``b_N, ..., b_0`` of row N (entry n first) and their sum z_N."""
+def _numerators(count: int, M: int) -> list[int]:
+    """The exact numerators ``b_0, ..., b_{count-1}`` of cell count M."""
     with _numerator_lock:
         b = _numerator_store(M)
-        for k in range(len(b) - 1, N):
+        for k in range(len(b) - 1, count - 1):
             b.append(b[k] * (k + M - 1) // (k + 1))
-        numerators = b[N::-1]
+        return b[:count]
+
+
+def _exact_row(N: int, M: int) -> tuple[list[int], int]:
+    """Numerators ``b_N, ..., b_0`` of row N (entry n first) and their sum z_N."""
+    numerators = _numerators(N + 1, M)[::-1]
     z = math.comb(N + M - 1, M - 1)
     if sum(numerators) != z:
         raise AssertionError(f"configuration count mismatch for N={N}, M={M}")
@@ -91,12 +106,8 @@ def fock_scatter_fractions(N: int, M: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(c, z) for c in numerators)
 
 
-# Row N takes 8 (N + 1) bytes.  Rows of the truncated input states have
-# N <= N_CAP = 4096, so the full cache then holds at most 4096 x 4097 doubles,
-# about 134 MB; longer Fock or custom inputs raise that bound in proportion.
-@lru_cache(maxsize=4096)
 def _fock_scatter_array(N: int, M: int) -> np.ndarray:
-    """Cached read-only float row of :func:`fock_scatter_pmf`."""
+    """Float row of :func:`fock_scatter_pmf`."""
     if M == 1:
         arr = np.zeros(N + 1)
         arr[N] = 1.0
@@ -107,8 +118,92 @@ def _fock_scatter_array(N: int, M: int) -> np.ndarray:
         k = np.arange(N, 0, -1, dtype=float)  # N - n for n = 0..N-1
         arr = np.cumprod(np.concatenate(([1.0], k / (k + (M - 2)))))
         arr /= arr.sum()
-    arr.setflags(write=False)
     return arr
+
+
+#: Most elements in one block of :func:`_mixture_array`, sized so that a
+#: block's few arrays stay in cache; the bits of the result do not depend on it.
+_BLOCK_ELEMENTS = 1 << 16
+#: The binary exponents of z_N within one block stay at most this far above
+#: the block's anchor, so the scaled weights and numerators stay in range.
+_BLOCK_EXPONENT_SPAN = 256
+
+
+def _split(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending positive ints ``x`` as ``m * 2**e``: ``m`` in [0.5, 1] correctly rounded."""
+    # float() rounds an int correctly but overflows from 2**1024 on; for the
+    # larger ones it rounds their top 64 bits, the last of them set when any
+    # bit below is (a sticky bit), which rounds the same way
+    small = bisect_left(values, 1 << 1023)
+    mantissas, exponents = np.frexp(np.array(values[:small], dtype=float))
+    big_exponents = [x.bit_length() for x in values[small:]]
+    tops = []
+    for x, e in zip(values[small:], big_exponents):
+        top = x >> (e - 64)
+        tops.append(float(top | ((top << (e - 64)) != x)))
+    return (
+        np.concatenate((mantissas, np.ldexp(tops, -64))),
+        np.concatenate((exponents, big_exponents)).astype(np.int64),
+    )
+
+
+def _mixture_array(weights: np.ndarray, M: int) -> np.ndarray:
+    """``sum_N weights[N] * row N`` over M >= 2 cells, as one Toeplitz sum.
+
+    Entry n is ``sum_{N >= n} t(N, n)`` with the terms
+    ``t(N, n) = (weights[N] / z_N) * b_{N-n}``.  The exact integers b_k and
+    z_N are split once into float mantissas and binary exponents.  Rows N go
+    in blocks that share an anchor exponent c, the binary exponent of z at
+    the block's first row: the block's terms are the column
+    ``weights[N] / m(z_N) * 2**(c - e(z_N))`` times a zero-copy Toeplitz view
+    of ``m(b_k) * 2**(e(b_k) - c)``.  Scaling by powers of two is exact, so
+    each term is the same double whatever the block, and it underflows only
+    where its true value does (or where a weight lies below about 2**-766).
+
+    Each entry adds its terms in ascending N and also adds up, exactly by
+    Fast2Sum, the rounding error of every addition; the sum of those errors
+    corrects the entry at the end (Ogita, Rump and Oishi's Sum2), so the
+    result is as accurate as if summed in twice the precision.  Both sums
+    run in ascending N across blocks, so the bits do not depend on the
+    blocking either.
+    """
+    out = np.zeros(len(weights))
+    nonzero = np.flatnonzero(weights)
+    if not len(nonzero):
+        return out
+    top = int(nonzero[-1]) + 1
+    b = _numerators(top, M)
+    b_mant, b_exp = _split(b)
+    z_mant, z_exp = _split(list(accumulate(b)))
+    scaled = weights[:top] / z_mant
+    carry = np.zeros(len(weights))  # summed rounding errors of out
+    start = int(nonzero[0])  # rows below the first weight add nothing
+    while start < top:
+        anchor = int(z_exp[start])
+        stop = int(np.searchsorted(z_exp, anchor + _BLOCK_EXPONENT_SPAN, side="right"))
+        # r rows of width start + r, with r (start + r) <= _BLOCK_ELEMENTS
+        rows = (math.isqrt(start * start + 4 * _BLOCK_ELEMENTS) - start) // 2
+        stop = min(stop, start + max(rows, 1), top)
+        # padded[j] = b_{j - stop + 1} scaled, zero for negative k, so window
+        # N holds the factors of entries n = stop - 1, ..., 0 of row N
+        padded = np.zeros(2 * stop - 1)
+        padded[stop - 1 :] = np.ldexp(b_mant[:stop], b_exp[:stop] - anchor)
+        toeplitz = sliding_window_view(padded, stop)[start:stop]
+        terms = np.ldexp(scaled[start:stop], anchor - z_exp[start:stop])[:, None] * toeplitz
+        partial = np.empty((len(terms) + 1, stop))
+        partial[0] = out[stop - 1 :: -1]
+        for previous, term, current in zip(partial, terms, partial[1:]):
+            np.add(previous, term, out=current)
+        # Fast2Sum needs the larger addend first; all terms are >= 0
+        before, after = partial[:-1], partial[1:]
+        larger = np.maximum(before, terms)
+        lost = np.minimum(before, terms, out=terms)
+        lost -= np.subtract(after, larger, out=larger)
+        lost[0] += carry[stop - 1 :: -1]
+        carry[:stop] = lost.sum(axis=0)[::-1]
+        out[:stop] = partial[-1, ::-1]
+        start = stop
+    return out + carry
 
 
 def fock_scatter_pmf(N: int, M: int) -> Pmf:

@@ -193,8 +193,11 @@ def run_mc(cfg: MCConfig) -> MCRunResult:
         block = frames * n_blocks // cfg.frames
         blocks += np.bincount(block * width + n_pixel, minlength=n_blocks * width)
         if patterns is not None:
-            rows, counts = np.unique(occupation, axis=0, return_counts=True)
-            for row, count in zip(rows.tolist(), counts.tolist()):
+            # each pattern row as one opaque 8M-byte item, so np.unique
+            # sorts a 1-d array; the first index of each gives its row
+            as_bytes = occupation.view(np.dtype((np.void, 8 * cfg.M)))
+            _, first, counts = np.unique(as_bytes.ravel(), return_index=True, return_counts=True)
+            for row, count in zip(occupation[first].tolist(), counts.tolist()):
                 patterns[tuple(row)] += count
 
     return MCRunResult(

@@ -6,9 +6,10 @@ rows:
 
     p_out(n) = sum_N P(N) * p_scatter(n | N, M).
 
-Each row is an exact rational rounded once to float (see
-:mod:`.combinatorics`; very large ``N + M`` use a float product instead);
-only the mixture weights and the final accumulation are doubles.  The
+The mixture is evaluated as one sum over the exact integer numerators of
+the rows (see :mod:`.combinatorics`), compensated so that each entry is
+about as accurate as one rounding of the sum of its float terms; an input
+with a single nonzero weight gets that weight times the float row.  The
 closed-form moment maps that follow from the same counting are provided
 alongside, including the correlation law of every order k
 
@@ -24,7 +25,7 @@ import math
 
 import numpy as np
 
-from .combinatorics import _fock_scatter_array
+from .combinatorics import _fock_scatter_array, _mixture_array
 from .core import CorrelationReport, Pmf, ZeroMean, _as_int, pmf_mean
 
 __all__ = [
@@ -40,19 +41,27 @@ __all__ = [
 def scatter_pmf(input_pmf: Pmf, M: int) -> Pmf:
     """Single-cell photon statistics after scattering ``input_pmf`` over M cells.
 
-    Mixes the exact N-photon rows with the input probabilities as weights,
-    accumulated in ascending N so results are bit-for-bit reproducible.
-    The input's recorded tail has no rows to mix and is carried over into
-    the output's ``tail_mass`` unchanged.  ``M = 1`` is the identity: a
-    single cell collects every photon.
+    Mixes the exact N-photon rows with the input probabilities as weights.
+    A single nonzero weight gives that weight times :func:`fock_scatter_pmf`
+    of its photon number, bit for bit.  Otherwise the rows are not rounded
+    one by one: each entry sums ``P(N) b_{N-n} / z_N`` from the exact
+    integers, in ascending N with the rounding errors added back, so results
+    are bit-for-bit reproducible and accurate to a few units in the last
+    place at any ``N + M``.  The input's recorded tail has no rows to mix
+    and is carried over into the output's ``tail_mass`` unchanged.
+    ``M = 1`` is the identity: a single cell collects every photon.
     """
     M = _as_int("cell count M", M, 1)
     if M == 1:
         return input_pmf
-    out = np.zeros(len(input_pmf))
-    for n_in, weight in enumerate(input_pmf.probs):
-        if weight != 0.0:
-            out[: n_in + 1] += weight * _fock_scatter_array(n_in, M)
+    weights = input_pmf.as_array()
+    nonzero = np.flatnonzero(weights)
+    if len(nonzero) == 1:
+        (N,) = nonzero
+        out = np.zeros(len(weights))
+        out[: N + 1] = weights[N] * _fock_scatter_array(int(N), M)
+    else:
+        out = _mixture_array(weights, M)
     return Pmf(out, input_pmf.tail_mass)
 
 

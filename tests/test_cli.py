@@ -218,6 +218,21 @@ class TestMcCommand:
         assert (tmp_path / "mc.csv").read_bytes() == csv_first
         assert (tmp_path / "mc.json").read_bytes() == json_first
 
+    def test_single_frame_writes_strict_json(self, tmp_path):
+        # one frame gives one jackknife block: no standard error to estimate
+        argv = [
+            "mc", "--kind", "coherent", "--mean", "8", "--M", "2",
+            "--frames", "1", "--seed", "1", "--out", str(tmp_path),
+        ]
+        assert main(argv) == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        doc = json.loads((tmp_path / "mc.json").read_text(encoding="utf-8"), parse_constant=reject)
+        assert doc["standard_errors"] == {"mean": None, "g": {"2": None}}
+        assert doc["z"] == {"2": None}
+
 
 class TestFigureCommand:
     def test_fig2_requires_cell_count(self, tmp_path, capsys):
@@ -561,7 +576,7 @@ class TestImportPath:
     )
     def test_oracles_without_scipy_name_the_test_extra(self, monkeypatch, oracle):
         # scipy is a test-only dependency; a plain install has none
-        for module in ("scipy", "scipy.linalg", "scipy.special"):
+        for module in ("scipy", "scipy.linalg", "scipy.sparse", "scipy.sparse.linalg", "scipy.special"):
             monkeypatch.setitem(sys.modules, module, None)
         with pytest.raises(ImportError, match=r"rggstats\[test\]"):
             oracle()

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from rggstats import (
+    Pmf,
     approx_scatter_pmf,
     config_count,
     fock_scatter_fractions,
     fock_scatter_pmf,
     pmf_mean,
+    scatter_pmf,
 )
 from rggstats.combinatorics import EXACT_LIMIT, _fock_scatter_array, _numerator_store
 
@@ -107,11 +109,6 @@ class TestFockScatterExact:
             fock_scatter_pmf(N, M)
 
 
-def _clear_row_caches():
-    _fock_scatter_array.cache_clear()
-    _numerator_store.cache_clear()
-
-
 class TestExactRouteBitIdentical:
     @pytest.mark.parametrize("M", [1, 2, 3, 8, 64, 200, 4096])
     def test_float_rows_are_rounded_fractions(self, M):
@@ -121,12 +118,13 @@ class TestExactRouteBitIdentical:
 
     @pytest.mark.parametrize("N,M", [(200, 8), (1000, 64), (59, 4096), (3000, 3)])
     def test_cold_row_equals_row_after_sweep(self, N, M):
-        _clear_row_caches()
+        _numerator_store.cache_clear()
         cold = fock_scatter_pmf(N, M).probs
-        _clear_row_caches()
+        _numerator_store.cache_clear()
         for other in (N + 40, 3, N - 1):
             fock_scatter_pmf(other, M)
-        _fock_scatter_array.cache_clear()  # rebuild from the warm numerators
+        # a mixture grows the same numerator store past row N
+        scatter_pmf(Pmf(np.full(N + 60, 1.0 / (N + 60))), M)
         assert fock_scatter_pmf(N, M).probs == cold
 
 

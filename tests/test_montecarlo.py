@@ -127,6 +127,16 @@ class TestRunMC:
         replays = Counter(tuple(_replay_frame(cfg, f).tolist()) for f in range(cfg.frames))
         assert run_mc(cfg).configuration_counts == tuple(sorted(replays.items()))
 
+    @pytest.mark.parametrize("N, M, frames", [(2, 2, 20_000), (5, 4, 20_000), (20, 32, 2_000)])
+    def test_configuration_counts_match_row_unique(self, N, M, frames):
+        # reference: np.unique over whole pattern rows of every frame at once
+        cfg = MCConfig(Fock(N), M, frames, seed=808, record_configurations=True)
+        cdf = np.cumsum(input_pmf(cfg.input).as_array())
+        occupation = montecarlo._sample_frames(cdf, cfg.seed, np.arange(frames), M)
+        rows, counts = np.unique(occupation, axis=0, return_counts=True)
+        expected = tuple(zip(map(tuple, rows.tolist()), counts.tolist()))
+        assert run_mc(cfg).configuration_counts == expected
+
     @pytest.mark.parametrize("budget", [1, 40, 333])
     def test_result_does_not_depend_on_chunking(self, monkeypatch, budget):
         # thermal counts put frames of both branches (n < M - 1 and

@@ -6,6 +6,7 @@ import pytest
 
 from rggstats import (
     Pmf,
+    SqueezedCoherent,
     ZeroMean,
     cascade_pmf,
     correlation_report,
@@ -18,8 +19,10 @@ from rggstats import (
     pmf_mean,
     poisson_pmf,
     scatter_pmf,
+    squeezed_coherent_pmf,
     thermal_pmf,
 )
+from rggstats import combinatorics
 
 
 def random_pmfs(count, max_support, seed):
@@ -61,6 +64,107 @@ class TestScatterPmf:
             for M in (2, 9, 51):
                 out = scatter_pmf(p, M)
                 assert abs(pmf_mean(out) - pmf_mean(p) / M) < 1e-12
+
+
+def row_mixture(p, M):
+    """Reference: one exact float row per nonzero weight, added in ascending N."""
+    out = np.zeros(len(p))
+    for N, weight in enumerate(p.probs):
+        if weight != 0.0:
+            out[: N + 1] += weight * fock_scatter_pmf(N, M).as_array()
+    return out
+
+
+def worst_relative_error(p, out, M):
+    """Worst ``|out[n] / exact[n] - 1|`` over the exact entries above 1e-300.
+
+    ``exact[n] = sum_N P(N) b_{N-n} / z_N`` with the float weights taken as
+    exact rationals.  It is evaluated in integers: each ``P(N) / z_N`` as a
+    fixed-point number with S fraction bits, S large enough that the
+    truncation stays below 2**-120 of every entry that is compared.
+    """
+    top = len(p)
+    b = [math.comb(k + M - 2, M - 2) for k in range(top)]
+    z = [math.comb(N + M - 1, M - 1) for N in range(top)]
+    S = z[-1].bit_length() + top.bit_length() + 1120
+    scaled = []
+    for N, weight in enumerate(p.probs):
+        num, den = weight.as_integer_ratio()
+        scaled.append((num << S) // (den * z[N]))
+    worst = 0.0
+    for n in range(top):
+        exact = sum(scaled[N] * b[N - n] for N in range(n, top))  # exact[n] * 2**S
+        if exact * 10**300 <= 1 << S:
+            continue
+        num, den = float(out[n]).as_integer_ratio()
+        worst = max(worst, abs((num << S) - exact * den) / (exact * den))
+    return worst
+
+
+GRID_MS = (2, 3, 8, 64, 200, 4096)
+FAMILIES = {
+    "coherent": [poisson_pmf(mean) for mean in (2.0, 8.0, 30.0)],
+    "thermal": [thermal_pmf(mean) for mean in (0.5, 3.0, 10.0)],
+    "squeezed": [
+        squeezed_coherent_pmf(SqueezedCoherent(alpha, 0.3, r, theta))
+        for alpha, r, theta in ((1.0, 0.3, 0.5), (2.0, 0.6, 2.0), (0.0, 0.8, 1.0))
+    ],
+    "custom": list(random_pmfs(3, 40, seed=2024)),
+}
+
+
+class TestMixtureKernel:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_no_less_accurate_than_row_mixture(self, family):
+        # per family, the worst error of the kernel against the exact mixture
+        # is no larger than the worst of the row-by-row mixture
+        kernel = rows = 0.0
+        for p in FAMILIES[family]:
+            for M in GRID_MS:
+                kernel = max(kernel, worst_relative_error(p, scatter_pmf(p, M).as_array(), M))
+                rows = max(rows, worst_relative_error(p, row_mixture(p, M), M))
+        assert kernel <= rows
+        assert kernel < 4e-16  # a few units in the last place: the sum is compensated
+
+    @pytest.mark.parametrize("budget", [1, 7, 333])
+    @pytest.mark.parametrize(
+        "p, M",
+        [
+            (thermal_pmf(40.0), 64),
+            (poisson_pmf(300.0), 4096),
+            (Pmf(np.random.default_rng(3).dirichlet(np.ones(300))), 3),
+            (Pmf((0.0, 0.0, 0.5, 0.0, 0.5)), 25000),
+        ],
+    )
+    def test_bits_do_not_depend_on_blocking(self, monkeypatch, budget, p, M):
+        whole = scatter_pmf(p, M)
+        monkeypatch.setattr(combinatorics, "_BLOCK_ELEMENTS", budget)
+        assert scatter_pmf(p, M) == whole
+
+    @pytest.mark.parametrize("M", [2, 3, 64, 25000])
+    def test_single_weight_gives_the_exact_row(self, M):
+        p = Pmf((0.0, 0.0, 0.0, 0.25, 0.0), 0.75)
+        expected = np.zeros(5)
+        expected[:4] = 0.25 * np.array(fock_scatter_pmf(3, M).probs)
+        assert scatter_pmf(p, M) == Pmf(expected, 0.75)
+
+    def test_no_weight_scatters_to_nothing(self):
+        assert scatter_pmf(Pmf((0.0, 0.0, 0.0), 1.0), 7) == Pmf((0.0, 0.0, 0.0), 1.0)
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            thermal_pmf(3.0),
+            poisson_pmf(50.0),
+            squeezed_coherent_pmf(SqueezedCoherent(2.0, 0.1, 0.5, 0.3)),
+        ],
+    )
+    def test_correlation_laws_at_many_cells(self, p):
+        M = 25000
+        rep_in = correlation_report(p, 3)
+        rep_out = correlation_report(scatter_pmf(p, M), 3)
+        assert rep_out.g2 == pytest.approx(gn_out_predicted(rep_in.g2, 2, M), rel=1e-12)
+        assert rep_out.g3 == pytest.approx(gn_out_predicted(rep_in.g3, 3, M), rel=1e-12)
 
 
 def second_moment(p):
