@@ -127,6 +127,8 @@ _BLOCK_ELEMENTS = 1 << 16
 #: The binary exponents of z_N within one block stay at most this far above
 #: the block's anchor, so the scaled weights and numerators stay in range.
 _BLOCK_EXPONENT_SPAN = 256
+#: Weights below this are mixed apart, divided by it first (exactly).
+_TINY_WEIGHT = 2.0**-700
 
 
 def _split(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -158,7 +160,10 @@ def _mixture_array(weights: np.ndarray, M: int) -> np.ndarray:
     ``weights[N] / m(z_N) * 2**(c - e(z_N))`` times a zero-copy Toeplitz view
     of ``m(b_k) * 2**(e(b_k) - c)``.  Scaling by powers of two is exact, so
     each term is the same double whatever the block, and it underflows only
-    where its true value does (or where a weight lies below about 2**-766).
+    where its true value does.  The column reaches down to 2**-256 of a
+    weight, so weights below ``_TINY_WEIGHT`` = 2**-700 are mixed in a
+    second pass at 2**700 times their size and scaled back, which keeps
+    their column normal.
 
     Each entry adds its terms in ascending N and also adds up, exactly by
     Fast2Sum, the rounding error of every addition; the sum of those errors
@@ -167,6 +172,10 @@ def _mixture_array(weights: np.ndarray, M: int) -> np.ndarray:
     run in ascending N across blocks, so the bits do not depend on the
     blocking either.
     """
+    tiny = np.where(weights < _TINY_WEIGHT, weights, 0.0)
+    if tiny.any():
+        rest = _mixture_array(weights - tiny, M)
+        return rest + _mixture_array(tiny / _TINY_WEIGHT, M) * _TINY_WEIGHT
     out = np.zeros(len(weights))
     nonzero = np.flatnonzero(weights)
     if not len(nonzero):
@@ -177,6 +186,8 @@ def _mixture_array(weights: np.ndarray, M: int) -> np.ndarray:
     z_mant, z_exp = _split(list(accumulate(b)))
     scaled = weights[:top] / z_mant
     carry = np.zeros(len(weights))  # summed rounding errors of out
+    # work space shared by the blocks, so that no block faults in fresh pages
+    space = np.empty((3, max(_BLOCK_ELEMENTS, top) + top))
     start = int(nonzero[0])  # rows below the first weight add nothing
     while start < top:
         anchor = int(z_exp[start])
@@ -184,19 +195,23 @@ def _mixture_array(weights: np.ndarray, M: int) -> np.ndarray:
         # r rows of width start + r, with r (start + r) <= _BLOCK_ELEMENTS
         rows = (math.isqrt(start * start + 4 * _BLOCK_ELEMENTS) - start) // 2
         stop = min(stop, start + max(rows, 1), top)
+        rows = stop - start
+        terms, partial, larger = (
+            flat[: r * stop].reshape(r, stop) for flat, r in zip(space, (rows, rows + 1, rows))
+        )
         # padded[j] = b_{j - stop + 1} scaled, zero for negative k, so window
         # N holds the factors of entries n = stop - 1, ..., 0 of row N
         padded = np.zeros(2 * stop - 1)
         padded[stop - 1 :] = np.ldexp(b_mant[:stop], b_exp[:stop] - anchor)
         toeplitz = sliding_window_view(padded, stop)[start:stop]
-        terms = np.ldexp(scaled[start:stop], anchor - z_exp[start:stop])[:, None] * toeplitz
-        partial = np.empty((len(terms) + 1, stop))
+        column = np.ldexp(scaled[start:stop], anchor - z_exp[start:stop])
+        np.multiply(column[:, None], toeplitz, out=terms)
         partial[0] = out[stop - 1 :: -1]
         for previous, term, current in zip(partial, terms, partial[1:]):
             np.add(previous, term, out=current)
         # Fast2Sum needs the larger addend first; all terms are >= 0
         before, after = partial[:-1], partial[1:]
-        larger = np.maximum(before, terms)
+        np.maximum(before, terms, out=larger)
         lost = np.minimum(before, terms, out=terms)
         lost -= np.subtract(after, larger, out=larger)
         lost[0] += carry[stop - 1 :: -1]

@@ -148,6 +148,15 @@ class TestMixtureKernel:
         expected[:4] = 0.25 * np.array(fock_scatter_pmf(3, M).probs)
         assert scatter_pmf(p, M) == Pmf(expected, 0.75)
 
+    @pytest.mark.parametrize("M", [25000, 10**6])
+    def test_tiny_weights_keep_their_precision(self, M):
+        # the weight column reaches 2**-256 of a weight, where these would
+        # be subnormal; the entries n >= 1 come from them alone
+        probs = np.zeros(41)
+        probs[0], probs[20], probs[40] = 1.0, 1e-250, 1e-280
+        p = Pmf(probs)
+        assert worst_relative_error(p, scatter_pmf(p, M).as_array(), M) < 4e-16
+
     def test_no_weight_scatters_to_nothing(self):
         assert scatter_pmf(Pmf((0.0, 0.0, 0.0), 1.0), 7) == Pmf((0.0, 0.0, 0.0), 1.0)
 
