@@ -142,9 +142,6 @@ _KEYS = {
     "order": (int, "--order", "highest correlation order"),
     "frames": (int, "--frames", "number of frames"),
     "seed": (int, "--seed", "base seed"),
-    "record_configurations": (
-        bool, "--record-configurations", "tally complete occupation patterns (memory-hungry)"
-    ),
     "nbar": (int, "--nbar", "input mean photon number"),
     "m_max": (int, None, None),
     "n_sweep_max": (int, None, None),
@@ -227,16 +224,20 @@ def cmd_scatter(cfg: dict, spec, out: Path) -> None:
         raise ConfigError("the small-n approximation applies to a single stage only")
 
     source = input_pmf(spec)
+    if approx:
+        # before the cascade, so that the approximation's limits (M >= 3,
+        # N >= 1, 0 <= n_max <= N) are checked before the heavy work
+        n_eff = spec.n if isinstance(spec, Fock) else round(pmf_mean(source))
+        n_top = min(settings.get("approx_nmax", n_eff), n_eff)
+        approx_probs = approx_scatter_pmf(n_eff, M, n_top).probs
+        settings.update(approx_n=n_eff, approx_nmax=n_top)
     scattered = cascade_pmf(source, M, stages)
     thermal_ref = thermal_pmf(pmf_mean(scattered))
     columns = [range(len(scattered)), scattered.probs, thermal_ref.probs]
     header = ["n", "p_exact", "p_thermal_ref"]
     if approx:
-        n_eff = spec.n if isinstance(spec, Fock) else round(pmf_mean(source))
-        n_top = min(settings.get("approx_nmax", n_eff), n_eff)
-        columns.append(approx_scatter_pmf(n_eff, M, n_top).probs)
+        columns.append(approx_probs)
         header.append("p_approx")
-        settings.update(approx_n=n_eff, approx_nmax=n_top)
     _write_csv(out / "scatter.csv", cfg, header, columns)
 
 
@@ -279,8 +280,7 @@ def _finite_or_none(x: float) -> float | None:
 def cmd_mc(cfg: dict, spec, out: Path) -> None:
     M, settings = cfg["scatter"]["m"], cfg["mc"]
     frames, order = settings["frames"], settings["order"]
-    record = settings["record_configurations"]
-    config = MCConfig(spec, M, frames, settings["seed"], record_configurations=record)
+    config = MCConfig(spec, M, frames, settings["seed"])
     # the exact side is cheap and checks the order before the sampler runs
     exact_pmf = scatter_pmf(input_pmf(spec), M)
     exact = correlation_report(exact_pmf, order)
@@ -398,7 +398,7 @@ _COMMANDS = {
     "mc": (
         cmd_mc, True,
         {"scatter": {"m": _REQUIRED},
-         "mc": {"frames": 100_000, "seed": 0, "order": 2, "record_configurations": False}},
+         "mc": {"frames": 100_000, "seed": 0, "order": 2}},
         "Monte Carlo sampler with jackknife errors",
     ),
     "figure": (

@@ -71,6 +71,14 @@ def _as_int(name: str, value, minimum: int | None = None) -> int:
     return value
 
 
+def _as_mean(name: str, value) -> float:
+    """``value`` as a float; :class:`ValueError` unless it is finite and >= 0."""
+    value = float(value)
+    if not math.isfinite(value) or value < 0.0:
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+    return value
+
+
 class InvalidPmf(ValueError):
     """Raised when numbers claiming to be a pmf fail the invariants."""
 
@@ -180,9 +188,7 @@ class Coherent:
     mean: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mean", float(self.mean))
-        if not math.isfinite(self.mean) or self.mean < 0.0:
-            raise ValueError(f"mean photon number must be finite and >= 0, got {self.mean!r}")
+        object.__setattr__(self, "mean", _as_mean("mean photon number", self.mean))
 
 
 @dataclass(frozen=True)
@@ -192,9 +198,7 @@ class Thermal:
     mean: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mean", float(self.mean))
-        if not math.isfinite(self.mean) or self.mean < 0.0:
-            raise ValueError(f"mean photon number must be finite and >= 0, got {self.mean!r}")
+        object.__setattr__(self, "mean", _as_mean("mean photon number", self.mean))
 
 
 @dataclass(frozen=True)

@@ -4,25 +4,29 @@ Infinite-support states (coherent, thermal, squeezed coherent) are truncated
 at the smallest ``n_max`` whose remaining tail is below ``TAIL_TARGET``,
 capped at ``N_CAP`` entries; the cut mass is recorded in ``Pmf.tail_mass``
 instead of being renormalized away.  The Poisson tail is summed directly
-from its terms, so the production states need numpy and :mod:`math` only.
+from its terms, so the production states need numpy and the standard
+library only.
 
 The squeezed-coherent distribution is evaluated two independent ways:
 
 * :func:`squeezed_coherent_pmf` - a three-term recurrence on the Fock
-  amplitudes, carried as (log magnitude, unit phase) pairs so that huge
-  displacements neither overflow nor underflow mid-recursion.  This is the
-  production path.
-* :func:`squeezed_oracle_pmf` - brute force: build truncated matrix
-  representations of the squeeze and displacement generators, exponentiate
-  them (scaling-and-squaring Pade), and read amplitudes off the state
-  vector.  Slow and memory-hungry, but it contains no recurrence to get
-  wrong, which makes it the cross-check of record for the fast path.
+  amplitudes, carried as plain complex numbers with a shared binary
+  exponent, rescaled by exact powers of two, so that huge displacements
+  neither overflow nor underflow mid-recursion.  This is the production
+  path.
+* :func:`squeezed_oracle_pmf` - brute force: apply the exponentials of
+  truncated sparse squeeze and displacement generators to the vacuum
+  (``scipy.sparse.linalg.expm_multiply``) and read amplitudes off the state
+  vector.  It needs scipy and a basis larger than the support, but it
+  contains no recurrence to get wrong, which makes it the cross-check of
+  record for the fast path.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -37,6 +41,7 @@ from .core import (
     Thermal,
     UnstableEvaluation,
     _as_int,
+    _as_mean,
 )
 
 __all__ = [
@@ -57,7 +62,8 @@ TAIL_TARGET = 1e-12
 #: Hard cap on stored support, whatever the tail target says.
 N_CAP = 4096
 
-_NEG_INF = float("-inf")
+#: ln 2 to 40 digits.
+_LN2 = Fraction("0.6931471805599453094172321214581765680755")
 
 
 def fock_pmf(n: int) -> Pmf:
@@ -73,9 +79,7 @@ def poisson_pmf(mean: float) -> Pmf:
     ends at the smallest ``n`` whose tail is below ``TAIL_TARGET``.  A mean
     above ``N_CAP`` has its support clipped there, and its tail is 1 - cdf.
     """
-    mean = float(mean)
-    if not math.isfinite(mean) or mean < 0.0:
-        raise ValueError(f"mean must be finite and >= 0, got {mean!r}")
+    mean = _as_mean("mean", mean)
     if mean == 0.0:
         return Pmf((1.0,))
     if mean > N_CAP:
@@ -157,9 +161,7 @@ def thermal_pmf(mean: float) -> Pmf:
     ``q = mean / (1 + mean)``, which fixes the truncation point in closed
     form.
     """
-    mean = float(mean)
-    if not math.isfinite(mean) or mean < 0.0:
-        raise ValueError(f"mean must be finite and >= 0, got {mean!r}")
+    mean = _as_mean("mean", mean)
     if mean == 0.0:
         return Pmf((1.0,))
     q = mean / (1.0 + mean)
@@ -180,15 +182,22 @@ def squeezed_coherent_pmf(params: SqueezedCoherent) -> Pmf:
     The state is annihilated by ``mu*a + nu*a^dag - gamma`` with
     ``mu = cosh(r)``, ``nu = exp(i*theta)*sinh(r)`` and
     ``gamma = mu*alpha + nu*conj(alpha)``.  Projecting that identity on
-    ``<n|`` gives the three-term recurrence
+    ``<n|`` and dividing by ``mu`` gives the three-term recurrence
 
-        c_{n+1} = (gamma*c_n - nu*sqrt(n)*c_{n-1}) / (mu*sqrt(n+1)),
+        c_{n+1} = (g*c_n - h*sqrt(n)*c_{n-1}) / sqrt(n+1),
 
-    seeded by ``c_0 = mu**-0.5 * exp(-|alpha|^2/2 - nu*conj(alpha)^2/(2*mu))``.
-    Amplitudes are carried as (log magnitude, unit phase) pairs: factorials
-    and Hermite-polynomial growth never appear explicitly, and amplitudes
-    far below double-precision range (e.g. p_0 for |alpha|^2 ~ 10^3) pass
-    through the recursion without flushing to zero.
+    with ``h = nu/mu = exp(i*theta)*tanh(r)`` and ``g = gamma/mu =
+    alpha + h*conj(alpha)``, seeded by ``c_0 = mu**-0.5 * exp(w)``,
+    ``w = -(|alpha|^2 + h*conj(alpha)^2) / 2``.  Amplitudes are plain
+    complex numbers ``v`` whose last two share one binary exponent ``e``,
+    ``c_n = v_n * 2**e``, and ``p_n = |v_n|^2 * 2**(2e)``; whenever the pair
+    leaves [2**-300, 2**300] both are rescaled by an exact power of two.  So
+    amplitudes far below double-precision range (e.g. p_0 for
+    |alpha|^2 ~ 10^3) pass through the recursion without flushing to zero,
+    and zero amplitudes (the odd entries of a squeezed vacuum) take the same
+    arithmetic as the others.  The seed takes ``Re w`` in exact rationals, so
+    the entries sum to 1 for the rounded ``alpha`` and ``h`` and the
+    ``1 - cum`` stopping rule ends where the true tail does.
 
     Raises
     ------
@@ -198,62 +207,38 @@ def squeezed_coherent_pmf(params: SqueezedCoherent) -> Pmf:
     """
     if not isinstance(params, SqueezedCoherent):
         raise TypeError(f"expected SqueezedCoherent parameters, got {type(params).__name__}")
-    mu = math.cosh(params.r)
-    nu = cmath.exp(1j * params.theta) * math.sinh(params.r)
+    h = cmath.exp(1j * params.theta) * math.tanh(params.r)
     alpha = params.alpha_mag * cmath.exp(1j * params.alpha_phase)
-    gamma = mu * alpha + nu * alpha.conjugate()
+    g = alpha + h * alpha.conjugate()
 
-    w = -0.5 * abs(alpha) ** 2 - nu * alpha.conjugate() ** 2 / (2.0 * mu)
-    log_mag = w.real - 0.5 * math.log(mu)  # log|c_0|
-    phase = cmath.exp(1j * w.imag)
-    log_mag_prev, phase_prev = _NEG_INF, 0j
+    # c_0 = v * 2**e: Re w is exact for the float alpha and h, so that the
+    # entries sum to 1 for them, and e is split off exp(w), which underflows
+    # for bright inputs
+    ar, ai, hr, hi = map(Fraction, (alpha.real, alpha.imag, h.real, h.imag))
+    w_real = -((1 + hr) * ar * ar + (1 - hr) * ai * ai + 2 * hi * ar * ai) / 2
+    w_imag = -0.5 * (h * alpha.conjugate() ** 2).imag
+    e = round(w_real / _LN2)
+    v_prev, v = 0j, cmath.exp(complex(w_real - e * _LN2, w_imag)) / math.sqrt(math.cosh(params.r))
 
-    log_abs_gamma = math.log(abs(gamma)) if gamma != 0 else _NEG_INF
-    log_abs_nu = math.log(abs(nu)) if nu != 0 else _NEG_INF
-
-    probs = [math.exp(2.0 * log_mag)]
+    probs = [math.ldexp(abs(v) ** 2, 2 * e)]
     cum = probs[0]
     n = 0
     while 1.0 - cum >= TAIL_TARGET and n < N_CAP:
-        la = log_mag + log_abs_gamma if log_mag != _NEG_INF else _NEG_INF
-        lb = (
-            log_mag_prev + log_abs_nu + 0.5 * math.log(n)
-            if n > 0 and log_mag_prev != _NEG_INF
-            else _NEG_INF
-        )
-        lmax = max(la, lb)
-        if lmax == _NEG_INF:
-            log_mag_next, phase_next = _NEG_INF, 0j
-        else:
-            # Both contributions are scaled by exp(. - lmax) <= 1 before the
-            # complex add, so the combination can neither overflow nor lose
-            # the smaller term to underflow unless it is truly negligible.
-            v = 0j
-            if la != _NEG_INF:
-                v += gamma * phase * math.exp(log_mag - lmax)
-            if lb != _NEG_INF:
-                v -= nu * math.sqrt(n) * phase_prev * math.exp(log_mag_prev - lmax)
-            m = abs(v)
-            if m == 0.0:
-                log_mag_next, phase_next = _NEG_INF, 0j
-            else:
-                log_mag_next = lmax + math.log(m) - math.log(mu * math.sqrt(n + 1))
-                phase_next = v / m
+        v_prev, v = v, (g * v - h * math.sqrt(n) * v_prev) / math.sqrt(n + 1)
         n += 1
-        if 2.0 * log_mag_next > math.log1p(1e-6):
-            raise UnstableEvaluation(
-                f"|c_{n}|^2 exceeds 1 (log magnitude {log_mag_next!r}); "
-                "recurrence lost validity"
-            )
-        p = math.exp(2.0 * log_mag_next) if log_mag_next != _NEG_INF else 0.0
+        top = max(abs(v_prev), abs(v))
+        if not 2.0**-300 <= top <= 2.0**300:
+            k = math.frexp(top)[1]
+            v_prev, v, e = v_prev * 2.0**-k, v * 2.0**-k, e + k
+        p = math.ldexp(abs(v) ** 2, 2 * e)
+        if p > 1.0 + 1e-6:
+            raise UnstableEvaluation(f"|c_{n}|^2 = {p!r} exceeds 1; recurrence lost validity")
         probs.append(p)
         cum += p
         if cum > 1.0 + 1e-9:
             raise UnstableEvaluation(
                 f"cumulative probability {cum!r} exceeds 1 at n={n}"
             )
-        log_mag_prev, phase_prev = log_mag, phase
-        log_mag, phase = log_mag_next, phase_next
 
     return Pmf(probs, max(0.0, 1.0 - cum))
 
@@ -321,8 +306,10 @@ def recommended_oracle_dim(params: SqueezedCoherent) -> int:
     dim = mean + 10.0 * math.sqrt(mean) + 20.0
     if params.r > 0:
         # squared amplitudes decay like tanh(r)^2 per two quanta, so covering
-        # a 1e-12 tail takes ~ 27.7 / |ln tanh r| extra levels
-        dim = max(dim, mean + 27.7 / -math.log(math.tanh(params.r)) + 20.0)
+        # a 1e-12 tail takes ~ 27.7 / |ln tanh r| extra levels; from r ~ 19.06
+        # on, tanh(r) rounds to 1 and no basis below the cap holds the state
+        decay = -math.log(math.tanh(params.r))
+        dim = max(dim, mean + 27.7 / decay + 20.0) if decay > 0.0 else N_CAP
     return min(N_CAP, math.ceil(dim))
 
 

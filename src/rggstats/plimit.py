@@ -42,7 +42,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import InvalidPmf, NormalizationFailure, Pmf, _as_int
+from .core import InvalidPmf, NormalizationFailure, Pmf, _as_int, _as_mean
 from .inputs import thermal_pmf
 
 __all__ = [
@@ -56,9 +56,7 @@ __all__ = [
 
 def coherent_limit_pmf(mean: float, M: int) -> Pmf:
     """Deep-cascade output for a coherent input: thermal with mean ``mean / M``."""
-    mean = float(mean)
-    if not math.isfinite(mean) or mean < 0.0:
-        raise ValueError(f"mean must be finite and >= 0, got {mean!r}")
+    mean = _as_mean("mean", mean)
     M = _as_int("cell count M", M, 1)
     return thermal_pmf(mean / M)
 

@@ -311,6 +311,16 @@ class TestFigureCommand:
 
 
 class TestErrorHandling:
+    def test_record_configurations_is_not_a_setting(self, tmp_path, capsys):
+        # the CLI never wrote the tallies, so the key is gone from [mc]
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[mc]\nrecord_configurations = yes\n", encoding="utf-8")
+        argv = ["mc", "--kind", "fock", "--n", "2", "--M", "2", "--frames", "100"]
+        assert main([*argv, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "record_configurations" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main([*argv, "--record-configurations", "--out", str(tmp_path)])
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"
         cfg.write_text("[scatter]\nm = 4\nq = 3\n", encoding="utf-8")
@@ -426,8 +436,7 @@ class TestOptionSurface:
                     "--no-approx", "--approx-nmax"},
         "gn": {"--config", "--out", *INPUT_FLAGS, "--M", "--stages", "--order"},
         "plimit": {"--config", "--out", "--n", "--M"},
-        "mc": {"--config", "--out", *INPUT_FLAGS, "--M", "--frames", "--seed", "--order",
-               "--record-configurations", "--no-record-configurations"},
+        "mc": {"--config", "--out", *INPUT_FLAGS, "--M", "--frames", "--seed", "--order"},
         "figure": {"--config", "--out", "--M", "--nbar", "--n", "--r", "--alpha-phase"},
     }
 
@@ -449,7 +458,7 @@ class TestOptionSurface:
             "scatter": {"m", "stages", "approx", "approx_nmax"},
             "gn": {"order"},
             "plimit": {"n", "m"},
-            "mc": {"frames", "seed", "order", "record_configurations"},
+            "mc": {"frames", "seed", "order"},
             "figure": {"m", "nbar", "n", "r", "alpha_phase", "m_max", "n_sweep_max"},
         }
 
@@ -514,6 +523,12 @@ class TestChecksPrecedeCompute:
             (["scatter", "--kind", "thermal", "--mean", "140", "--M", "64", "--stages", "2",
               "--approx"], "cascade_pmf"),
             (["figure", "fig3b", "--M", "10"], "g2_out_predicted"),
+            (["scatter", "--kind", "fock", "--n", "8", "--M", "2", "--approx"], "cascade_pmf"),
+            (["scatter", "--kind", "fock", "--n", "0", "--M", "8", "--approx"], "cascade_pmf"),
+            (["scatter", "--kind", "thermal", "--mean", "0.3", "--M", "8", "--approx"],
+             "cascade_pmf"),
+            (["scatter", "--kind", "coherent", "--mean", "9", "--M", "8", "--approx",
+              "--approx-nmax", "-1"], "cascade_pmf"),
         ],
     )
     def test_bad_setting_exits_before_the_heavy_call(self, monkeypatch, tmp_path, argv, heavy):

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -167,13 +168,16 @@ class TestThermal:
 
 
 class TestSqueezedCoherent:
-    def test_no_squeezing_reduces_to_poisson(self):
-        state = SqueezedCoherent(2.0, 0.3, 0.0, 0.0)
+    @pytest.mark.parametrize("mean", [4, 100, 400, 900, 1600])
+    def test_no_squeezing_reduces_to_poisson(self, mean):
+        state = SqueezedCoherent(math.sqrt(mean), 0.3, 0.0, 0.0)
         fast = squeezed_coherent_pmf(state)
-        pois = poisson_pmf(4.0)
+        pois = poisson_pmf(float(mean))
         width = min(len(fast), len(pois))
         gap = np.abs(fast.as_array()[:width] - pois.as_array()[:width]).max()
         assert gap < 1e-12
+        # the sum of the entries reaches 1 - TAIL_TARGET where Poisson's does
+        assert abs(len(fast) - len(pois)) <= 1
 
     def test_vacuum(self):
         assert squeezed_coherent_pmf(SqueezedCoherent(0.0, 0.0, 0.0, 0.0)).probs == (1.0,)
@@ -206,13 +210,96 @@ class TestSqueezedCoherent:
     def test_mean_matches_parameters(self, state):
         assert abs(pmf_mean(squeezed_coherent_pmf(state)) - state.mean_photons) < 1e-6
 
-    def test_huge_displacement_survives_in_log_space(self):
+    def test_huge_displacement_survives_below_double_range(self):
         # p_0 = exp(-900): far below double range, yet the recurrence
         # must pass through it and recover the bulk near n ~ 900
         state = SqueezedCoherent(30.0, 0.0, 0.0, 0.0)
         p = squeezed_coherent_pmf(state)
         assert p.probs[0] == 0.0  # underflows as a probability, harmlessly
         assert abs(pmf_mean(p) - 900.0) < 1e-6 * 900.0
+        # the support ends where the tail drops below target, not at N_CAP
+        assert len(p) <= 1121
+        assert p.tail_mass < TAIL_TARGET
+
+
+def _recurrence_at_50_digits(state, count):
+    """p_0..p_{count-1} of the annihilator recurrence in 50-digit arithmetic.
+
+    The same three-term recurrence as the production path, in its undivided
+    form ``mu*sqrt(n+1)*c_{n+1} = gamma*c_n - nu*sqrt(n)*c_{n-1}``, from
+    the same float parameters.
+    """
+    with mpmath.workdps(50):
+        mu = mpmath.cosh(state.r)
+        nu = mpmath.expj(state.theta) * mpmath.sinh(state.r)
+        alpha = state.alpha_mag * mpmath.expj(state.alpha_phase)
+        gamma = mu * alpha + nu * mpmath.conj(alpha)
+        w = -abs(alpha) ** 2 / 2 - nu * mpmath.conj(alpha) ** 2 / (2 * mu)
+        prev, c = 0, mpmath.exp(w) / mpmath.sqrt(mu)
+        probs = [abs(c) ** 2]
+        for n in range(count - 1):
+            prev, c = c, (gamma * c - nu * mpmath.sqrt(n) * prev) / (mu * mpmath.sqrt(n + 1))
+            probs.append(abs(c) ** 2)
+    return probs
+
+
+def _worst_relative_error(state):
+    """Worst relative error of the entries above 1e-300 of the production pmf."""
+    probs = squeezed_coherent_pmf(state).probs
+    worst = 0.0
+    with mpmath.workdps(50):
+        for x, exact in zip(probs, _recurrence_at_50_digits(state, len(probs))):
+            if exact > 1e-300:
+                worst = max(worst, float(abs(x - exact) / exact))
+    return worst
+
+
+def _random_states(count, seed):
+    rng = random.Random(seed)
+    return {
+        f"random{i}": SqueezedCoherent(
+            15.0 * rng.random(), 2 * math.pi * rng.random(),
+            1.6 * rng.random(), 2 * math.pi * rng.random(),
+        )
+        for i in range(count)
+    }
+
+
+class TestSqueezedAccuracy:
+    """Entries of the recurrence against the same recurrence at 50 digits."""
+
+    # pure displacements, where the error of the amplitude representation
+    # itself dominates, with the worst relative error of the previous
+    # (log magnitude, unit phase) recurrence on each
+    DISPLACEMENTS = {
+        "displacement400": (SqueezedCoherent(20.0, 0.0, 0.0, 0.0), 6.6552e-13),
+        "displacement900": (SqueezedCoherent(30.0, 0.0, 0.0, 0.0), 1.7864e-11),
+        "displacement1600": (SqueezedCoherent(40.0, 0.0, 0.0, 0.0), 1.9812e-11),
+    }
+    GRID = {
+        # the middle of the squeezed windows of perfbench's bright_scatter
+        "bright11.1": SqueezedCoherent(11.1, 0.0, 0.91, 0.8),
+        "bright8.1": SqueezedCoherent(8.1, 0.0, 0.51, 1.6),
+        "bright13.6": SqueezedCoherent(13.6, 0.0, 1.01, 3.1),
+        "bright9.1": SqueezedCoherent(9.1, 0.0, 0.56, 2.4),
+        "bright12.1": SqueezedCoherent(12.1, 0.0, 1.11, 3.1),
+        **{name: state for name, (state, _) in DISPLACEMENTS.items()},
+        **{f"vacuum{r}": SqueezedCoherent(0.0, 0.0, r, 0.7) for r in (0.5, 1.0, 1.5, 2.0, 2.5)},
+        **_random_states(30, seed=9),
+    }
+    # worst of the previous recurrence over the grid (on displacement1600),
+    # and over the grid without the pure displacements (on vacuum2.5);
+    # this recurrence measured 1.03e-13 on both, at vacuum2.5
+    PREVIOUS_WORST = 1.9813e-11
+    PREVIOUS_WORST_SQUEEZED = 1.4813e-13
+
+    def test_worst_error_over_the_grid(self):
+        errors = {name: _worst_relative_error(state) for name, state in self.GRID.items()}
+        assert max(errors.values()) <= self.PREVIOUS_WORST
+        squeezed = [e for name, e in errors.items() if name not in self.DISPLACEMENTS]
+        assert max(squeezed) <= self.PREVIOUS_WORST_SQUEEZED
+        for name, (_, previous) in self.DISPLACEMENTS.items():
+            assert errors[name] < previous, name
 
 
 class TestSqueezedOracle:
@@ -258,6 +345,21 @@ class TestSqueezedOracle:
     def test_recommended_dim_holds_the_state(self):
         state = SqueezedCoherent(2.0, 0.0, 1.0, 0.7)
         squeezed_oracle_pmf(state, recommended_oracle_dim(state))  # must not raise
+
+    @pytest.mark.parametrize("r", [19.1, 20.0, 100.0])
+    def test_recommended_dim_where_tanh_rounds_to_one(self, r):
+        # -log(tanh r) is 0 there; it used to raise ZeroDivisionError
+        assert recommended_oracle_dim(SqueezedCoherent(0.0, 0.0, r, 0.0)) == N_CAP
+        assert recommended_oracle_dim(SqueezedCoherent(3.0, 0.5, r, 1.0)) == N_CAP
+
+    @pytest.mark.parametrize(
+        "alpha_mag, r, dim",
+        [(0.0, 0.0, 20), (0.0, 0.1, 33), (0.0, 0.5, 57), (0.0, 1.0, 124), (0.0, 2.0, 790),
+         (3.0, 0.0, 59), (3.0, 0.5, 66), (3.0, 2.0, 799), (0.0, 5.0, N_CAP),
+         (3.0, 19.0, N_CAP), (0.0, 19.05, N_CAP)],
+    )
+    def test_recommended_dim_below_the_rounding_point(self, alpha_mag, r, dim):
+        assert recommended_oracle_dim(SqueezedCoherent(alpha_mag, 0.0, r, 0.0)) == dim
 
 
 class TestInputDispatch:
