@@ -228,6 +228,9 @@ def cmd_scatter(cfg: dict, spec, out: Path) -> None:
         # before the cascade, so that the approximation's limits (M >= 3,
         # N >= 1, 0 <= n_max <= N) are checked before the heavy work
         n_eff = spec.n if isinstance(spec, Fock) else round(pmf_mean(source))
+        if n_eff < 1:
+            raise ConfigError("the small-n approximation needs N >= 1 photons; the input "
+                              f"mean {pmf_mean(source)!r} rounds to N = {n_eff}")
         n_top = min(settings.get("approx_nmax", n_eff), n_eff)
         approx_probs = approx_scatter_pmf(n_eff, M, n_top).probs
         settings.update(approx_n=n_eff, approx_nmax=n_top)
@@ -314,6 +317,8 @@ def cmd_mc(cfg: dict, spec, out: Path) -> None:
 
 def _fig2(cfg: dict, spec, out: Path) -> None:
     M, nbar = cfg["figure"]["m"], cfg["figure"]["nbar"]
+    if M >= 3 and nbar < 1:
+        raise ConfigError(f"the p_fock_approx column needs [figure] nbar >= 1, got {nbar}")
     fock_out = fock_scatter_pmf(nbar, M)
     poisson_out = scatter_pmf(input_pmf(Coherent(float(nbar))), M)
     columns = _pmf_columns(fock_out, poisson_out, thermal_pmf(nbar / M))
@@ -333,8 +338,16 @@ def _fig3a(cfg: dict, spec, out: Path) -> None:
     _write_csv(out / "fig3a.csv", cfg, ["n", "p_fock", "p_poisson", "p_thermal"], columns)
 
 
+def _sweep(cfg: dict, key: str) -> range:
+    """1, ..., the [figure] key: a sweep with at least one point."""
+    top = cfg["figure"][key]
+    if top < 1:
+        raise ConfigError(f"[figure] {key} must be >= 1, got {top}")
+    return range(1, top + 1)
+
+
 def _fig3b(cfg: dict, spec, out: Path) -> None:
-    cells = range(1, cfg["figure"]["m_max"] + 1)
+    cells = _sweep(cfg, "m_max")
     # Fock inputs of 2, 5 and 10 photons, then a Poissonian input of any mean
     g2_inputs = [1.0 - 1.0 / n_in for n_in in (2, 5, 10)] + [1.0]
     columns = [cells, *([g2_out_predicted(g2, M) for M in cells] for g2 in g2_inputs)]
@@ -343,7 +356,7 @@ def _fig3b(cfg: dict, spec, out: Path) -> None:
 
 
 def _fig3c(cfg: dict, spec, out: Path) -> None:
-    M, n_sweep = cfg["figure"]["m"], range(1, cfg["figure"]["n_sweep_max"] + 1)
+    M, n_sweep = cfg["figure"]["m"], _sweep(cfg, "n_sweep_max")
     g2_in = [1.0 - 1.0 / n_in for n_in in n_sweep]
     columns = [n_sweep, g2_in, [g2_out_predicted(g2, M) for g2 in g2_in]]
     _write_csv(out / "fig3c.csv", cfg, ["N", "g2_in", "g2_out"], columns)

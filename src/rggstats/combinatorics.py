@@ -9,9 +9,9 @@ indistinguishable photons over ``M`` cells is equally likely (bosonic
                            z_N = binom(N + M - 1, M - 1) = b_0 + ... + b_N.
 
 The integer numerators ``b_k`` come from the recurrence
-``b_{k+1} = b_k (k + M - 1) // (k + 1)``, shared by every row and mixture
-of the same ``M``.  A single row is evaluated on one of two routes, split
-at ``N + M = EXACT_LIMIT``:
+``b_{k+1} = b_k (k + M - 1) // (k + 1)``, run afresh by each call that
+needs them: nothing is kept between calls.  A single row is evaluated on
+one of two routes, split at ``N + M = EXACT_LIMIT``:
 
 * exact: each entry is one correctly rounded int/int division, so it is
   the exact rational rounded once to float;
@@ -29,10 +29,8 @@ any ``N + M``, with a compensated sum.
 from __future__ import annotations
 
 import math
-import threading
 from bisect import bisect_left
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -59,26 +57,12 @@ def config_count(N: int, M: int) -> int:
     return math.comb(N + M - 1, M - 1)
 
 
-# Numerator sequences b_0, b_1, ... of the last four M, grown on demand to the
-# longest row or mixture asked for.  A row on the exact route needs at most
-# about 23 MB (measured at N + M = EXACT_LIMIT, M near 5500).  A mixture over
-# a truncated input state (N <= N_CAP = 4096) needs 0.3 MB at M = 64, 3 MB
-# at M = 4096 and 11 MB at M = 10**6 (measured), growing like log M.
-_numerator_lock = threading.Lock()  # guards the check-then-append on a store
-
-
-@lru_cache(maxsize=4)
-def _numerator_store(M: int) -> list[int]:
-    return [1]
-
-
 def _numerators(count: int, M: int) -> list[int]:
     """The exact numerators ``b_0, ..., b_{count-1}`` of cell count M."""
-    with _numerator_lock:
-        b = _numerator_store(M)
-        for k in range(len(b) - 1, count - 1):
-            b.append(b[k] * (k + M - 1) // (k + 1))
-        return b[:count]
+    b = [1]
+    for k in range(count - 1):
+        b.append(b[k] * (k + M - 1) // (k + 1))
+    return b[:count]
 
 
 def _exact_row(N: int, M: int) -> tuple[list[int], int]:

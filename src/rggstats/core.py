@@ -2,8 +2,9 @@
 
 Everything here is an immutable value object: probability mass functions
 over photon number, input-state descriptions, and small report containers.
-Functions are pure, so all of it is safe to share between threads or
-processes without locking.
+Functions are pure, here and in every module of the package: no module
+keeps state between calls, so the whole package is safe to share between
+threads or processes without locking.
 
 Conventions
 -----------

@@ -107,6 +107,19 @@ class TestScatterCommand:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "argv, wording",
+        [
+            (["--kind", "thermal", "--mean", "0.3"], "input mean 0.29"),
+            (["--kind", "fock", "--n", "0"], "input mean 0.0 "),
+        ],
+    )
+    def test_approx_names_the_input_mean(self, tmp_path, capsys, argv, wording):
+        rc = main(["scatter", *argv, "--M", "8", "--approx", "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "needs N >= 1" in err and wording in err and "rounds to N = 0" in err
+
     def test_custom_pmf_roundtrip(self, tmp_path):
         src = tmp_path / "input.csv"
         src.write_text("n,p\n0,0.25\n1,0.5\n2,0.25\n", encoding="utf-8")
@@ -252,6 +265,11 @@ class TestFigureCommand:
         _, header, _ = read_csv(tmp_path / "fig2.csv")
         assert "p_fock_approx" not in header
 
+    def test_fig2_approximation_names_nbar(self, tmp_path, capsys):
+        assert main(["figure", "fig2", "--M", "8", "--nbar", "0", "--out", str(tmp_path)]) == 2
+        assert "[figure] nbar >= 1, got 0" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_fig3a_defaults(self, tmp_path):
         assert main(["figure", "fig3a", "--out", str(tmp_path)]) == 0
         comments, header, rows = read_csv(tmp_path / "fig3a.csv")
@@ -277,6 +295,18 @@ class TestFigureCommand:
         g2_in = column(header, rows, "g2_in")
         assert g2_in[0] == 0.0
         assert g2_in[-1] == pytest.approx(1 - 1 / 50, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "name, key, value",
+        [("fig3b", "m_max", 0), ("fig3c", "n_sweep_max", -3), ("fig3c", "n_sweep_max", 0)],
+    )
+    def test_empty_sweep_is_rejected(self, tmp_path, capsys, name, key, value):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[figure]\n{key} = {value}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["figure", name, "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"[figure] {key} must be >= 1, got {value}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_fig3d_phase_sweep(self, tmp_path):
         rc = main(

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,7 @@ from rggstats import (
     pmf_mean,
     scatter_pmf,
 )
-from rggstats.combinatorics import EXACT_LIMIT, _fock_scatter_array, _numerator_store
+from rggstats.combinatorics import EXACT_LIMIT, _fock_scatter_array
 
 
 def enumerate_marginal(N, M):
@@ -118,14 +119,23 @@ class TestExactRouteBitIdentical:
 
     @pytest.mark.parametrize("N,M", [(200, 8), (1000, 64), (59, 4096), (3000, 3)])
     def test_cold_row_equals_row_after_sweep(self, N, M):
-        _numerator_store.cache_clear()
         cold = fock_scatter_pmf(N, M).probs
-        _numerator_store.cache_clear()
         for other in (N + 40, 3, N - 1):
             fock_scatter_pmf(other, M)
-        # a mixture grows the same numerator store past row N
+        # a mixture runs the same numerators past row N
         scatter_pmf(Pmf(np.full(N + 60, 1.0 / (N + 60))), M)
         assert fock_scatter_pmf(N, M).probs == cold
+
+    def test_nothing_retained_after_calls(self):
+        # numerators of a large row and a long mixture die with their call
+        tracemalloc.start()
+        try:
+            fock_scatter_pmf(6000, 2000)
+            scatter_pmf(Pmf(np.full(3000, 1.0 / 3000)), 3000)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 0.5e6
 
 
 class TestThermalRatio:
