@@ -138,7 +138,6 @@ _KEYS = {
     "m": (int, "--M", "number of speckle cells"),
     "stages": (int, "--stages", "diffusers in series"),
     "approx": (bool, "--approx", "also emit the small-n approximation column"),
-    "approx_nmax": (int, "--approx-nmax", "support cap for the approximation"),
     "order": (int, "--order", "highest correlation order"),
     "frames": (int, "--frames", "number of frames"),
     "seed": (int, "--seed", "base seed"),
@@ -226,14 +225,13 @@ def cmd_scatter(cfg: dict, spec, out: Path) -> None:
     source = input_pmf(spec)
     if approx:
         # before the cascade, so that the approximation's limits (M >= 3,
-        # N >= 1, 0 <= n_max <= N) are checked before the heavy work
+        # N >= 1) are checked before the heavy work
         n_eff = spec.n if isinstance(spec, Fock) else round(pmf_mean(source))
         if n_eff < 1:
             raise ConfigError("the small-n approximation needs N >= 1 photons; the input "
                               f"mean {pmf_mean(source)!r} rounds to N = {n_eff}")
-        n_top = min(settings.get("approx_nmax", n_eff), n_eff)
-        approx_probs = approx_scatter_pmf(n_eff, M, n_top).probs
-        settings.update(approx_n=n_eff, approx_nmax=n_top)
+        approx_probs = approx_scatter_pmf(n_eff, M, n_eff).probs
+        settings["approx_n"] = n_eff
     scattered = cascade_pmf(source, M, stages)
     thermal_ref = thermal_pmf(pmf_mean(scattered))
     columns = [range(len(scattered)), scattered.probs, thermal_ref.probs]
@@ -315,8 +313,16 @@ def cmd_mc(cfg: dict, spec, out: Path) -> None:
 # --- figure recipes ---------------------------------------------------------------
 
 
+def _at_least(cfg: dict, key: str, low: int) -> int:
+    """The [figure] key, checked to be at least ``low``."""
+    value = cfg["figure"][key]
+    if value < low:
+        raise ConfigError(f"[figure] {key} must be >= {low}, got {value}")
+    return value
+
+
 def _fig2(cfg: dict, spec, out: Path) -> None:
-    M, nbar = cfg["figure"]["m"], cfg["figure"]["nbar"]
+    M, nbar = cfg["figure"]["m"], _at_least(cfg, "nbar", 0)
     if M >= 3 and nbar < 1:
         raise ConfigError(f"the p_fock_approx column needs [figure] nbar >= 1, got {nbar}")
     fock_out = fock_scatter_pmf(nbar, M)
@@ -330,7 +336,7 @@ def _fig2(cfg: dict, spec, out: Path) -> None:
 
 
 def _fig3a(cfg: dict, spec, out: Path) -> None:
-    M, nbar = cfg["figure"]["m"], cfg["figure"]["nbar"]
+    M, nbar = cfg["figure"]["m"], _at_least(cfg, "nbar", 0)
     fock_out = fock_scatter_pmf(nbar, M)
     poisson_out = scatter_pmf(input_pmf(Coherent(float(nbar))), M)
     thermal_out = scatter_pmf(input_pmf(Thermal(float(nbar))), M)
@@ -340,10 +346,7 @@ def _fig3a(cfg: dict, spec, out: Path) -> None:
 
 def _sweep(cfg: dict, key: str) -> range:
     """1, ..., the [figure] key: a sweep with at least one point."""
-    top = cfg["figure"][key]
-    if top < 1:
-        raise ConfigError(f"[figure] {key} must be >= 1, got {top}")
-    return range(1, top + 1)
+    return range(1, _at_least(cfg, key, 1) + 1)
 
 
 def _fig3b(cfg: dict, spec, out: Path) -> None:
@@ -364,7 +367,8 @@ def _fig3c(cfg: dict, spec, out: Path) -> None:
 
 def _fig3d(cfg: dict, spec, out: Path) -> None:
     settings = cfg["figure"]
-    M, nbar, r = settings["m"], settings["nbar"], settings["r"]
+    # a zero mean leaves no g2 to sweep
+    M, nbar, r = settings["m"], _at_least(cfg, "nbar", 1), settings["r"]
     if math.sinh(r) ** 2 > nbar:
         raise ConfigError(f"squeezing r={r} alone already exceeds the target mean {nbar}")
     alpha_mag = settings["alpha_mag"] = math.sqrt(nbar - math.sinh(r) ** 2)
@@ -395,7 +399,7 @@ _FIGURES = {
 _COMMANDS = {
     "scatter": (
         cmd_scatter, True,
-        {"scatter": {"m": _REQUIRED, "stages": 1, "approx": False, "approx_nmax": None}},
+        {"scatter": {"m": _REQUIRED, "stages": 1, "approx": False}},
         "single-cell pmf after scattering",
     ),
     "gn": (

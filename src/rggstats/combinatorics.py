@@ -17,7 +17,7 @@ one of two routes, split at ``N + M = EXACT_LIMIT``:
   the exact rational rounded once to float;
 * float: above the limit, ``p_n`` is the running product of the ratios
   ``p_{n+1} / p_n = (N - n) / (N - n + M - 2)``, normalized at the end,
-  with a relative error of order 1e-15.
+  with a relative error up to ~1.3e-14 (at N = 50000, M = 2000).
 
 A mixture of rows, ``sum_N P(N) b_{N-n} / z_N``, is one correlation of two
 sequences; :func:`_mixture_array` evaluates it from the exact integers at

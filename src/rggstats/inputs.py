@@ -3,9 +3,9 @@
 Infinite-support states (coherent, thermal, squeezed coherent) are truncated
 at the smallest ``n_max`` whose remaining tail is below ``TAIL_TARGET``,
 capped at ``N_CAP`` entries; the cut mass is recorded in ``Pmf.tail_mass``
-instead of being renormalized away.  The Poisson tail is summed directly
-from its terms, so the production states need numpy and the standard
-library only.
+instead of being renormalized away.  The Poisson entries are a running
+product of the ratios ``mean / k`` and their tail is summed directly from
+them, so the production states need numpy and the standard library only.
 
 The squeezed-coherent distribution is evaluated two independent ways:
 
@@ -65,6 +65,10 @@ N_CAP = 4096
 #: ln 2 to 40 digits.
 _LN2 = Fraction("0.6931471805599453094172321214581765680755")
 
+#: 2 * 1075 ln 2: a Poisson mean ``N_CAP + d`` with ``d^2 / mean`` above this
+#: puts below 2**-1075, half the least subnormal, on all of 0..N_CAP.
+_ZERO_CAP_EXPONENT = float(2 * 1075 * _LN2)
+
 
 def fock_pmf(n: int) -> Pmf:
     """Point mass at photon number ``n``."""
@@ -74,84 +78,34 @@ def fock_pmf(n: int) -> Pmf:
 def poisson_pmf(mean: float) -> Pmf:
     """Poissonian photon statistics of a coherent state with the given mean.
 
-    The tail P(N > n) is the direct sum of the terms above ``n``, added from
-    the far end, where they are negligible, down to ``n + 1``; the support
-    ends at the smallest ``n`` whose tail is below ``TAIL_TARGET``.  A mean
-    above ``N_CAP`` has its support clipped there, and its tail is 1 - cdf.
+    The entries are the product of the ratios ``p_k / p_(k-1) = mean / k``,
+    run up and down from the mode ``floor(mean)``, where the product starts
+    at 1, then divided by their sum over ``0 .. ceil(mean + 12 sqrt(mean) +
+    30)``, beyond which the mass is below 1e-29.  Entry ``k`` takes about
+    ``2 |k - mean|`` IEEE roundings, and no ``exp``, ``log`` or ``lgamma``
+    whose last bits vary with the libm, so it is within a few 1e-15
+    relative.  The tail P(N > n) is the direct sum of the entries above
+    ``n``, added from the far end, where they are negligible, down to
+    ``n + 1``; the support ends at the smallest ``n`` whose tail is below
+    ``TAIL_TARGET``, capped at ``N_CAP``.  Where every entry up to ``N_CAP``
+    rounds to 0, the pmf is ``N_CAP + 1`` zeros with tail 1.
     """
     mean = _as_mean("mean", mean)
     if mean == 0.0:
         return Pmf((1.0,))
-    if mean > N_CAP:
-        probs = _poisson_terms(mean, N_CAP)
-        return Pmf(probs, max(0.0, 1.0 - math.fsum(probs)))
-    # beyond mean + 12 sqrt(mean) + 30 the mass is below 1e-29, far under
-    # any tail compared with TAIL_TARGET
-    probs = _poisson_terms(mean, math.ceil(mean + 12.0 * math.sqrt(mean) + 30.0))
+    # Chernoff: each entry up to N_CAP is below exp(-d^2 / (2 mean)) < 2**-1075
+    # and rounds to 0; d * (d / mean) cannot overflow where d**2 would
+    d = mean - N_CAP
+    if d > 0.0 and d * (d / mean) > _ZERO_CAP_EXPONENT:
+        return Pmf(np.zeros(N_CAP + 1), 1.0)
+    top, mode = math.ceil(mean + 12.0 * math.sqrt(mean) + 30.0), int(mean)
+    up = np.cumprod(mean / np.arange(mode + 1, top + 1))
+    down = np.cumprod(np.arange(mode, 0, -1) / mean)[::-1]
+    terms = np.concatenate((down, [1.0], up))
+    probs = terms / terms.sum()
     tails = np.append(np.cumsum(probs[:0:-1])[::-1], 0.0)  # tails[n] = P(N > n)
     n_max = min(int(np.argmax(tails < TAIL_TARGET)), N_CAP)
     return Pmf(probs[: n_max + 1], float(tails[n_max]))
-
-
-#: Poisson entries below this index are the direct product
-#: exp(-mean) * mean**k / k!, a few roundings each.
-_POISSON_HEAD = 32
-_HEAD_FACTORIALS = np.array([float(math.factorial(k)) for k in range(_POISSON_HEAD)])
-
-#: 1/3, 1/5, ..., 1/17: the bd0 series in v^2 <= 0.01, cut where its terms
-#: fall below 1e-16 of the first.
-_BD0_SERIES = 1.0 / np.arange(3, 19, 2)
-
-
-def _poisson_terms(mean: float, n: int) -> np.ndarray:
-    """Poisson probabilities p_0..p_n, each within a few 1e-13 relative.
-
-    The head is the direct product while ``exp(-mean)`` is a normal float.
-    Above it, Loader's saddle-point form (C. Loader, "Fast and accurate
-    computation of binomial probabilities", 2000)
-
-        p_k = exp(-stirlerr(k) - bd0(k, mean)) / sqrt(2 pi k),
-
-    with ``stirlerr(k) = ln k! - (k + 1/2) ln k + k - ln sqrt(2 pi)`` from its
-    asymptotic series and ``bd0(k, m) = k ln(k/m) + m - k``, adds only small
-    terms, where the log form ``k ln(mean) - ln k! - mean`` loses digits to
-    cancelling terms of order ``k ln(mean)``.
-    """
-    probs = np.empty(n + 1)
-    head = min(n + 1, _POISSON_HEAD)
-    if mean < 700.0:  # exp(-mean) above the subnormal range
-        powers = mean ** np.arange(head, dtype=float)
-        probs[:head] = math.exp(-mean) * powers / _HEAD_FACTORIALS[:head]
-    else:
-        probs[:head] = [
-            math.exp(k * math.log(mean) - mean - math.lgamma(k + 1.0)) for k in range(head)
-        ]
-    k = np.arange(head, n + 1, dtype=float)
-    kk = k * k
-    # at k >= 32 the next series term, 691/360360 / k^11, is below 1e-19
-    stirlerr = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / kk) / kk) / kk) / kk) / k
-    probs[head:] = np.exp(-stirlerr - _bd0(k, mean)) / np.sqrt(2.0 * math.pi * k)
-    return probs
-
-
-def _bd0(x: np.ndarray, m: float) -> np.ndarray:
-    """``x ln(x/m) + m - x`` without cancellation where x is near m.
-
-    Where ``|v| < 0.1``, ``v = (x-m)/(x+m)``, it is the series
-    ``(x-m) v + 2x sum_j v^(2j+1) / (2j+1)``.
-    """
-    d = x - m
-    v = d / (x + m)
-    near = np.abs(v) < 0.1
-    out = x * np.log(x / m) - d
-    if near.any():
-        x, d, v = x[near], d[near], v[near]
-        v2 = v * v
-        series = _BD0_SERIES[-1]
-        for c in _BD0_SERIES[-2::-1]:
-            series = c + v2 * series
-        out[near] = d * v + 2.0 * x * v * v2 * series
-    return out
 
 
 def thermal_pmf(mean: float) -> Pmf:

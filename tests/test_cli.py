@@ -270,6 +270,18 @@ class TestFigureCommand:
         assert "[figure] nbar >= 1, got 0" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "argv, low",
+        [(["fig2", "--M", "2", "--nbar", "-1"], 0), (["fig3a", "--nbar", "-1"], 0),
+         (["fig3d", "--nbar", "0", "--r", "0"], 1), (["fig3d", "--nbar", "-2"], 1)],
+    )
+    def test_mean_out_of_range_names_nbar(self, tmp_path, capsys, argv, low):
+        out = tmp_path / "out"
+        assert main(["figure", *argv, "--out", str(out)]) == 2
+        value = argv[argv.index("--nbar") + 1]
+        assert f"[figure] nbar must be >= {low}, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fig3a_defaults(self, tmp_path):
         assert main(["figure", "fig3a", "--out", str(tmp_path)]) == 0
         comments, header, rows = read_csv(tmp_path / "fig3a.csv")
@@ -350,6 +362,16 @@ class TestErrorHandling:
         assert "record_configurations" in capsys.readouterr().err
         with pytest.raises(SystemExit):
             main([*argv, "--record-configurations", "--out", str(tmp_path)])
+
+    def test_approx_nmax_is_not_a_setting(self, tmp_path, capsys):
+        # the approximation column always spans 0..N
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[scatter]\nm = 8\napprox = yes\napprox_nmax = 3\n", encoding="utf-8")
+        argv = ["scatter", "--kind", "fock", "--n", "4"]
+        assert main([*argv, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "unknown key(s) in [scatter]: approx_nmax" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main([*argv, "--M", "8", "--approx-nmax", "3", "--out", str(tmp_path)])
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"
@@ -463,7 +485,7 @@ class TestOptionSurface:
 
     FLAGS = {
         "scatter": {"--config", "--out", *INPUT_FLAGS, "--M", "--stages", "--approx",
-                    "--no-approx", "--approx-nmax"},
+                    "--no-approx"},
         "gn": {"--config", "--out", *INPUT_FLAGS, "--M", "--stages", "--order"},
         "plimit": {"--config", "--out", "--n", "--M"},
         "mc": {"--config", "--out", *INPUT_FLAGS, "--M", "--frames", "--seed", "--order"},
@@ -485,7 +507,7 @@ class TestOptionSurface:
         assert cli._accepted_keys() == {
             "input": {"kind", "n", "mean", "alpha_mag", "alpha_phase", "r", "theta",
                       "pmf_csv", "tail_mass"},
-            "scatter": {"m", "stages", "approx", "approx_nmax"},
+            "scatter": {"m", "stages", "approx"},
             "gn": {"order"},
             "plimit": {"n", "m"},
             "mc": {"frames", "seed", "order"},
@@ -557,8 +579,6 @@ class TestChecksPrecedeCompute:
             (["scatter", "--kind", "fock", "--n", "0", "--M", "8", "--approx"], "cascade_pmf"),
             (["scatter", "--kind", "thermal", "--mean", "0.3", "--M", "8", "--approx"],
              "cascade_pmf"),
-            (["scatter", "--kind", "coherent", "--mean", "9", "--M", "8", "--approx",
-              "--approx-nmax", "-1"], "cascade_pmf"),
         ],
     )
     def test_bad_setting_exits_before_the_heavy_call(self, monkeypatch, tmp_path, argv, heavy):

@@ -223,7 +223,9 @@ class TestFloatRoute:
         assert pmf_mean(p) == pytest.approx(25000 / 4, rel=1e-9)
 
     @pytest.mark.parametrize(
-        "N,M", [(30, 19980), (300, 24500), (455, 25900), (3000, 20000), (5000, 30000)]
+        "N,M",
+        [(30, 19980), (300, 24500), (455, 25900), (3000, 20000), (5000, 30000),
+         (20000, 5000), (50000, 2000)],
     )
     def test_relative_error_against_exact(self, N, M):
         assert N + M > EXACT_LIMIT
