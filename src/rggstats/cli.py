@@ -230,7 +230,7 @@ def cmd_scatter(cfg: dict, spec, out: Path) -> None:
         if n_eff < 1:
             raise ConfigError("the small-n approximation needs N >= 1 photons; the input "
                               f"mean {pmf_mean(source)!r} rounds to N = {n_eff}")
-        approx_probs = approx_scatter_pmf(n_eff, M, n_eff).probs
+        approx_probs = approx_scatter_pmf(n_eff, M).probs
         settings["approx_n"] = n_eff
     scattered = cascade_pmf(source, M, stages)
     thermal_ref = thermal_pmf(pmf_mean(scattered))
@@ -330,7 +330,7 @@ def _fig2(cfg: dict, spec, out: Path) -> None:
     columns = _pmf_columns(fock_out, poisson_out, thermal_pmf(nbar / M))
     header = ["n", "p_fock", "p_poisson", "p_thermal_ref"]
     if M >= 3:
-        columns.append(approx_scatter_pmf(nbar, M, nbar).probs)
+        columns.append(approx_scatter_pmf(nbar, M).probs)
         header.append("p_fock_approx")
     _write_csv(out / "fig2.csv", cfg, header, columns)
 

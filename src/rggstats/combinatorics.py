@@ -8,16 +8,11 @@ indistinguishable photons over ``M`` cells is equally likely (bosonic
     p_n = b_{N-n} / z_N,   b_k = binom(k + M - 2, M - 2),
                            z_N = binom(N + M - 1, M - 1) = b_0 + ... + b_N.
 
-The integer numerators ``b_k`` come from the recurrence
-``b_{k+1} = b_k (k + M - 1) // (k + 1)``, run afresh by each call that
-needs them: nothing is kept between calls.  A single row is evaluated on
-one of two routes, split at ``N + M = EXACT_LIMIT``:
-
-* exact: each entry is one correctly rounded int/int division, so it is
-  the exact rational rounded once to float;
-* float: above the limit, ``p_n`` is the running product of the ratios
-  ``p_{n+1} / p_n = (N - n) / (N - n + M - 2)``, normalized at the end,
-  with a relative error up to ~1.3e-14 (at N = 50000, M = 2000).
+The integer numerators ``b_k`` come from exact recurrences, run afresh
+by each call that needs them: nothing is kept between calls.  A row runs
+``b_{k-1} = b_k k // (k + M - 2)`` down from ``b_N = z_N (M - 1) / (N + M - 1)``,
+and each entry is one correctly rounded int/int division, so it is the
+exact rational rounded once to float, at any ``N + M``.
 
 A mixture of rows, ``sum_N P(N) b_{N-n} / z_N``, is one correlation of two
 sequences; :func:`_mixture_array` evaluates it from the exact integers at
@@ -32,6 +27,7 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate
+from typing import Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -39,16 +35,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .core import Pmf, _as_int
 
 __all__ = [
-    "EXACT_LIMIT",
     "config_count",
     "fock_scatter_fractions",
     "fock_scatter_pmf",
     "approx_scatter_pmf",
 ]
-
-#: Rows with N + M at or below this are exact integer ratios rounded once to
-#: float; above it they are float products of the successive ratios.
-EXACT_LIMIT = 20000
 
 
 def config_count(N: int, M: int) -> int:
@@ -65,13 +56,17 @@ def _numerators(count: int, M: int) -> list[int]:
     return b[:count]
 
 
-def _exact_row(N: int, M: int) -> tuple[list[int], int]:
-    """Numerators ``b_N, ..., b_0`` of row N (entry n first) and their sum z_N."""
-    numerators = _numerators(N + 1, M)[::-1]
-    z = math.comb(N + M - 1, M - 1)
-    if sum(numerators) != z:
-        raise AssertionError(f"configuration count mismatch for N={N}, M={M}")
-    return numerators, z
+def _row_numerators(z: int, N: int, M: int) -> Iterator[int]:
+    """Numerators ``b_N, ..., b_0`` of row N over M >= 2 cells (entry n first).
+
+    ``z`` is z_N; ``b_N = binom(N + M - 2, M - 2)`` is ``z (M - 1) / (N + M - 1)``
+    and each step down multiplies by ``k / (k + M - 2)``, all exactly.
+    """
+    b = z * (M - 1) // (N + M - 1)
+    for k in range(N, 0, -1):
+        yield b
+        b = b * k // (k + M - 2)
+    yield b
 
 
 def fock_scatter_fractions(N: int, M: int) -> tuple[Fraction, ...]:
@@ -86,22 +81,27 @@ def fock_scatter_fractions(N: int, M: int) -> tuple[Fraction, ...]:
     N, M = _as_int("photon number N", N, 0), _as_int("cell count M", M, 1)
     if M == 1:
         return (Fraction(0),) * N + (Fraction(1),)
-    numerators, z = _exact_row(N, M)
+    z = math.comb(N + M - 1, M - 1)
+    numerators = list(_row_numerators(z, N, M))
+    if sum(numerators) != z:
+        raise AssertionError(f"configuration count mismatch for N={N}, M={M}")
     return tuple(Fraction(c, z) for c in numerators)
 
 
 def _fock_scatter_array(N: int, M: int) -> np.ndarray:
-    """Float row of :func:`fock_scatter_pmf`."""
+    """Float row of :func:`fock_scatter_pmf`: each entry ``b_{N-n} / z_N`` rounded once."""
+    arr = np.zeros(N + 1)
     if M == 1:
-        arr = np.zeros(N + 1)
         arr[N] = 1.0
-    elif N + M <= EXACT_LIMIT:
-        numerators, z = _exact_row(N, M)
-        arr = np.array([c / z for c in numerators])
-    else:
-        k = np.arange(N, 0, -1, dtype=float)  # N - n for n = 0..N-1
-        arr = np.cumprod(np.concatenate(([1.0], k / (k + (M - 2)))))
-        arr /= arr.sum()
+        return arr
+    z = math.comb(N + M - 1, M - 1)
+    probs = []
+    # entries never rise with n, so after the first that rounds to 0.0 all do
+    for b in _row_numerators(z, N, M):
+        if not (p := b / z):
+            break
+        probs.append(p)
+    arr[: len(probs)] = probs
     return arr
 
 
@@ -211,7 +211,7 @@ def fock_scatter_pmf(N: int, M: int) -> Pmf:
     return Pmf(_fock_scatter_array(N, M), 0.0)
 
 
-def approx_scatter_pmf(N: int, M: int, n_max: int) -> Pmf:
+def approx_scatter_pmf(N: int, M: int) -> Pmf:
     """Small-n Gaussian-exponent approximation of the scattered pmf.
 
     Expands ``log p_n`` of the exact distribution to second order in ``n``:
@@ -220,21 +220,18 @@ def approx_scatter_pmf(N: int, M: int, n_max: int) -> Pmf:
         beta0   = ln(1 + (M - 2) / N),
         beta_c  = (M - 2) / (2 N (N + M - 2)),
 
-    normalized over ``0..n_max``.  Valid where the occupation stays small
+    normalized over ``0..N``.  Valid where the occupation stays small
     against N; requires ``M >= 3`` (for ``M = 2`` the exact pmf is flat and
-    the expansion is pointless) and ``n_max <= N``.
+    the expansion is pointless).
     """
     N, M = _as_int("photon number N", N, 0), _as_int("cell count M", M, 1)
     if N < 1:
         raise ValueError(f"approximation needs N >= 1, got N={N}")
     if M < 3:
         raise ValueError(f"approximation needs M >= 3, got M={M}")
-    n_max = _as_int("n_max", n_max)
-    if not 0 <= n_max <= N:
-        raise ValueError(f"n_max must lie in 0..N={N}, got {n_max}")
     beta0 = math.log1p((M - 2) / N)
     beta_c = (M - 2) / (2.0 * N * (N + M - 2))
-    n = np.arange(n_max + 1)
+    n = np.arange(N + 1)
     log_w = -beta0 * n - beta_c * (n * (n - 1.0))
     # log-sum-exp about the unique maximum log_w[0] = 0, as log1p of the
     # other weights; the max slot is zeroed, not dropped, so the pairwise sum

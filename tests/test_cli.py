@@ -98,7 +98,7 @@ class TestScatterCommand:
         comments, header, rows = read_csv(tmp_path / "scatter.csv")
         assert header[-1] == "p_approx"
         assert comments["scatter.approx_n"] == "30"
-        assert column(header, rows, "p_approx") == list(approx_scatter_pmf(30, 50, 30).probs)
+        assert column(header, rows, "p_approx") == list(approx_scatter_pmf(30, 50).probs)
 
     def test_approx_needs_single_stage(self, tmp_path):
         rc = main(
