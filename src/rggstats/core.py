@@ -326,13 +326,12 @@ class MCRunResult:
         if self.M < 1:
             raise ValueError(f"M must be >= 1, got {self.M}")
         if self.block_histograms is not None:
-            blocks = tuple(tuple(int(c) for c in b) for b in self.block_histograms)
-            object.__setattr__(self, "block_histograms", blocks)
             width = len(self.histogram)
-            if any(len(b) != width for b in blocks):
+            if any(len(b) != width for b in self.block_histograms):
                 raise ValueError("every block histogram must have the same width as the total")
-            summed = [sum(col) for col in zip(*blocks)] if blocks else []
-            if tuple(summed) != self.histogram:
+            blocks = np.asarray(self.block_histograms, dtype=np.int64).reshape(-1, width)
+            object.__setattr__(self, "block_histograms", tuple(map(tuple, blocks.tolist())))
+            if tuple(blocks.sum(axis=0).tolist()) != self.histogram:
                 raise ValueError("block histograms must sum to the total histogram")
 
 

@@ -1,4 +1,4 @@
-"""Monte Carlo cross-check: sample scattering configurations frame by frame.
+"""Monte Carlo cross-check: sample scattering configurations in whole-array chunks.
 
 Every frame draws a photon number ``N`` from the input distribution and
 then one of the ``binom(N + M - 1, M - 1)`` occupation patterns uniformly
@@ -6,6 +6,9 @@ at random, recording the count on pixel 0.  Uniform patterns are produced
 by the stars-and-bars bijection: mark ``min(M - 1, N)`` of the
 ``N + M - 1`` slots as bars (or as stars, when there are fewer stars than
 bars) and read off the gaps; pixel 0's count is the first bar's index.
+The marked slots are those whose key is at or below the row's partition
+threshold, so pixel 0 is read from that threshold alone; full patterns
+are built only when they are recorded.
 
 Randomness is a counter hash, after Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3" (SC'11).  Draw ``j`` of frame ``f`` under
@@ -29,6 +32,7 @@ propagation would be both messy and wrong.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,26 +120,25 @@ def _draws(keys: np.ndarray, first: int, count: int) -> np.ndarray:
     return _mix(keys[:, None] + _GOLDEN * j)
 
 
-def _occupations(keys: np.ndarray, n: np.ndarray, M: int) -> np.ndarray:
-    """Uniform occupation patterns, one row of M counts per frame.
+def _key_groups(
+    keys: np.ndarray, n: np.ndarray, M: int
+) -> Iterator[tuple[np.ndarray, int, np.ndarray]]:
+    """Slot keys of the frames with photons, one group of equal row width at a time.
 
     Frame f holds ``n[f]`` photons in ``n[f] + M - 1`` slots; slot s gets
-    the 63-bit key u(seed, f, s + 1) >> 1.  The ``min(M - 1, n)`` smallest
-    keys mark the bars when ``n >= M - 1`` and the stars otherwise; either
-    way the marked set is a uniform subset of its size, so the gaps between
-    bars are a uniform pattern.
+    the 63-bit key u(seed, f, s + 1) >> 1.  The ``size = min(M - 1, n)``
+    smallest keys mark the bars when ``n >= M - 1`` and the stars otherwise;
+    either way the marked set is a uniform subset of its size, so the gaps
+    between bars are a uniform pattern.  Needs ``M >= 2``.
 
-    Frames are processed in groups of one key-row width.  A frame of the
-    stars branch (fewer than ``2M - 2`` slots) is grouped with frames of the
-    same photon number, so every row of a group marks the same number of
-    keys.  A frame of the bars branch is grouped by its slot count rounded
-    up to a quarter of its octave, and the row is padded with
-    ``_SENTINEL``: less than a quarter of each row is padding.
+    A frame of the stars branch (fewer than ``2M - 2`` slots) is grouped with
+    frames of the same photon number, so every row of a group marks the same
+    number of keys.  A frame of the bars branch is grouped by its slot count
+    rounded up to a quarter of its octave, and the row is padded with
+    ``_SENTINEL``: less than a quarter of each row is padding.  Yields
+    ``(rows, size, key)``: the group's frame indices, its marked count, and
+    its key rows.
     """
-    occ = np.zeros((len(n), M), dtype=np.int64)
-    if M == 1:
-        occ[:, 0] = n
-        return occ
     slots = n + (M - 1)
     _, octave = np.frexp(slots)  # slots < 2**octave
     step = np.left_shift(np.int64(1), np.maximum(octave - 3, 0))
@@ -147,24 +150,60 @@ def _occupations(keys: np.ndarray, n: np.ndarray, M: int) -> np.ndarray:
         key >>= np.uint64(1)
         if size == M - 1:  # bars
             key[np.arange(w) >= slots[rows, None]] = _SENTINEL
+        yield rows, size, key
+
+
+def _occupations(keys: np.ndarray, n: np.ndarray, M: int) -> np.ndarray:
+    """Uniform occupation patterns, one row of M counts per frame."""
+    occ = np.zeros((len(n), M), dtype=np.int64)
+    if M == 1:
+        occ[:, 0] = n
+        return occ
+    for rows, size, key in _key_groups(keys, n, M):
         marked = np.sort(np.argpartition(key, size - 1, axis=1)[:, :size], axis=1)
         if size == M - 1:  # gaps between bars, with virtual ones at -1 and n + M - 1
-            occ[rows] = np.diff(marked, axis=1, prepend=-1, append=slots[rows, None]) - 1
+            ends = n[rows, None] + (M - 1)
+            occ[rows] = np.diff(marked, axis=1, prepend=-1, append=ends) - 1
         else:  # star i has marked[i] - i bars before it
             cell = marked - np.arange(size) + M * np.arange(len(rows))[:, None]
             occ[rows] = np.bincount(cell.ravel(), minlength=len(rows) * M).reshape(-1, M)
     return occ
 
 
+def _pixel0(keys: np.ndarray, n: np.ndarray, M: int) -> np.ndarray:
+    """Column 0 of ``_occupations``, read from each row's partition threshold.
+
+    The marked slots are the keys at or below tau, the ``size``-th smallest
+    key of the row, and pixel 0 holds the stars before the first bar.  Only
+    a row whose keys tie at tau (odds about w / 2**63 for a row of w keys)
+    can read otherwise than ``_occupations``.
+    """
+    if M == 1:
+        return n
+    count = np.zeros(len(n), dtype=np.int64)
+    for rows, size, key in _key_groups(keys, n, M):
+        tau = np.partition(key, size - 1, axis=1)[:, size - 1, None]
+        bar = key <= tau if size == M - 1 else key > tau
+        count[rows] = np.argmax(bar, axis=1)
+    return count
+
+
 def _sample_frames(
-    cdf: np.ndarray, seed: int, frames: np.ndarray, M: int
+    cdf: np.ndarray,
+    seed: int,
+    frames: np.ndarray,
+    M: int,
+    read: Callable[[np.ndarray, np.ndarray, int], np.ndarray] = _occupations,
 ) -> np.ndarray:
-    """Occupation patterns of the given frames: draw 0 picks the photon number."""
+    """The given frames, read by ``read`` (full patterns by default).
+
+    Draw 0 of each frame picks its photon number.
+    """
     keys = _frame_keys(seed, frames)
     u = (_draws(keys, 0, 1)[:, 0] >> np.uint64(11)) * 2.0**-53
     # tail draws (probability <= recorded tail_mass) clamp to the last entry
     n = np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
-    return _occupations(keys, n, M)
+    return read(keys, n, M)
 
 
 def _replay_frame(cfg: MCConfig, frame: int) -> np.ndarray:
@@ -187,25 +226,27 @@ def run_mc(cfg: MCConfig) -> MCRunResult:
     chunk = max(1, int(_CHUNK_KEYS // (np.arange(width) @ probs + cfg.M)))
     for start in range(0, cfg.frames, chunk):
         frames = np.arange(start, min(start + chunk, cfg.frames), dtype=np.int64)
-        occupation = _sample_frames(cdf, cfg.seed, frames, cfg.M)
-        n_pixel = occupation[:, 0]
-        hist += np.bincount(n_pixel, minlength=width)
-        block = frames * n_blocks // cfg.frames
-        blocks += np.bincount(block * width + n_pixel, minlength=n_blocks * width)
-        if patterns is not None:
+        if patterns is None:
+            n_pixel = _sample_frames(cdf, cfg.seed, frames, cfg.M, _pixel0)
+        else:
+            occupation = _sample_frames(cdf, cfg.seed, frames, cfg.M)
+            n_pixel = occupation[:, 0]
             # each pattern row as one opaque 8M-byte item, so np.unique
             # sorts a 1-d array; the first index of each gives its row
             as_bytes = occupation.view(np.dtype((np.void, 8 * cfg.M)))
             _, first, counts = np.unique(as_bytes.ravel(), return_index=True, return_counts=True)
             for row, count in zip(occupation[first].tolist(), counts.tolist()):
                 patterns[tuple(row)] += count
+        hist += np.bincount(n_pixel, minlength=width)
+        block = frames * n_blocks // cfg.frames
+        blocks += np.bincount(block * width + n_pixel, minlength=n_blocks * width)
 
     return MCRunResult(
-        histogram=tuple(hist.tolist()),
+        histogram=hist.tolist(),
         frames=cfg.frames,
         seed=cfg.seed,
         M=cfg.M,
-        block_histograms=tuple(tuple(row) for row in blocks.reshape(n_blocks, width).tolist()),
+        block_histograms=blocks.reshape(n_blocks, width),
         configuration_counts=tuple(sorted(patterns.items())) if patterns is not None else None,
     )
 

@@ -217,10 +217,11 @@ class TestApproxScatter:
             approx_scatter_pmf(0, 5)
 
 
-class TestFloatRoute:
-    # float rows of large N + M against the exact rationals
+class TestBitExactAboveOldSeam:
+    # rows above N + M = 20000, where a float route once took over, equal
+    # the exact rationals rounded once, bit for bit
 
-    def test_matches_exact_above_threshold(self):
+    def test_bit_equal_to_rounded_fractions(self):
         N, M = 30, 19990  # a wide row whose fractions stay cheap to build
         exact = tuple(float(f) for f in fock_scatter_fractions(N, M))
         assert fock_scatter_pmf(N, M).probs == exact
@@ -235,7 +236,7 @@ class TestFloatRoute:
         [(30, 19980), (300, 24500), (455, 25900), (3000, 20000), (5000, 30000),
          (20000, 5000), (50000, 2000), (100000, 3), (300000, 3)],
     )
-    def test_relative_error_against_exact(self, N, M):
+    def test_bit_equal_to_int_division(self, N, M):
         # the error is zero: every entry, zeros included, is the int / int
         # true division c / z, which is the exact rational rounded once
         row = _fock_scatter_array(N, M)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 
@@ -65,6 +66,30 @@ class TestSampleConfiguration:
         assert set(counts) == {(0, 2), (1, 1), (2, 0)}
         _, p = stats.chisquare(list(counts.values()))
         assert p > 1e-3
+
+    @pytest.mark.parametrize(
+        "spec, M",
+        [
+            pytest.param(Fock(0), 1, id="fock0-M1"),
+            pytest.param(Fock(5), 1, id="fock5-M1"),
+            pytest.param(Fock(0), 4, id="fock0-M4"),
+            pytest.param(Fock(1), 2, id="fock1-M2"),
+            pytest.param(Fock(7), 2, id="fock7-M2"),
+            pytest.param(Fock(3), 4, id="fock3-M4"),
+            pytest.param(Fock(4), 3, id="fock4-M3"),
+            pytest.param(Fock(2), 6, id="fock2-M6"),
+            pytest.param(Thermal(3.0), 6, id="thermal3-M6"),
+            pytest.param(Thermal(20.0), 30, id="thermal20-M30"),
+            pytest.param(Coherent(50.0), 200, id="coherent50-M200"),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [1, 2**63 + 5])
+    def test_pixel0_is_column_0_of_the_patterns(self, spec, M, seed):
+        cdf = np.cumsum(input_pmf(spec).as_array())
+        for frames in np.array_split(np.arange(30_000), 3):
+            pixel0 = montecarlo._sample_frames(cdf, seed, frames, M, montecarlo._pixel0)
+            patterns = montecarlo._sample_frames(cdf, seed, frames, M)
+            assert np.array_equal(pixel0, patterns[:, 0])
 
     def test_marginal_matches_exact_row(self):
         draws = 40_000
@@ -145,6 +170,48 @@ class TestRunMC:
         whole = run_mc(cfg)
         monkeypatch.setattr(montecarlo, "_CHUNK_KEYS", budget)
         assert run_mc(cfg) == whole
+
+    @pytest.mark.parametrize("budget", [1, 40, 333])
+    def test_pixel0_result_does_not_depend_on_chunking(self, monkeypatch, budget):
+        cfg = MCConfig(Thermal(3.0), 6, 700, seed=4242)
+        whole = run_mc(cfg)
+        monkeypatch.setattr(montecarlo, "_CHUNK_KEYS", budget)
+        assert run_mc(cfg) == whole
+
+    def test_recording_on_and_off_agree(self):
+        plain = run_mc(MCConfig(Thermal(3.0), 6, 5000, seed=31))
+        recorded = run_mc(MCConfig(Thermal(3.0), 6, 5000, seed=31, record_configurations=True))
+        assert plain.histogram == recorded.histogram
+        assert plain.block_histograms == recorded.block_histograms
+
+    def test_pixel0_builds_no_patterns(self, monkeypatch):
+        # recording off reads pixel 0 from the partition threshold alone
+        def refuse(*args, **kwargs):
+            raise AssertionError("full patterns built")
+
+        monkeypatch.setattr(montecarlo, "_occupations", refuse)
+        monkeypatch.setattr(np, "argpartition", refuse)
+        monkeypatch.setattr(np, "sort", refuse)
+        assert run_mc(MCConfig(Thermal(3.0), 6, 700, seed=4242)).frames == 700
+
+    @pytest.mark.parametrize(
+        "cfg, digest",
+        [
+            (
+                MCConfig(Coherent(8.0), 8, 100_000, seed=1),
+                "47674e47d225de5fa9bfa563d98b7244db7763aad26558dc606bb134c66ae0ce",
+            ),
+            (
+                MCConfig(Fock(20), 32, 20_000, seed=7),
+                "e9569d5fe47294fcbe12ccf8b682ac3871444610206de468148d8c29bfacf969",
+            ),
+        ],
+    )
+    def test_histograms_pinned(self, cfg, digest):
+        # digests recorded before pixel 0 was read from the partition threshold
+        result = run_mc(cfg)
+        data = repr((result.histogram, result.block_histograms)).encode()
+        assert hashlib.sha256(data).hexdigest() == digest
 
     @pytest.mark.parametrize(
         "N, M, seed",
