@@ -30,9 +30,15 @@ Expanding ``(1-t)^(N-n)`` defines the limit as the alternating sum
 whose terms grow like ``N!`` while the result stays of order one, so it
 cancels violently.  :func:`fock_pn_limit_float64` keeps a deliberately
 naive double-precision transcription of it to demonstrate why that
-matters.  The exact evaluation instead runs the three-term recurrence of
-the ``J_n`` (the contiguous relations of Kummer's U, DLMF 13.3) in
-integers, O(N) steps, and rounds each entry to double once at the end.
+matters.  The exact evaluation works on the integer pmf numerators
+``s_n = M**N p_n = C(N, n) M**(N+1) J_n`` instead.  The ``J_n`` obey a
+three-term recurrence (the contiguous relations of Kummer's U, DLMF 13.3);
+times ``C(N, n)`` it has small-integer coefficients only,
+
+    (n+1) s_(n+1) = (N-n+1) s_(n-1) + (2n-N-M) s_n,
+
+and runs downward from ``s_N = N!`` (``J_N = N!/M^(N+1)``) in O(N) exact
+steps.  Each entry is rounded to double once at the end.
 """
 
 from __future__ import annotations
@@ -86,34 +92,22 @@ def _exact_div(numerator: int, divisor: int, N: int, M: int) -> int:
 def _limit_numerators(N: int, M: int) -> tuple[tuple[int, ...], int]:
     """Exact integer numerators s_n with p_n = s_n / M**N.
 
-    With ``K_n = M**(N+1) * J_n`` (see the module docstring) every ``K_n``
-    is an integer and ``s_n = C(N, n) * K_n``.  The ``K_n`` follow from
+    The recurrence of the module docstring, solved for ``s_(n-1)``,
 
-        K_0 = sum_i (-1)^i N!/(N-i)! M^(N-i)        (Horner in M)
-        N K_1 = M^(N+1) - (M+N) K_0
-        (N-n) K_(n+1) = n K_(n-1) + (2n-N-M) K_n,   n = 1..N-1,
+        s_(n-1) = [(n+1) s_(n+1) + (N+M-2n) s_n] / (N-n+1),
 
-    O(N) big-integer steps.  Every division is exact; a remainder would be
-    an arithmetic bug and raises :class:`NormalizationFailure`.
+    runs for n = N..1 from ``s_N = N!`` and ``s_(N+1) = 0``; its first step
+    gives ``s_(N-1) = N! (M-N)``.  O(N) big-integer steps, each a big
+    integer times a small one.  Every division is exact; a remainder would
+    be an arithmetic bug and raises :class:`NormalizationFailure`.
     """
-    k_prev = 0
-    falling = 1  # N! / (N - i)!
-    for i in range(N + 1):
-        if i:
-            falling *= N - i + 1
-        k_prev = k_prev * M + (-falling if i & 1 else falling)
-    denominator = M**N
-    if N == 0:
-        return (k_prev,), denominator
-    k_cur = _exact_div(denominator * M - (M + N) * k_prev, N, N, M)
-    numerators = [k_prev, N * k_cur]
-    binom = N
-    for n in range(1, N):
-        k_next = _exact_div(n * k_prev + (2 * n - N - M) * k_cur, N - n, N, M)
-        binom = binom * (N - n) // (n + 1)  # C(N, n + 1)
-        numerators.append(binom * k_next)
-        k_prev, k_cur = k_cur, k_next
-    return tuple(numerators), denominator
+    s_next, s_cur = 0, math.factorial(N)  # s_(n+1), s_n at n = N
+    numerators = [s_cur]
+    for n in range(N, 0, -1):
+        s_prev = _exact_div((n + 1) * s_next + (N + M - 2 * n) * s_cur, N - n + 1, N, M)
+        numerators.append(s_prev)
+        s_next, s_cur = s_cur, s_prev
+    return tuple(reversed(numerators)), M**N
 
 
 def fock_pn_limit_fractions(N: int, M: int) -> tuple[Fraction, ...]:
@@ -143,11 +137,11 @@ def fock_pn_limit_pmf(N: int, M: int) -> Pmf:
             f"exact deep-cascade pmf for N={N}, M={M} sums to "
             f"{sum(numerators)}/{denominator} != 1"
         )
-    worst = min(range(N + 1), key=lambda i: numerators[i])
-    if numerators[worst] < 0:
+    lowest = min(numerators)
+    if lowest < 0:
         raise InvalidPmf(
             f"deep-cascade form is not a distribution at N={N}, M={M}: "
-            f"p_{worst} = {numerators[worst] / denominator!r} < 0; "
+            f"p_{numerators.index(lowest)} = {lowest / denominator!r} < 0; "
             "raw values available via fock_pn_limit_fractions"
         )
     return Pmf([s / denominator for s in numerators], 0.0)

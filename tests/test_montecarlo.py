@@ -254,6 +254,19 @@ def loop_jackknife_errors(result, order):
     return np.sqrt((n - 1) / n * ((estimates - estimates.mean(axis=0)) ** 2).sum(axis=0))
 
 
+def float_histogram_report(result, order):
+    """Reference: the full report and the jackknife on float copies of the counts."""
+    total = np.asarray(result.histogram, dtype=float)
+    full = correlation_report(Pmf(total / result.frames, 0.0), order)
+    kept = total - np.asarray(result.block_histograms, dtype=float)
+    n = len(kept)
+    falling = np.cumprod(np.arange(len(total), dtype=float)[:, None] - np.arange(order), axis=1)
+    estimates = (kept / kept.sum(axis=1, keepdims=True)) @ falling
+    estimates[:, 1:] /= estimates[:, :1] ** np.arange(2, order + 1)
+    se = np.sqrt((n - 1) / n * ((estimates - estimates.mean(axis=0)) ** 2).sum(axis=0))
+    return full, float(se[0]), tuple(float(x) for x in se[1:])
+
+
 class TestEmpiricalReport:
     @pytest.mark.parametrize(
         "spec, M", [(Coherent(8.0), 8), (Thermal(3.0), 5), (Fock(6), 3), (Coherent(0.5), 2)]
@@ -265,6 +278,21 @@ class TestEmpiricalReport:
                 rep = empirical_report(result, order)
                 expected = loop_jackknife_errors(result, order)
                 np.testing.assert_allclose((rep.mean_se, *rep.g_se), expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_bit_identical_to_float_histogram_reference(self, seed):
+        result = run_mc(MCConfig(Thermal(3.0), 6, 20_000, seed=seed))
+        for order in (2, 3, 4):
+            rep = empirical_report(result, order)
+            assert (rep.report, rep.mean_se, rep.g_se) == float_histogram_report(result, order)
+
+    def test_single_block_run_reports_from_histogram(self):
+        result = run_mc(MCConfig(Fock(4), 1, 1, seed=0))
+        assert len(result.block_histograms) == 1
+        rep = empirical_report(result, 3)
+        assert rep.report == correlation_report(Pmf(np.asarray(result.histogram, dtype=float)), 3)
+        assert rep.blocks == 1
+        assert all(math.isnan(x) for x in (rep.mean_se, *rep.g_se))
 
     def test_zero_mean_replicate_raises(self):
         # 100 frames, one block each; deleting the one frame with a photon

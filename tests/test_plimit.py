@@ -1,4 +1,6 @@
+import hashlib
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -121,7 +123,7 @@ class TestFockLimitExact:
         assert fock_pn_limit_fractions(2, 1)[1] == -2  # reported, not clipped
 
     def test_pmf_flags_negative_entries(self):
-        with pytest.raises(InvalidPmf, match="not a distribution"):
+        with pytest.raises(InvalidPmf, match=r"not a distribution at N=2, M=1: p_1 = -2\.0 < 0"):
             fock_pn_limit_pmf(2, 1)
 
     def test_pmf_matches_fractions(self):
@@ -135,14 +137,45 @@ class TestFockLimitExact:
         assert abs(rep.g2 - 2.0 * (1.0 - 1.0 / 60)) < 1e-12
 
 
+def _repr_sha256(value):
+    """SHA-256 of ``repr(value)``, lifting the int-to-str digit limit if there is one."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return hashlib.sha256(repr(value).encode()).hexdigest()
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 class TestRecurrenceAgainstAlternatingSum:
-    @pytest.mark.parametrize("M", [1, 2, 3, 10, 60, 200])
+    @pytest.mark.parametrize("N", [1, 2, 5, 40])
+    @pytest.mark.parametrize("M", [1, 2, 3, 7, 200])
+    def test_top_closed_forms(self, N, M):
+        # s_N = N! from J_N = N!/M^(N+1); s_(N-1) = N! (M - N)
+        numerators, _ = _limit_numerators(N, M)
+        assert numerators[N] == math.factorial(N)
+        assert numerators[N - 1] == math.factorial(N) * (M - N)
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 5, 10, 50, 60, 200])
     def test_equal_numerators_small_N(self, M):
         for N in range(61):
             assert _limit_numerators(N, M) == _alternating_sum_numerators(N, M), N
 
     def test_equal_numerators_large_N(self):
         assert _limit_numerators(300, 600) == _alternating_sum_numerators(300, 600)
+
+    @pytest.mark.parametrize(
+        "N, M, digest",
+        [
+            (540, 1612, "6aacfc45260efb688bd827fd70cc2698fce7555d9b2f40204676b33eb4739eb4"),
+            (2000, 2000, "0a37a967f1a4fc2236c15bbc4b701df19e7147a105b04dfc2e601fedff345f0d"),
+        ],
+    )
+    def test_pinned_numerators(self, N, M, digest):
+        # recorded from the earlier upward K_n recurrence, started by a Horner sum
+        assert _repr_sha256(_limit_numerators(N, M)) == digest
 
     def test_inexact_division_raises(self):
         assert _exact_div(-12, 4, 3, 2) == -3
