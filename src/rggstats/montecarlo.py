@@ -269,22 +269,16 @@ class EmpiricalReport:
 
 def empirical_report(result: MCRunResult, order: int = 2) -> EmpiricalReport:
     """Estimate mean and g^(2)..g^(order) from a run, with jackknife errors."""
+    total = np.asarray(result.histogram, dtype=np.int64)
+    full = correlation_report(Pmf(total / result.frames, 0.0), order)
     n_blocks = 0 if result.block_histograms is None else len(result.block_histograms)
     if n_blocks < 2:
-        total = np.asarray(result.histogram, dtype=float)
-        full = correlation_report(Pmf(total / result.frames, 0.0), order)
         nan = float("nan")
         return EmpiricalReport(full, nan, (nan,) * (order - 1), result.frames, n_blocks)
 
-    # MCRunResult checks that the blocks sum to the histogram; every count is
-    # below 2**53, so these integers give the same doubles as the counts
-    blocks = np.array(result.block_histograms, dtype=np.int64)
-    total = blocks.sum(axis=0)
-    full = correlation_report(Pmf(total / result.frames, 0.0), order)
-
     # delete-one-block replicates, one row each; their factorial moments are
     # one product with falling[n, j] = n (n - 1) ... (n - j)
-    kept = total - blocks
+    kept = total - np.array(result.block_histograms, dtype=np.int64)
     falling = np.cumprod(np.arange(len(total), dtype=float)[:, None] - np.arange(order), axis=1)
     estimates = (kept / kept.sum(axis=1, keepdims=True)) @ falling
     mean = estimates[:, :1]
