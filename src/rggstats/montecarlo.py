@@ -2,26 +2,35 @@
 
 Every frame draws a photon number ``N`` from the input distribution and
 then one of the ``binom(N + M - 1, M - 1)`` occupation patterns uniformly
-at random, recording the count on pixel 0.  Uniform patterns are produced
-by the stars-and-bars bijection: mark ``min(M - 1, N)`` of the
-``N + M - 1`` slots as bars (or as stars, when there are fewer stars than
-bars) and read off the gaps; pixel 0's count is the first bar's index.
-The marked slots are those whose key is at or below the row's partition
-threshold, so pixel 0 is read from that threshold alone; full patterns
-are built only when they are recorded.
+at random, recording the count on pixel 0.  A pattern is an arrangement of
+``N`` stars and ``M - 1`` bars, each arrangement equally likely, read as
+the stars between consecutive bars.  The sampler reveals the arrangement
+one slot at a time: with ``s`` stars and ``b`` bars still to place, the
+next slot is a bar with probability ``b / (s + b)``.  A star joins the
+current cell and a bar opens the next one; once either kind runs out, the
+rest of the frame is fixed.  Pixel 0 holds the stars before the first bar,
+so a pixel-0 run stops each frame there; a recorded run reveals the whole
+frame.  No row formula enters, so the sampler checks the exact rows
+independently.
 
 Randomness is a counter hash, after Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3" (SC'11).  Draw ``j`` of frame ``f`` under
 ``seed`` is u(seed, f, j), the SplitMix64 finalizer in ``uint64``
 arithmetic: the frame key is the finalizer of the seed's key plus
 ``f + 1`` Weyl increments, and draw ``j`` the finalizer of the frame key
-plus ``j + 1`` increments.  Draw 0 picks the photon number; draws
-``1 .. N + M - 1`` are 63-bit slot keys, and the smallest keys are marked.
-No state passes from one frame to the next, so
+plus ``j + 1`` increments.  Its top 53 bits make a uniform ``x`` on
+``[0, 1)``.  Draw 0 picks the photon number and draw ``r + 1`` decides
+slot ``r``: a bar when ``x * (s + b) < b`` in doubles.  The rounded
+product moves each test's probability off ``b / (s + b)`` by less than
+``2**-52`` (while ``N + M < 2**53``), so a frame's pattern is off its
+uniform law by less than ``(N + M) * 2**-52`` in total variation.
+Both modes read the same draws, so a pixel-0 run and a recorded run of one
+configuration give the same histogram.  No state passes from one frame to
+the next, so
 
-* whole chunks of frames are sampled as numpy arrays, about ``2**18``
-  slot keys at a time (``_CHUNK_KEYS``); the budget bounds the working
-  memory, and the results are bit-identical however frames are chunked;
+* whole chunks of frames are sampled as numpy arrays, ``_CHUNK_FRAMES``
+  at a time; the chunk bounds the working memory, and the results are
+  bit-identical however frames are chunked;
 * any frame can be replayed on its own (``_replay_frame``).
 
 Error bars come from a delete-one-block jackknife over 100 equal blocks of
@@ -32,12 +41,19 @@ propagation would be both messy and wrong.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CorrelationReport, InputStateSpec, MCRunResult, Pmf, ZeroMean, _as_int
+from .core import (
+    CorrelationReport,
+    InputStateSpec,
+    MCRunResult,
+    Pmf,
+    ZeroMean,
+    _as_int,
+    pmf_mean,
+)
 from .inputs import input_pmf
 from .transform import correlation_report
 
@@ -57,9 +73,13 @@ JACKKNIFE_BLOCKS = 100
 class MCConfig:
     """Parameters of one Monte Carlo run.
 
-    ``record_configurations`` additionally tallies the complete occupation
-    pattern of every frame; useful for uniformity tests, ruinous for memory
-    at large ``(N, M)``, hence off by default.
+    The input's recorded tail must lie below ``TAIL_CEILING``, as for
+    ``pmf_mean``: a run raises :class:`TailTooHeavy` otherwise.
+    ``record_configurations`` additionally reveals every slot of every
+    frame and tallies the complete occupation patterns; useful for
+    uniformity tests, ruinous for memory and time at large ``(N, M)``,
+    hence off by default.  A pixel-0 run stops each frame at its first
+    bar, so its cost grows with ``N / M`` rather than with ``N + M``.
     """
 
     input: InputStateSpec
@@ -82,13 +102,11 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
-#: Pads slot-key rows; above every 63-bit key, so never selected.
-_SENTINEL = np.uint64(2**64 - 1)
-
-#: Slot keys per chunk of frames, for a frame of mean width.  It bounds the
-#: sampler's working memory (a few arrays of this many 8-byte words), not
-#: its results, which do not depend on how frames are chunked.
-_CHUNK_KEYS = 1 << 18
+#: Frames per chunk.  It bounds the sampler's working memory (a few arrays
+#: of this many words), not its results, which do not depend on how frames
+#: are chunked.  A recorded chunk holds a frames x M matrix, so it is also
+#: cut to ``4 * _CHUNK_FRAMES // M`` frames.
+_CHUNK_FRAMES = 1 << 16
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -110,100 +128,43 @@ def _frame_keys(seed: int, frames: np.ndarray) -> np.ndarray:
     return _mix(seed_key + _GOLDEN * (frames.astype(np.uint64) + np.uint64(1)))
 
 
-def _draws(keys: np.ndarray, first: int, count: int) -> np.ndarray:
-    """u(seed, frame, j) for j = first .. first + count - 1, one row per frame key.
+def _uniform(keys: np.ndarray, j: int) -> np.ndarray:
+    """Draw j of each frame key, as a 53-bit uniform on [0, 1).
 
     Draw j of a frame is the finalizer of the frame key plus (j + 1) Weyl
     increments: a SplitMix64 stream seeded by the frame key.
     """
-    j = np.arange(first + 1, first + count + 1, dtype=np.uint64)
-    return _mix(keys[:, None] + _GOLDEN * j)
-
-
-def _key_groups(
-    keys: np.ndarray, n: np.ndarray, M: int
-) -> Iterator[tuple[np.ndarray, int, np.ndarray]]:
-    """Slot keys of the frames with photons, one group of equal row width at a time.
-
-    Frame f holds ``n[f]`` photons in ``n[f] + M - 1`` slots; slot s gets
-    the 63-bit key u(seed, f, s + 1) >> 1.  The ``size = min(M - 1, n)``
-    smallest keys mark the bars when ``n >= M - 1`` and the stars otherwise;
-    either way the marked set is a uniform subset of its size, so the gaps
-    between bars are a uniform pattern.  Needs ``M >= 2``.
-
-    A frame of the stars branch (fewer than ``2M - 2`` slots) is grouped with
-    frames of the same photon number, so every row of a group marks the same
-    number of keys.  A frame of the bars branch is grouped by its slot count
-    rounded up to a quarter of its octave, and the row is padded with
-    ``_SENTINEL``: less than a quarter of each row is padding.  Yields
-    ``(rows, size, key)``: the group's frame indices, its marked count, and
-    its key rows.
-    """
-    slots = n + (M - 1)
-    _, octave = np.frexp(slots)  # slots < 2**octave
-    step = np.left_shift(np.int64(1), np.maximum(octave - 3, 0))
-    widths = np.where(n < M - 1, slots, -(-slots // step) * step)
-    for w in np.flatnonzero(np.bincount(widths[n > 0])).tolist():
-        rows = np.flatnonzero(widths == w)
-        size = min(w - (M - 1), M - 1)
-        key = _draws(keys[rows], 1, w)
-        key >>= np.uint64(1)
-        if size == M - 1:  # bars
-            key[np.arange(w) >= slots[rows, None]] = _SENTINEL
-        yield rows, size, key
-
-
-def _occupations(keys: np.ndarray, n: np.ndarray, M: int) -> np.ndarray:
-    """Uniform occupation patterns, one row of M counts per frame."""
-    occ = np.zeros((len(n), M), dtype=np.int64)
-    if M == 1:
-        occ[:, 0] = n
-        return occ
-    for rows, size, key in _key_groups(keys, n, M):
-        marked = np.sort(np.argpartition(key, size - 1, axis=1)[:, :size], axis=1)
-        if size == M - 1:  # gaps between bars, with virtual ones at -1 and n + M - 1
-            ends = n[rows, None] + (M - 1)
-            occ[rows] = np.diff(marked, axis=1, prepend=-1, append=ends) - 1
-        else:  # star i has marked[i] - i bars before it
-            cell = marked - np.arange(size) + M * np.arange(len(rows))[:, None]
-            occ[rows] = np.bincount(cell.ravel(), minlength=len(rows) * M).reshape(-1, M)
-    return occ
-
-
-def _pixel0(keys: np.ndarray, n: np.ndarray, M: int) -> np.ndarray:
-    """Column 0 of ``_occupations``, read from each row's partition threshold.
-
-    The marked slots are the keys at or below tau, the ``size``-th smallest
-    key of the row, and pixel 0 holds the stars before the first bar.  Only
-    a row whose keys tie at tau (odds about w / 2**63 for a row of w keys)
-    can read otherwise than ``_occupations``.
-    """
-    if M == 1:
-        return n
-    count = np.zeros(len(n), dtype=np.int64)
-    for rows, size, key in _key_groups(keys, n, M):
-        tau = np.partition(key, size - 1, axis=1)[:, size - 1, None]
-        bar = key <= tau if size == M - 1 else key > tau
-        count[rows] = np.argmax(bar, axis=1)
-    return count
+    step = np.full(1, j + 1, dtype=np.uint64) * _GOLDEN  # an array wraps silently
+    return (_mix(keys + step) >> np.uint64(11)) * 2.0**-53
 
 
 def _sample_frames(
-    cdf: np.ndarray,
-    seed: int,
-    frames: np.ndarray,
-    M: int,
-    read: Callable[[np.ndarray, np.ndarray, int], np.ndarray] = _occupations,
+    cdf: np.ndarray, seed: int, frames: np.ndarray, M: int, record: bool = True
 ) -> np.ndarray:
-    """The given frames, read by ``read`` (full patterns by default).
+    """Occupation patterns of the given frames, one row of M counts per frame.
 
-    Draw 0 of each frame picks its photon number.
+    With ``record`` false each frame stops at its first bar, and the rows
+    hold pixel 0's count alone.
     """
     keys = _frame_keys(seed, frames)
-    u = (_draws(keys, 0, 1)[:, 0] >> np.uint64(11)) * 2.0**-53
-    # tail draws (probability <= recorded tail_mass) clamp to the last entry
-    n = np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
-    return read(keys, n, M)
+    # tail draws (probability < TAIL_CEILING) clamp to the last entry
+    stars = np.minimum(np.searchsorted(cdf, _uniform(keys, 0), side="right"), len(cdf) - 1)
+    bars = np.full_like(stars, M - 1)
+    occ = np.zeros((len(stars), M if record else 1), dtype=np.int64)
+    live = np.flatnonzero(stars * (M > 1))  # frames with stars and bars left to place
+    draw = 0  # slot r of a frame takes draw r + 1
+    while live.size:
+        draw += 1
+        s, b = stars[live], bars[live]
+        bar = _uniform(keys[live], draw) * (s + b) < b
+        star = ~bar
+        occ[live[star], M - 1 - b[star]] += 1
+        stars[live] = s - star
+        bars[live] = b - bar
+        live = live[(s > star) & (b > bar) & (record | star)]
+    if record or M == 1:  # the slots left are stars, all in the last cell
+        occ[:, -1] += stars
+    return occ
 
 
 def _replay_frame(cfg: MCConfig, frame: int) -> np.ndarray:
@@ -214,23 +175,22 @@ def _replay_frame(cfg: MCConfig, frame: int) -> np.ndarray:
 
 def run_mc(cfg: MCConfig) -> MCRunResult:
     """Run the sampler and histogram the photon count on pixel 0."""
-    probs = input_pmf(cfg.input).as_array()
-    cdf = np.cumsum(probs)
+    source = input_pmf(cfg.input)
+    pmf_mean(source)  # raises TailTooHeavy: tail draws would bias the histogram
+    cdf = np.cumsum(source.as_array())
     width = len(cdf)
     n_blocks = min(JACKKNIFE_BLOCKS, cfg.frames)
     hist = np.zeros(width, dtype=np.int64)
     blocks = np.zeros(n_blocks * width, dtype=np.int64)
-    patterns: Counter | None = Counter() if cfg.record_configurations else None
+    record = cfg.record_configurations
+    patterns: Counter = Counter()
 
-    # frames per chunk, sized for the mean frame (N + M draws)
-    chunk = max(1, int(_CHUNK_KEYS // (np.arange(width) @ probs + cfg.M)))
+    chunk = max(1, min(_CHUNK_FRAMES, 4 * _CHUNK_FRAMES // cfg.M)) if record else _CHUNK_FRAMES
     for start in range(0, cfg.frames, chunk):
         frames = np.arange(start, min(start + chunk, cfg.frames), dtype=np.int64)
-        if patterns is None:
-            n_pixel = _sample_frames(cdf, cfg.seed, frames, cfg.M, _pixel0)
-        else:
-            occupation = _sample_frames(cdf, cfg.seed, frames, cfg.M)
-            n_pixel = occupation[:, 0]
+        occupation = _sample_frames(cdf, cfg.seed, frames, cfg.M, record)
+        n_pixel = occupation[:, 0]
+        if record:
             # each pattern row as one opaque 8M-byte item, so np.unique
             # sorts a 1-d array; the first index of each gives its row
             as_bytes = occupation.view(np.dtype((np.void, 8 * cfg.M)))
@@ -247,7 +207,7 @@ def run_mc(cfg: MCConfig) -> MCRunResult:
         seed=cfg.seed,
         M=cfg.M,
         block_histograms=blocks.reshape(n_blocks, width),
-        configuration_counts=tuple(sorted(patterns.items())) if patterns is not None else None,
+        configuration_counts=tuple(sorted(patterns.items())) if record else None,
     )
 
 

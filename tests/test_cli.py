@@ -231,6 +231,15 @@ class TestMcCommand:
         assert (tmp_path / "mc.csv").read_bytes() == csv_first
         assert (tmp_path / "mc.json").read_bytes() == json_first
 
+    def test_heavy_tail_is_numeric_failure(self, tmp_path):
+        # a 0.3 tail would bias the sampled histogram; the exact side raises first
+        src = tmp_path / "input.csv"
+        src.write_text("n,p\n0,0.5\n1,0.2\n", encoding="utf-8")
+        argv = ["mc", "--kind", "custom", "--pmf-csv", str(src), "--tail-mass", "0.3",
+                "--M", "4", "--frames", "10000", "--seed", "1", "--out", str(tmp_path)]
+        assert main(argv) == 3
+        assert not (tmp_path / "mc.csv").exists()
+
     def test_single_frame_writes_strict_json(self, tmp_path):
         # one frame gives one jackknife block: no standard error to estimate
         argv = [

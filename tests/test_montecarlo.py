@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -12,12 +13,12 @@ from rggstats import (
     Fock,
     MCConfig,
     Pmf,
+    TailTooHeavy,
     Thermal,
     ZeroMean,
     config_count,
     correlation_report,
     empirical_report,
-    fock_scatter_pmf,
     input_pmf,
     run_mc,
     scatter_pmf,
@@ -26,8 +27,19 @@ from rggstats import montecarlo
 from rggstats.montecarlo import _replay_frame
 
 
+# (input, M, seed) for test_marginal_matches_exact_row
+MARGINAL_CASES = (
+    (Fock(3), 3, 99),
+    (Fock(3), 9, 100),  # fewer stars than bars
+    (Fock(12), 4, 101),  # more stars than bars
+    (Fock(50), 2, 102),  # flat row: every count 0..50 equally likely
+    (Thermal(3.0), 6, 103),  # a mixture over photon numbers
+    (Coherent(8.0), 4096, 104),  # nearly every frame stops at its first slot
+)
+
+
 class TestSampleConfiguration:
-    """The stars-and-bars core of run_mc: one occupation pattern per frame."""
+    """The sequential-reveal core of run_mc: one occupation pattern per frame."""
 
     def test_conservation(self):
         rng = np.random.default_rng(3)
@@ -85,19 +97,32 @@ class TestSampleConfiguration:
     )
     @pytest.mark.parametrize("seed", [1, 2**63 + 5])
     def test_pixel0_is_column_0_of_the_patterns(self, spec, M, seed):
+        # a pixel-0 run stops each frame at its first bar, a recorded run
+        # reveals the whole frame; both read the same draws
         cdf = np.cumsum(input_pmf(spec).as_array())
         for frames in np.array_split(np.arange(30_000), 3):
-            pixel0 = montecarlo._sample_frames(cdf, seed, frames, M, montecarlo._pixel0)
-            patterns = montecarlo._sample_frames(cdf, seed, frames, M)
-            assert np.array_equal(pixel0, patterns[:, 0])
+            pixel0 = montecarlo._sample_frames(cdf, seed, frames, M, record=False)
+            patterns = montecarlo._sample_frames(cdf, seed, frames, M, record=True)
+            assert pixel0.shape == (len(frames), 1)
+            assert np.array_equal(pixel0[:, 0], patterns[:, 0])
 
     def test_marginal_matches_exact_row(self):
+        # pixel 0's histogram against the exact scattered pmf; bins expecting
+        # fewer than 5 counts are pooled into one, so the chi-square law holds
         draws = 40_000
-        N, M = 3, 3
-        hist = run_mc(MCConfig(Fock(N), M, draws, seed=99)).histogram
-        expected = fock_scatter_pmf(N, M).as_array() * draws
-        _, p = stats.chisquare(hist, expected)
-        assert p > 1e-3
+        for spec, M, seed in MARGINAL_CASES:
+            hist = np.asarray(run_mc(MCConfig(spec, M, draws, seed=seed)).histogram)
+            exact = scatter_pmf(input_pmf(spec), M).as_array() * draws
+            width = max(len(hist), len(exact))
+            hist = np.pad(hist, (0, width - len(hist)))
+            exact = np.pad(exact, (0, width - len(exact)))
+            rare = exact < 5
+            observed, expected = hist[~rare], exact[~rare]
+            if rare.any():
+                observed = [*observed, hist[rare].sum()]
+                expected = [*expected, draws - expected.sum()]
+            _, p = stats.chisquare(observed, expected)
+            assert p > 1e-3, (spec, M, seed, p)
 
 
 class TestRunMC:
@@ -154,28 +179,32 @@ class TestRunMC:
 
     @pytest.mark.parametrize("N, M, frames", [(2, 2, 20_000), (5, 4, 20_000), (20, 32, 2_000)])
     def test_configuration_counts_match_row_unique(self, N, M, frames):
-        # reference: np.unique over whole pattern rows of every frame at once
+        # reference: np.unique over whole pattern rows of every frame at once,
+        # and the pixel-0 sampler over the same frames
         cfg = MCConfig(Fock(N), M, frames, seed=808, record_configurations=True)
         cdf = np.cumsum(input_pmf(cfg.input).as_array())
-        occupation = montecarlo._sample_frames(cdf, cfg.seed, np.arange(frames), M)
+        occupation = montecarlo._sample_frames(cdf, cfg.seed, np.arange(frames), M, record=True)
         rows, counts = np.unique(occupation, axis=0, return_counts=True)
         expected = tuple(zip(map(tuple, rows.tolist()), counts.tolist()))
-        assert run_mc(cfg).configuration_counts == expected
+        result = run_mc(cfg)
+        assert result.configuration_counts == expected
+        pixel0 = montecarlo._sample_frames(cdf, cfg.seed, np.arange(frames), M, record=False)
+        assert result.histogram == tuple(np.bincount(pixel0[:, 0], minlength=N + 1).tolist())
 
     @pytest.mark.parametrize("budget", [1, 40, 333])
     def test_result_does_not_depend_on_chunking(self, monkeypatch, budget):
-        # thermal counts put frames of both branches (n < M - 1 and
-        # n >= M - 1) and of many widths into one chunk
+        # thermal counts put frames of many photon numbers, with fewer and
+        # with more stars than bars, into one chunk
         cfg = MCConfig(Thermal(3.0), 6, 700, seed=4242, record_configurations=True)
         whole = run_mc(cfg)
-        monkeypatch.setattr(montecarlo, "_CHUNK_KEYS", budget)
+        monkeypatch.setattr(montecarlo, "_CHUNK_FRAMES", budget)
         assert run_mc(cfg) == whole
 
     @pytest.mark.parametrize("budget", [1, 40, 333])
     def test_pixel0_result_does_not_depend_on_chunking(self, monkeypatch, budget):
         cfg = MCConfig(Thermal(3.0), 6, 700, seed=4242)
         whole = run_mc(cfg)
-        monkeypatch.setattr(montecarlo, "_CHUNK_KEYS", budget)
+        monkeypatch.setattr(montecarlo, "_CHUNK_FRAMES", budget)
         assert run_mc(cfg) == whole
 
     def test_recording_on_and_off_agree(self):
@@ -184,31 +213,48 @@ class TestRunMC:
         assert plain.histogram == recorded.histogram
         assert plain.block_histograms == recorded.block_histograms
 
-    def test_pixel0_builds_no_patterns(self, monkeypatch):
-        # recording off reads pixel 0 from the partition threshold alone
-        def refuse(*args, **kwargs):
-            raise AssertionError("full patterns built")
+    def test_pixel0_builds_no_patterns(self):
+        # recording off stops each frame at its first bar and keeps one
+        # count per frame, far below the 65 MB of a frames x M pattern matrix
+        cfg = MCConfig(Coherent(8.0), 4096, 2000, seed=4242)
+        run_mc(cfg)  # warm up imports and caches outside the measurement
+        tracemalloc.start()
+        try:
+            assert run_mc(cfg).frames == 2000
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cfg.frames * cfg.M * 8 // 100
 
-        monkeypatch.setattr(montecarlo, "_occupations", refuse)
-        monkeypatch.setattr(np, "argpartition", refuse)
-        monkeypatch.setattr(np, "sort", refuse)
-        assert run_mc(MCConfig(Thermal(3.0), 6, 700, seed=4242)).frames == 700
+    def test_huge_M_reads_pixel_0_cheaply(self):
+        # slot counts far beyond any pattern matrix; pixel 0 of 8 photons
+        # among 10**12 cells is empty but for odds of about 1e-11 per frame
+        result = run_mc(MCConfig(Coherent(8.0), 10**12, 5000, seed=6))
+        assert result.histogram[0] == 5000
+
+    def test_heavy_tail_raises(self):
+        # draws in the recorded tail would clamp to the last entry and bias
+        # the histogram, so the run refuses such an input, as pmf_mean does
+        with pytest.raises(TailTooHeavy):
+            run_mc(MCConfig(Custom(Pmf([0.5, 0.2], 0.3)), 4, 10_000, 1))
+        below = Custom(Pmf([0.5, 0.5 - 2e-7], 2e-7))
+        assert run_mc(MCConfig(below, 4, 1000, 1)).frames == 1000
 
     @pytest.mark.parametrize(
         "cfg, digest",
         [
             (
                 MCConfig(Coherent(8.0), 8, 100_000, seed=1),
-                "47674e47d225de5fa9bfa563d98b7244db7763aad26558dc606bb134c66ae0ce",
+                "3aaab253b772b9fccf8615bb93192346c89d75e9edcbe868f578b0228e2c4992",
             ),
             (
                 MCConfig(Fock(20), 32, 20_000, seed=7),
-                "e9569d5fe47294fcbe12ccf8b682ac3871444610206de468148d8c29bfacf969",
+                "48e0f7ddcb8f6ad01eeda9327cce1e9d649725189c770fdbeb0482ae63b3e3cb",
             ),
         ],
     )
     def test_histograms_pinned(self, cfg, digest):
-        # digests recorded before pixel 0 was read from the partition threshold
+        # digests recorded on the sequential-reveal sampler
         result = run_mc(cfg)
         data = repr((result.histogram, result.block_histograms)).encode()
         assert hashlib.sha256(data).hexdigest() == digest
@@ -216,9 +262,9 @@ class TestRunMC:
     @pytest.mark.parametrize(
         "N, M, seed",
         [
-            (4, 3, 61),  # bars: N >= M - 1
-            (3, 4, 62),  # N = M - 1, the edge between the two branches
-            (2, 6, 63),  # stars: M - 1 > N
+            (4, 3, 61),  # more stars than bars
+            (3, 4, 62),  # as many stars as bars
+            (2, 6, 63),  # fewer stars than bars
         ],
     )
     def test_uniform_over_configurations(self, N, M, seed):
