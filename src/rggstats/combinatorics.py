@@ -14,9 +14,15 @@ by each call that needs them: nothing is kept between calls.  A row runs
 and each entry is one correctly rounded int/int division, so it is the
 exact rational rounded once to float, at any ``N + M``.
 
-A mixture of rows, ``sum_N P(N) b_{N-n} / z_N``, is one correlation of two
-sequences; :func:`_mixture_array` evaluates it from the exact integers at
-any ``N + M``, with a compensated sum.
+A mixture of rows, ``sum_N P(N) b_{N-n} / z_N``, is evaluated from the
+exact integers at any ``N + M`` by :func:`_mixture_array`, along one of two
+compensated routes.  Since ``sum_k b_k x**k = (1 - x)**-(M - 1)``, it is
+M - 1 suffix sums of ``P(N) / z_N``: O(L M) for L entries, each entry
+rounded about once.  It is also one correlation of two sequences, a
+Toeplitz sum: O(L**2), within a few units in the last place.  A cost rule
+on L and M alone picks the suffix route where M is small against L, and
+the Toeplitz route elsewhere and where the suffix route cannot scale its
+weights into the double range.
 
 :func:`fock_scatter_fractions` returns the exact rationals themselves.
 """
@@ -105,7 +111,7 @@ def _fock_scatter_array(N: int, M: int) -> np.ndarray:
     return arr
 
 
-#: Most elements in one block of :func:`_mixture_array`, sized so that a
+#: Most elements in one block of :func:`_toeplitz_mixture`, sized so that a
 #: block's few arrays stay in cache; the bits of the result do not depend on it.
 _BLOCK_ELEMENTS = 1 << 16
 #: The binary exponents of z_N within one block stay at most this far above
@@ -113,6 +119,19 @@ _BLOCK_ELEMENTS = 1 << 16
 _BLOCK_EXPONENT_SPAN = 256
 #: Weights below this are mixed apart, divided by it first (exactly).
 _TINY_WEIGHT = 2.0**-700
+#: Cost rule of :func:`_mixture_array`, in seconds, for a support of L
+#: entries: one suffix pass costs ``_SUFFIX_PASS_S + _SUFFIX_ENTRY_S * L``;
+#: the Toeplitz sum costs ``L * (_TOEPLITZ_ENTRY_S + _TOEPLITZ_TERM_S * L)``
+#: more than the suffix route's z_N and w.  Fitted to interleaved medians of
+#: both kernels at L = 25 to 6400 on a 2-vCPU x86-64 machine; the rule then
+#: puts the crossover at M = 15, 52, 176, 579 and 2088 for L = 25, 100,
+#: 400, 1600 and 6400, where the measured one was 18, 40, 185, 599 and 2217.
+_SUFFIX_PASS_S = 5.3e-6
+_SUFFIX_ENTRY_S = 13.5e-9
+_TOEPLITZ_ENTRY_S = 3e-6
+_TOEPLITZ_TERM_S = 4.2e-9
+#: The low 53 bits of an int, exactly a double's significand.
+_LOW_53 = (1 << 53) - 1
 
 
 def _split(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -134,6 +153,120 @@ def _split(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _mixture_array(weights: np.ndarray, M: int) -> np.ndarray:
+    """``sum_N weights[N] * row N`` over M >= 2 cells, by the cheaper kernel.
+
+    Weights below ``_TINY_WEIGHT`` are first mixed apart (see
+    :func:`_toeplitz_mixture`).  Each part then goes to :func:`_suffix_mixture`,
+    O(L M) for a support of length L, when :func:`_suffix_is_cheaper` says so
+    from L and M alone and its weights' range fits; otherwise, and always at
+    large M, to :func:`_toeplitz_mixture`, O(L**2).  Both are compensated:
+    the suffix route rounds each entry about once, the Toeplitz route is
+    within a few units in the last place.
+    """
+    tiny = np.where(weights < _TINY_WEIGHT, weights, 0.0)
+    if tiny.any():
+        rest = _mixture_array(weights - tiny, M)
+        return rest + _mixture_array(tiny / _TINY_WEIGHT, M) * _TINY_WEIGHT
+    nonzero = np.flatnonzero(weights)
+    top = int(nonzero[-1]) + 1 if len(nonzero) else 0
+    if top and _suffix_is_cheaper(top, M):
+        suffix = _suffix_mixture(weights[:top], M)
+        if suffix is not None:
+            return np.concatenate((suffix, np.zeros(len(weights) - top)))
+    return _toeplitz_mixture(weights, M)
+
+
+def _suffix_is_cheaper(L: int, M: int) -> bool:
+    """Whether M - 1 suffix passes over L entries beat the ~L**2 Toeplitz terms."""
+    toeplitz = L * (_TOEPLITZ_ENTRY_S + _TOEPLITZ_TERM_S * L)
+    return M - 1 < toeplitz / (_SUFFIX_PASS_S + _SUFFIX_ENTRY_S * L)
+
+
+def _z_parts(top: int, M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``z_0, ..., z_{top-1}`` of M cells as ``(hi + lo) * 2**e``, hi in [0.5, 1).
+
+    z_N runs ``z_N = z_{N-1} (N + M - 1) / N`` in exact integers.  Its top
+    106 bits are two 53-bit halves, whose float sum and Fast2Sum error are
+    hi and lo; the bits cut below them are under 2**-105 of z_N.
+    """
+    z = [1]
+    for N in range(1, top):
+        z.append(z[-1] * (N + M - 1) // N)
+    shifts = np.maximum(np.array([x.bit_length() for x in z]) - 106, 0)
+    tops = [x >> s for x, s in zip(z, shifts.tolist())]
+    upper = np.ldexp(np.array([t >> 53 for t in tops], dtype=float), 53)
+    lower = np.array([t & _LOW_53 for t in tops], dtype=float)
+    hi = upper + lower
+    lo = lower - (hi - upper)
+    hi, e = np.frexp(hi)
+    return hi, np.ldexp(lo, -e), e + shifts
+
+
+def _veltkamp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split doubles ``a`` into halves of at most 26 significant bits each."""
+    c = (2.0**27 + 1.0) * a
+    high = c - (c - a)
+    return high, a - high
+
+
+def _suffix_mixture(weights: np.ndarray, M: int) -> np.ndarray | None:
+    """The mixture as M - 1 compensated suffix sums, or None if it cannot scale.
+
+    The numerators have the generating function ``sum_k b_k x**k =
+    (1 - x)**-(M - 1)``, and multiplying by ``1 / (1 - x)`` is the suffix sum
+    ``(S w)(n) = sum_{N >= n} w_N``; so the mixture is ``S**(M - 1) w`` with
+    ``w_N = weights[N] / z_N``.  Every number below is >= 0, so no pass
+    cancels, and each ``S**j w`` is at most the final entry.
+
+    w is a double-double: with ``weights[N] = m * 2**f`` and
+    ``z_N = (h + l) * 2**e`` (see :func:`_z_parts`), ``q = m / h`` and the
+    error of ``q h`` from Dekker's TwoProduct on Veltkamp halves give the
+    low part ``(m - q h - err - q l) / h``.  One exact power of two
+    ``2**shift`` puts the weights' total just below 2**1020; if the least
+    nonzero scaled w then falls below 2**-969, where its low part would lose
+    bits to underflow, the range does not fit and None is returned.  Each
+    pass runs a cumulative sum ``s`` of the high parts ``x``; the rounding
+    error of each of its additions comes back elementwise by Fast2Sum from
+    ``s[:-1]``, ``x[1:]`` and ``s[1:]`` and joins the low parts, which get a
+    cumulative sum of their own (Ogita, Rump and Oishi's compensated
+    summation).  The result is the high plus low part, rounded once and
+    scaled back.
+    """
+    zh, zl, ze = _z_parts(len(weights), M)
+    mant, exps = np.frexp(weights)
+    q = mant / zh
+    q_high, q_low = _veltkamp(q)
+    z_high, z_low = _veltkamp(zh)
+    product = q * zh
+    err = ((q_high * z_high - product) + q_high * z_low + q_low * z_high) + q_low * z_low
+    low = ((mant - product) - err - q * zl) / zh
+    exps = exps - ze
+    shift = 1020 - math.frexp(float(weights.sum()))[1]
+    least = np.frexp(q)[1] + exps
+    if int(least[weights > 0].min()) + shift < -968:
+        return None
+    # reversed, so that prefix sums over the index are suffix sums over N
+    hi = np.ldexp(q, exps + shift)[::-1].copy()
+    lo = np.ldexp(low, exps + shift)[::-1].copy()
+    # the passes swap two buffers; each has its views made once, ahead
+    views = [(x, x[:-1], x[1:]) for x in (hi, np.empty_like(hi))]
+    larger, lost = np.empty((2, len(hi) - 1))
+    lo_tail = lo[1:]
+    for _ in range(M - 1):
+        (x, _, x_tail), (s, s_head, s_tail) = views
+        np.add.accumulate(x, out=s)
+        # Fast2Sum of s[i] = s[i - 1] + x[i], larger addend first
+        np.maximum(s_head, x_tail, out=larger)
+        np.minimum(s_head, x_tail, out=lost)
+        lost -= np.subtract(s_tail, larger, out=larger)
+        lo_tail += lost
+        np.add.accumulate(lo, out=lo)
+        views.reverse()
+    hi = views[0][0]
+    return np.ldexp(hi + lo, -shift)[::-1]
+
+
+def _toeplitz_mixture(weights: np.ndarray, M: int) -> np.ndarray:
     """``sum_N weights[N] * row N`` over M >= 2 cells, as one Toeplitz sum.
 
     Entry n is ``sum_{N >= n} t(N, n)`` with the terms
@@ -145,9 +278,9 @@ def _mixture_array(weights: np.ndarray, M: int) -> np.ndarray:
     of ``m(b_k) * 2**(e(b_k) - c)``.  Scaling by powers of two is exact, so
     each term is the same double whatever the block, and it underflows only
     where its true value does.  The column reaches down to 2**-256 of a
-    weight, so weights below ``_TINY_WEIGHT`` = 2**-700 are mixed in a
-    second pass at 2**700 times their size and scaled back, which keeps
-    their column normal.
+    weight, so :func:`_mixture_array` mixes weights below ``_TINY_WEIGHT`` =
+    2**-700 in a second pass at 2**700 times their size and scales them
+    back, which keeps their column normal.
 
     Each entry adds its terms in ascending N and also adds up, exactly by
     Fast2Sum, the rounding error of every addition; the sum of those errors
@@ -156,10 +289,6 @@ def _mixture_array(weights: np.ndarray, M: int) -> np.ndarray:
     run in ascending N across blocks, so the bits do not depend on the
     blocking either.
     """
-    tiny = np.where(weights < _TINY_WEIGHT, weights, 0.0)
-    if tiny.any():
-        rest = _mixture_array(weights - tiny, M)
-        return rest + _mixture_array(tiny / _TINY_WEIGHT, M) * _TINY_WEIGHT
     out = np.zeros(len(weights))
     nonzero = np.flatnonzero(weights)
     if not len(nonzero):

@@ -126,6 +126,70 @@ class TestMixtureKernel:
         assert kernel <= rows
         assert kernel < 4e-16  # a few units in the last place: the sum is compensated
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_each_kernel_is_accurate(self, family):
+        # called directly, whatever the rule would pick: the suffix route
+        # rounds about once, the Toeplitz route within a few units
+        for p in FAMILIES[family]:
+            weights = p.as_array()
+            for M in (2, 3, 8, 64, 200):
+                suffix = combinatorics._suffix_mixture(weights, M)
+                toeplitz = combinatorics._toeplitz_mixture(weights, M)
+                assert worst_relative_error(p, suffix, M) <= 2**-53
+                assert worst_relative_error(p, toeplitz, M) < 4e-16
+
+    def test_two_cells_round_each_entry_once(self, monkeypatch):
+        # M = 2 is one suffix pass: entry n is sum_{N >= n} P(N) / (N + 1)
+        monkeypatch.setattr(combinatorics, "_toeplitz_mixture", None)
+        (p,) = random_pmfs(1, 60, seed=8)
+        exact = [
+            sum(Fraction(w) / (N + 1) for N, w in enumerate(p.probs[n:], n))
+            for n in range(len(p))
+        ]
+        assert scatter_pmf(p, 2).probs == tuple(map(float, exact))
+
+    @pytest.mark.parametrize("M", [3, 8, 20])
+    def test_suffix_route_keeps_tiny_weights(self, monkeypatch, M):
+        # weights near 1e-300, all below _TINY_WEIGHT, one of them subnormal
+        probs = np.zeros(81)
+        probs[:40] = np.random.default_rng(6).dirichlet(np.ones(40))
+        probs[50], probs[60], probs[80] = 1e-250, 3e-300, 1e-310
+        p = Pmf(probs)
+        assert probs[80] < probs[60] < probs[50] < combinatorics._TINY_WEIGHT
+        assert worst_relative_error(p, combinatorics._suffix_mixture(probs, M), M) <= 2**-53
+        monkeypatch.setattr(combinatorics, "_toeplitz_mixture", None)
+        assert worst_relative_error(p, scatter_pmf(p, M).as_array(), M) < 4e-16
+
+    def test_too_wide_a_range_falls_back_to_toeplitz(self):
+        # z_N reaches 2**1466, so w spans more than the doubles do
+        L, M = 3000, 300
+        probs = np.zeros(L)
+        probs[0], probs[L - 1] = 0.5, 2.0**-699
+        assert combinatorics._suffix_is_cheaper(L, M)
+        assert combinatorics._suffix_mixture(probs, M) is None
+        expected = combinatorics._toeplitz_mixture(probs, M)
+        assert scatter_pmf(Pmf(probs, 0.5), M).as_array().tobytes() == expected.tobytes()
+
+    def test_many_cells_never_run_the_passes(self, monkeypatch):
+        def refuse(weights, M):
+            raise AssertionError("suffix route at M = 10**9")
+
+        monkeypatch.setattr(combinatorics, "_suffix_mixture", refuse)
+        p = Pmf(np.random.default_rng(4).dirichlet(np.ones(500)))
+        expected = combinatorics._toeplitz_mixture(p.as_array(), 10**9)
+        assert scatter_pmf(p, 10**9).as_array().tobytes() == expected.tobytes()
+
+    def test_correlation_laws_on_a_bright_input(self):
+        # geometric of mean 1000 to a tail of 1e-12, past what thermal_pmf keeps
+        mean, L = 1000.0, 27700
+        q = mean / (mean + 1.0)
+        p = Pmf((1.0 - q) * q ** np.arange(L), q**L)
+        M = 64
+        rep_in = correlation_report(p, 3)
+        rep_out = correlation_report(scatter_pmf(p, M), 3)
+        assert rep_out.g2 == pytest.approx(gn_out_predicted(rep_in.g2, 2, M), rel=1e-12)
+        assert rep_out.g3 == pytest.approx(gn_out_predicted(rep_in.g3, 3, M), rel=1e-12)
+
     @pytest.mark.parametrize("budget", [1, 7, 333])
     @pytest.mark.parametrize(
         "p, M",
@@ -137,9 +201,12 @@ class TestMixtureKernel:
         ],
     )
     def test_bits_do_not_depend_on_blocking(self, monkeypatch, budget, p, M):
-        whole = scatter_pmf(p, M)
+        # the Toeplitz kernel directly: the rule sends some of these to the
+        # suffix route, which has no blocks
+        weights = p.as_array()
+        whole = combinatorics._toeplitz_mixture(weights, M)
         monkeypatch.setattr(combinatorics, "_BLOCK_ELEMENTS", budget)
-        assert scatter_pmf(p, M) == whole
+        assert combinatorics._toeplitz_mixture(weights, M).tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("M", [2, 3, 64, 25000])
     def test_single_weight_gives_the_exact_row(self, M):
