@@ -48,6 +48,7 @@ from .core import (
     TailTooHeavy,
     Thermal,
     ZeroMean,
+    _as_int,
     pmf_mean,
     total_variation,
 )
@@ -76,15 +77,6 @@ _REQUIRED = object()
 _NUMERIC_FAILURES = (
     TailTooHeavy, ZeroMean, OutOfRange, DimTooSmall, InvalidPmf, ArithmeticError
 )
-
-
-def _parse_bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
 
 
 def _load_custom_pmf(pmf_csv: str, tail_mass: float) -> Custom:
@@ -315,10 +307,7 @@ def cmd_mc(cfg: dict, spec, out: Path) -> None:
 
 def _at_least(cfg: dict, key: str, low: int) -> int:
     """The [figure] key, checked to be at least ``low``."""
-    value = cfg["figure"][key]
-    if value < low:
-        raise ConfigError(f"[figure] {key} must be >= {low}, got {value}")
-    return value
+    return _as_int(f"[figure] {key}", cfg["figure"][key], low)
 
 
 def _fig2(cfg: dict, spec, out: Path) -> None:
@@ -463,7 +452,7 @@ def _settings(cp, args, section: str, defaults: dict) -> dict:
             raw = given[key]
             kind = _KEYS[key][0]
             try:
-                value = _parse_bool(raw) if kind is bool else kind(raw)
+                value = given.getboolean(key) if kind is bool else kind(raw)
             except ValueError as exc:
                 raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
         if value is None:

@@ -185,13 +185,12 @@ def _suffix_is_cheaper(L: int, M: int) -> bool:
 def _z_parts(top: int, M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``z_0, ..., z_{top-1}`` of M cells as ``(hi + lo) * 2**e``, hi in [0.5, 1).
 
-    z_N runs ``z_N = z_{N-1} (N + M - 1) / N`` in exact integers.  Its top
-    106 bits are two 53-bit halves, whose float sum and Fast2Sum error are
-    hi and lo; the bits cut below them are under 2**-105 of z_N.
+    z_N is the running sum ``b_0 + ... + b_N`` of the exact numerators, the
+    same integers the Toeplitz route splits.  Its top 106 bits are two
+    53-bit halves, whose float sum and Fast2Sum error are hi and lo; the
+    bits cut below them are under 2**-105 of z_N.
     """
-    z = [1]
-    for N in range(1, top):
-        z.append(z[-1] * (N + M - 1) // N)
+    z = list(accumulate(_numerators(top, M)))
     shifts = np.maximum(np.array([x.bit_length() for x in z]) - 106, 0)
     tops = [x >> s for x, s in zip(z, shifts.tolist())]
     upper = np.ldexp(np.array([t >> 53 for t in tops], dtype=float), 53)
@@ -320,6 +319,7 @@ def _toeplitz_mixture(weights: np.ndarray, M: int) -> np.ndarray:
         column = np.ldexp(scaled[start:stop], anchor - z_exp[start:stop])
         np.multiply(column[:, None], toeplitz, out=terms)
         partial[0] = out[stop - 1 :: -1]
+        # row by row: add.accumulate(axis=0) runs column by column, ~5x slower
         for previous, term, current in zip(partial, terms, partial[1:]):
             np.add(previous, term, out=current)
         # Fast2Sum needs the larger addend first; all terms are >= 0
@@ -353,11 +353,7 @@ def approx_scatter_pmf(N: int, M: int) -> Pmf:
     against N; requires ``M >= 3`` (for ``M = 2`` the exact pmf is flat and
     the expansion is pointless).
     """
-    N, M = _as_int("photon number N", N, 0), _as_int("cell count M", M, 1)
-    if N < 1:
-        raise ValueError(f"approximation needs N >= 1, got N={N}")
-    if M < 3:
-        raise ValueError(f"approximation needs M >= 3, got M={M}")
+    N, M = _as_int("photon number N", N, 1), _as_int("cell count M", M, 3)
     beta0 = math.log1p((M - 2) / N)
     beta_c = (M - 2) / (2.0 * N * (N + M - 2))
     n = np.arange(N + 1)

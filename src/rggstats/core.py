@@ -267,8 +267,7 @@ class CorrelationReport:
     def __post_init__(self) -> None:
         object.__setattr__(self, "factorial_moments", tuple(float(x) for x in self.factorial_moments))
         object.__setattr__(self, "g", tuple(float(x) for x in self.g))
-        if self.order < 2:
-            raise ValueError(f"order must be >= 2, got {self.order}")
+        object.__setattr__(self, "order", _as_int("order", self.order, 2))
         if len(self.factorial_moments) != self.order:
             raise ValueError("need one factorial moment per order 1..order")
         if len(self.g) != self.order - 1:
@@ -314,6 +313,8 @@ class MCRunResult:
     configuration_counts: tuple[tuple[tuple[int, ...], int], ...] | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "frames", _as_int("frames", self.frames, 1))
+        object.__setattr__(self, "M", _as_int("M", self.M, 1))
         object.__setattr__(self, "histogram", tuple(int(c) for c in self.histogram))
         if any(c < 0 for c in self.histogram):
             raise ValueError("histogram counts must be >= 0")
@@ -321,10 +322,6 @@ class MCRunResult:
             raise ValueError(
                 f"histogram sums to {sum(self.histogram)}, expected frames={self.frames}"
             )
-        if self.frames < 1:
-            raise ValueError(f"frames must be >= 1, got {self.frames}")
-        if self.M < 1:
-            raise ValueError(f"M must be >= 1, got {self.M}")
         if self.block_histograms is not None:
             width = len(self.histogram)
             if any(len(b) != width for b in self.block_histograms):

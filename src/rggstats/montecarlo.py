@@ -180,7 +180,6 @@ def run_mc(cfg: MCConfig) -> MCRunResult:
     cdf = np.cumsum(source.as_array())
     width = len(cdf)
     n_blocks = min(JACKKNIFE_BLOCKS, cfg.frames)
-    hist = np.zeros(width, dtype=np.int64)
     blocks = np.zeros(n_blocks * width, dtype=np.int64)
     record = cfg.record_configurations
     patterns: Counter = Counter()
@@ -189,24 +188,23 @@ def run_mc(cfg: MCConfig) -> MCRunResult:
     for start in range(0, cfg.frames, chunk):
         frames = np.arange(start, min(start + chunk, cfg.frames), dtype=np.int64)
         occupation = _sample_frames(cdf, cfg.seed, frames, cfg.M, record)
-        n_pixel = occupation[:, 0]
         if record:
-            # each pattern row as one opaque 8M-byte item, so np.unique
-            # sorts a 1-d array; the first index of each gives its row
+            # each pattern row as one opaque 8M-byte item: np.unique sorts a 1-d
+            # array, ~6x faster than axis=0; the first index gives each row
             as_bytes = occupation.view(np.dtype((np.void, 8 * cfg.M)))
             _, first, counts = np.unique(as_bytes.ravel(), return_index=True, return_counts=True)
             for row, count in zip(occupation[first].tolist(), counts.tolist()):
                 patterns[tuple(row)] += count
-        hist += np.bincount(n_pixel, minlength=width)
         block = frames * n_blocks // cfg.frames
-        blocks += np.bincount(block * width + n_pixel, minlength=n_blocks * width)
+        blocks += np.bincount(block * width + occupation[:, 0], minlength=n_blocks * width)
 
+    blocks = blocks.reshape(n_blocks, width)
     return MCRunResult(
-        histogram=hist.tolist(),
+        histogram=blocks.sum(axis=0).tolist(),
         frames=cfg.frames,
         seed=cfg.seed,
         M=cfg.M,
-        block_histograms=blocks.reshape(n_blocks, width),
+        block_histograms=blocks,
         configuration_counts=tuple(sorted(patterns.items())) if record else None,
     )
 

@@ -441,6 +441,51 @@ class TestErrorHandling:
                    "--M", "3", "--out", str(tmp_path)])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "text, wording",
+        [
+            ("x,y\n0,1.0\n", "need columns 'n' and 'p'"),
+            ("n,p\n0,half\n", "bad row '0,half'"),
+            ("n,p\n", "no pmf rows found"),
+            ("n,p\n0,-0.5\n1,1.5\n", "negative probability -0.5"),
+        ],
+        ids=["no-columns", "bad-row", "no-rows", "negative-p"],
+    )
+    def test_bad_custom_pmf_file(self, tmp_path, capsys, text, wording):
+        src = tmp_path / "input.csv"
+        src.write_text(text, encoding="utf-8")
+        rc = main(["scatter", "--kind", "custom", "--pmf-csv", str(src),
+                   "--M", "3", "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and wording in err
+
+    @pytest.mark.parametrize(
+        "word, approx", [("yes", True), ("on", True), ("1", True), ("no", False)]
+    )
+    def test_config_boolean_words(self, tmp_path, word, approx):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[scatter]\nm = 8\napprox = {word}\n", encoding="utf-8")
+        rc = main(["scatter", "--kind", "fock", "--n", "4",
+                   "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 0
+        comments, header, _ = read_csv(tmp_path / "scatter.csv")
+        assert comments["scatter.approx"] == str(approx)
+        assert ("p_approx" in header) is approx
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [("m = 8\napprox = maybe", "[scatter] approx = 'maybe'"), ("m = eight", "[scatter] m = ")],
+    )
+    def test_unparsable_config_value(self, tmp_path, capsys, text, key):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[scatter]\n{text}\n", encoding="utf-8")
+        rc = main(["scatter", "--kind", "fock", "--n", "4",
+                   "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and key in err
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--version"])

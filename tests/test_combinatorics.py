@@ -211,9 +211,9 @@ class TestApproxScatter:
         assert approx_scatter_pmf(N, M).probs == reference
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            approx_scatter_pmf(10, 2)  # needs M >= 3
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cell count M must be >= 3, got 2"):
+            approx_scatter_pmf(10, 2)
+        with pytest.raises(ValueError, match="photon number N must be >= 1, got 0"):
             approx_scatter_pmf(0, 5)
 
 

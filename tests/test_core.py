@@ -198,6 +198,12 @@ class TestCorrelationReport:
         with pytest.raises(ValueError):
             CorrelationReport(mean=1.0, factorial_moments=(1.0, -1.0), g=(1.0,), order=2)
 
+    def test_order_must_be_an_integer(self):
+        with pytest.raises(TypeError, match="order must be an integer"):
+            CorrelationReport(mean=1.0, factorial_moments=(1.0, 1.0), g=(1.0,), order=True)
+        with pytest.raises(ValueError, match="order must be >= 2, got 1"):
+            CorrelationReport(mean=1.0, factorial_moments=(1.0,), g=(), order=1)
+
     def test_g3_requires_order_3(self):
         rep = CorrelationReport(mean=1.0, factorial_moments=(1.0, 1.0), g=(1.0,), order=2)
         with pytest.raises(OutOfRange):
@@ -209,6 +215,16 @@ class TestMCRunResult:
         MCRunResult(histogram=(3, 7), frames=10, seed=0, M=2)
         with pytest.raises(ValueError):
             MCRunResult(histogram=(3, 7), frames=11, seed=0, M=2)
+
+    def test_frames_and_cells_must_be_integers(self):
+        with pytest.raises(TypeError, match="frames must be an integer"):
+            MCRunResult(histogram=(3, 7), frames=10.0, seed=0, M=2)
+        with pytest.raises(TypeError, match="M must be an integer"):
+            MCRunResult(histogram=(3, 7), frames=10, seed=0, M=2.0)
+        with pytest.raises(ValueError, match="frames must be >= 1, got 0"):
+            MCRunResult(histogram=(), frames=0, seed=0, M=2)
+        with pytest.raises(ValueError, match="M must be >= 1, got 0"):
+            MCRunResult(histogram=(3, 7), frames=10, seed=0, M=0)
 
     def test_blocks_must_sum_to_total(self):
         MCRunResult(

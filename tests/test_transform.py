@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -226,6 +227,26 @@ class TestMixtureKernel:
 
     def test_no_weight_scatters_to_nothing(self):
         assert scatter_pmf(Pmf((0.0, 0.0, 0.0), 1.0), 7) == Pmf((0.0, 0.0, 0.0), 1.0)
+
+    @pytest.mark.parametrize(
+        "p, M, stages, digest",
+        [
+            # the suffix route
+            (thermal_pmf(40.0), 64, 1,
+             "653e17f8f83dfc110f2649cd8fb3ec588861d4a143a1a16e1ddd6670fe4194cf"),
+            # the Toeplitz route
+            (thermal_pmf(40.0), 4096, 1,
+             "cf8d2fc5e1a866ef68042d6659ee128cb8bfe6373b73b5951c3a88a705cf0f9a"),
+            # the second stage mixes its weights below _TINY_WEIGHT apart
+            (poisson_pmf(300.0), 25000, 2,
+             "0c76516571e29f007ac35406d51cecf7e75b82a672d77655f0f8c81c7396f547"),
+        ],
+        ids=["suffix", "toeplitz", "tiny-split"],
+    )
+    def test_mixtures_pinned(self, p, M, stages, digest):
+        # digests recorded before both kernels took z_N from one numerator recurrence
+        data = repr(cascade_pmf(p, M, stages).probs).encode()
+        assert hashlib.sha256(data).hexdigest() == digest
 
     @pytest.mark.parametrize(
         "p",
