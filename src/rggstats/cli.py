@@ -211,13 +211,14 @@ def _limit(cfg: dict, spec, out: Path) -> None:
 def cmd_scatter(cfg: dict, spec, out: Path) -> None:
     settings = cfg["scatter"]
     M, stages, approx = settings["m"], settings["stages"], settings["approx"]
-    if approx and stages != 1:
-        raise ConfigError("the small-n approximation applies to a single stage only")
+    if approx:
+        if stages != 1:
+            raise ConfigError("the small-n approximation applies to a single stage only")
+        _as_int("[scatter] m", M, 3)  # the approximation's own limit, named as a setting
 
     source = input_pmf(spec)
     if approx:
-        # before the cascade, so that the approximation's limits (M >= 3,
-        # N >= 1) are checked before the heavy work
+        # before the cascade, so that N >= 1 is checked before the heavy work
         n_eff = spec.n if isinstance(spec, Fock) else round(pmf_mean(source))
         if n_eff < 1:
             raise ConfigError("the small-n approximation needs N >= 1 photons; the input "

@@ -37,8 +37,36 @@ times ``C(N, n)`` it has small-integer coefficients only,
 
     (n+1) s_(n+1) = (N-n+1) s_(n-1) + (2n-N-M) s_n,
 
-and runs downward from ``s_N = N!`` (``J_N = N!/M^(N+1)``) in O(N) exact
-steps.  Each entry is rounded to double once at the end.
+and it runs downward from ``s_N = N!`` (``J_N = N!/M^(N+1)``) in O(N)
+exact steps.  Solved for ``s_(n-1)`` it would divide by ``N-n+1`` at
+every step; scaling out the falling factorial ``F_n = N!/(N-n)!`` removes
+that division.  With ``s_n = F_n w_n``,
+
+    w_(n-1) = (n+1)(N-n) w_(n+1) + (N+M-2n) w_n,   w_N = 1, w_(N+1) = 0,
+
+multiplies big integers by small ones only.  The same downward pass
+accumulates the Horner sum ``h = w_n + (N-n) h``, which ends as
+``sum_n F_n w_n = sum_n s_n`` and must equal ``M**N`` exactly; anything
+else is an arithmetic bug and raises :class:`NormalizationFailure`.
+
+Each entry ``p_n = F_n w_n / M**N`` is rounded to double once, and as a
+rule without a big-integer division (Ziv's strategy, ACM TOMS 17, 1991).
+``F_n`` is built upward by small multiplies, ``R = floor(2^K / M**N)`` is
+formed once per row with ``K = bits(M**N) + 64``, and ``tw``, ``tf`` are
+the top 64 bits (``_TOP_BITS``) of ``w_n`` and ``F_n``, shifted right by
+``sw`` and ``sf``.  Then ``p_n 2^(K-sw-sf)`` lies between ``tw tf R`` and
+``(tw+1)(tf+1)(R+1)``, where a ``+1`` is dropped for a top that kept all
+its bits.  Rounding is monotone, so when both bounds round to the same
+double, that double times ``2^(sw+sf-K)`` is the correctly rounded
+``p_n``.  Three cases are handled apart:
+
+* bounds that round differently straddle a rounding boundary: the
+  entry is the exact ``F_n w_n / M**N`` (int/int true division, which
+  CPython rounds correctly);
+* a result below ``2^-1022`` takes the same exact division, because the
+  scaling would round a subnormal a second time;
+* ``bits(w_n) + bits(F_n) - bits(M**N) <= -1076`` proves
+  ``p_n < 2^-1075``, which rounds to 0.0.
 """
 
 from __future__ import annotations
@@ -79,35 +107,83 @@ def gn_limit(g_in: float, order: int, stages: int = 1) -> float:
     return float(math.factorial(order) ** stages) * g_in
 
 
-def _exact_div(numerator: int, divisor: int, N: int, M: int) -> int:
-    quotient, remainder = divmod(numerator, divisor)
-    if remainder:
+# Top bits of w_n and of F_n kept when an entry is rounded; R has one or two more.
+_TOP_BITS = 64
+_MIN_NORMAL = 2.0**-1022
+
+
+def _downward_w(N: int, M: int):
+    """Yield w_N, w_(N-1), ..., w_0 of the division-free recurrence."""
+    w_next, w = 0, 1  # w_(n+1), w_n at n = N
+    yield w
+    for n in range(N, 0, -1):
+        w_next, w = w, (n + 1) * (N - n) * w_next + (N + M - 2 * n) * w
+        yield w
+
+
+def _scaled_numerators(N: int, M: int) -> tuple[list[int], int]:
+    """``w_0 .. w_N`` with ``s_n = F_n w_n``, and the denominator ``M**N``.
+
+    The same downward pass accumulates ``h = w_n + (N - n) h``, which ends
+    as ``sum_n F_n w_n = sum_n s_n``.  Anything but exactly ``M**N`` would
+    be an arithmetic bug and raises :class:`NormalizationFailure`.
+    """
+    ws, h = [], 0
+    for k, w in enumerate(_downward_w(N, M)):  # k = N - n
+        h = w + k * h
+        ws.append(w)
+    denominator = M**N
+    if h != denominator:
         raise NormalizationFailure(
-            f"deep-cascade recurrence for N={N}, M={M} left remainder "
-            f"{remainder} on division by {divisor}"
+            f"exact deep-cascade pmf for N={N}, M={M} sums to {h}/{denominator} != 1"
         )
-    return quotient
+    ws.reverse()
+    return ws, denominator
+
+
+def _numerators(ws: list[int], N: int) -> list[int]:
+    """``s_n = F_n w_n``, with ``F_n = N!/(N-n)!`` built upward."""
+    numerators, F = [], 1
+    for n, w in enumerate(ws):
+        numerators.append(F * w)
+        F *= N - n
+    return numerators
 
 
 def _limit_numerators(N: int, M: int) -> tuple[tuple[int, ...], int]:
-    """Exact integer numerators s_n with p_n = s_n / M**N.
+    """Exact integer numerators s_n with p_n = s_n / M**N."""
+    ws, denominator = _scaled_numerators(N, M)
+    return tuple(_numerators(ws, N)), denominator
 
-    The recurrence of the module docstring, solved for ``s_(n-1)``,
 
-        s_(n-1) = [(n+1) s_(n+1) + (N+M-2n) s_n] / (N-n+1),
+def _rounded(ws: list[int], N: int, denominator: int) -> list[float]:
+    """Each ``F_n w_n / denominator``, all >= 0, correctly rounded to a double.
 
-    runs for n = N..1 from ``s_N = N!`` and ``s_(N+1) = 0``; its first step
-    gives ``s_(N-1) = N! (M-N)``.  O(N) big-integer steps, each a big
-    integer times a small one.  Every division is exact; a remainder would
-    be an arithmetic bug and raises :class:`NormalizationFailure`.
+    The rounding rule of the module docstring, with one reciprocal
+    ``R = floor(2**K / denominator)`` for the whole row.
     """
-    s_next, s_cur = 0, math.factorial(N)  # s_(n+1), s_n at n = N
-    numerators = [s_cur]
-    for n in range(N, 0, -1):
-        s_prev = _exact_div((n + 1) * s_next + (N + M - 2 * n) * s_cur, N - n + 1, N, M)
-        numerators.append(s_prev)
-        s_next, s_cur = s_cur, s_prev
-    return tuple(reversed(numerators)), M**N
+    top = _TOP_BITS
+    bits_d = denominator.bit_length()
+    K = bits_d + top
+    R = (1 << K) // denominator
+    probs, F = [], 1
+    for n, w in enumerate(ws):
+        bits_w, bits_f = w.bit_length(), F.bit_length()
+        if bits_w + bits_f - bits_d <= -1076:  # below 2**-1075: rounds to 0.0
+            probs.append(0.0)
+        else:
+            sw = bits_w - top if bits_w > top else 0
+            sf = bits_f - top if bits_f > top else 0
+            tw, tf = w >> sw, F >> sf
+            x = float(tw * tf * R)
+            if x == float((tw + (sw > 0)) * (tf + (sf > 0)) * (R + 1)) and (
+                x := math.ldexp(x, sw + sf - K)
+            ) >= _MIN_NORMAL:
+                probs.append(x)
+            else:  # near a rounding boundary, or subnormal: the exact quotient
+                probs.append(w * F / denominator)
+        F *= N - n
+    return probs
 
 
 def fock_pn_limit_fractions(N: int, M: int) -> tuple[Fraction, ...]:
@@ -131,20 +207,16 @@ def fock_pn_limit_pmf(N: int, M: int) -> Pmf:
         :func:`fock_pn_limit_fractions` to inspect the raw values.
     """
     N, M = _as_int("photon number N", N, 0), _as_int("cell count M", M, 1)
-    numerators, denominator = _limit_numerators(N, M)
-    if sum(numerators) != denominator:
-        raise NormalizationFailure(
-            f"exact deep-cascade pmf for N={N}, M={M} sums to "
-            f"{sum(numerators)}/{denominator} != 1"
-        )
-    lowest = min(numerators)
-    if lowest < 0:
+    ws, denominator = _scaled_numerators(N, M)
+    if min(ws) < 0:  # F_n > 0, so s_n and w_n share their sign
+        numerators = _numerators(ws, N)
+        lowest = min(numerators)
         raise InvalidPmf(
             f"deep-cascade form is not a distribution at N={N}, M={M}: "
             f"p_{numerators.index(lowest)} = {lowest / denominator!r} < 0; "
             "raw values available via fock_pn_limit_fractions"
         )
-    return Pmf([s / denominator for s in numerators], 0.0)
+    return Pmf(_rounded(ws, N, denominator), 0.0)
 
 
 def fock_pn_limit_float64(N: int, M: int, n: int) -> float:

@@ -120,6 +120,13 @@ class TestScatterCommand:
         err = capsys.readouterr().err
         assert "needs N >= 1" in err and wording in err and "rounds to N = 0" in err
 
+    def test_approx_names_the_cell_count_setting(self, tmp_path, capsys):
+        rc = main(["scatter", "--kind", "fock", "--n", "4", "--M", "2", "--approx",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == "configuration error: [scatter] m must be >= 3, got 2\n"
+        assert not (tmp_path / "scatter.csv").exists()
+
     def test_custom_pmf_roundtrip(self, tmp_path):
         src = tmp_path / "input.csv"
         src.write_text("n,p\n0,0.25\n1,0.5\n2,0.25\n", encoding="utf-8")

@@ -1,9 +1,12 @@
 import hashlib
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rggstats import (
     InvalidPmf,
@@ -18,7 +21,8 @@ from rggstats import (
     thermal_pmf,
     total_variation,
 )
-from rggstats.plimit import _exact_div, _limit_numerators
+from rggstats import plimit
+from rggstats.plimit import _limit_numerators
 
 
 def _alternating_sum_numerators(N, M):
@@ -158,10 +162,17 @@ class TestRecurrenceAgainstAlternatingSum:
         assert denominator == M**N
         assert hashlib.sha256(",".join(map(hex, numerators)).encode()).hexdigest() == digest
 
-    def test_inexact_division_raises(self):
-        assert _exact_div(-12, 4, 3, 2) == -3
-        with pytest.raises(NormalizationFailure, match="remainder 1"):
-            _exact_div(13, 4, 3, 2)
+    @pytest.mark.parametrize("evaluate", [fock_pn_limit_pmf, fock_pn_limit_fractions])
+    def test_corrupted_w_fails_the_horner_check(self, monkeypatch, evaluate):
+        honest = plimit._downward_w
+
+        def corrupted(N, M):
+            for k, w in enumerate(honest(N, M)):
+                yield w + 1 if k == 7 else w  # w_(N-7) off by one
+
+        monkeypatch.setattr(plimit, "_downward_w", corrupted)
+        with pytest.raises(NormalizationFailure, match=r"N=40, M=80 sums to \d+/\d+ != 1"):
+            evaluate(40, 80)
 
     def test_normalization_and_mean_exact_at_large_N(self):
         N = M = 2000
@@ -169,6 +180,91 @@ class TestRecurrenceAgainstAlternatingSum:
         assert denominator == M**N
         assert sum(numerators) == denominator
         assert sum(n * s for n, s in enumerate(numerators)) == N * M ** (N - 1)
+
+
+@lru_cache(maxsize=None)
+def _fraction_floats(N, M):
+    return tuple(float(f) for f in fock_pn_limit_fractions(N, M))
+
+
+# p_n = 5e-324, the smallest subnormal, sits at these n; a zero cut one bit
+# too eager (bits < -1074) rounded each of them to 0.0
+_SMALLEST_SUBNORMAL_AT = {(526, 1131): 475, (661, 2438): 410, (430, 1378): 385, (564, 2000): 403}
+
+
+class TestSharedDenominatorRounding:
+    @pytest.mark.parametrize(
+        "N, M", [*_SMALLEST_SUBNORMAL_AT, (2000, 2000), (540, 1612), (1, 1)]
+    )
+    def test_bit_identical_to_the_exact_fractions(self, N, M):
+        assert fock_pn_limit_pmf(N, M).probs == _fraction_floats(N, M)
+
+    def test_cases_cover_the_zero_cut_and_the_subnormals(self):
+        for (N, M), n in _SMALLEST_SUBNORMAL_AT.items():
+            assert _fraction_floats(N, M)[n] == 5e-324
+        row = _fraction_floats(2000, 2000)
+        assert row.count(0.0) > 1000  # the bit-length cut
+        assert any(0.0 < p < 2.0**-1022 for p in row)  # the subnormal fallback
+        assert _fraction_floats(1, 1)[0] == 0.0  # an exact zero, p_0 = 0
+
+    def test_a_subnormal_result_is_rounded_once(self):
+        # w / 2**1082 = (2**51 + 1/2 + 2**-8) * 2**-1074 rounds up to odd;
+        # rounded to 53 bits first, w drops its last bit, and scaling that
+        # down would meet an exact tie and round it to even
+        w, denominator = 2**59 + 2**7 + 1, 2**1082
+        assert plimit._rounded([w], 0, denominator) == [(2**51 + 1) * 5e-324]
+        assert w / denominator == (2**51 + 1) * 5e-324
+
+    @pytest.mark.parametrize("top", [8, 56])
+    @pytest.mark.parametrize("N, M", [(526, 1131), (540, 1612), (2000, 2000)])
+    def test_narrow_tops_take_the_exact_fallback_with_the_same_bits(
+        self, monkeypatch, top, N, M
+    ):
+        # 8-bit tops bracket every entry far wider than an ulp, so each
+        # nonzero entry takes the exact division; with 56-bit tops about a
+        # third do, and the rest are decided by brackets barely inside an ulp
+        monkeypatch.setattr(plimit, "_TOP_BITS", top)
+        assert fock_pn_limit_pmf(N, M).probs == _fraction_floats(N, M)
+
+
+_deep_limit_cases = st.integers(0, 200).flatmap(
+    lambda N: st.tuples(st.just(N), st.integers(max(N, 1), 10**4))
+)
+_derandomized = settings(max_examples=20, deadline=None, derandomize=True)
+
+
+class TestDeepLimitProperties:
+    """The deep limit where it is a distribution: N <= 200, N <= M <= 10**4."""
+
+    @given(_deep_limit_cases)
+    @_derandomized
+    def test_pmf_is_the_floats_of_the_fractions(self, case):
+        assert fock_pn_limit_pmf(*case).probs == tuple(
+            float(f) for f in fock_pn_limit_fractions(*case)
+        )
+
+    @given(_deep_limit_cases)
+    @_derandomized
+    def test_numerators_sum_to_M_to_the_N(self, case):
+        N, M = case
+        numerators, denominator = _limit_numerators(N, M)
+        assert denominator == M**N
+        assert sum(numerators) == M**N
+
+    @given(_deep_limit_cases)
+    @_derandomized
+    def test_entries_are_nonnegative(self, case):
+        assert min(fock_pn_limit_fractions(*case)) >= 0
+        assert min(fock_pn_limit_pmf(*case).probs) >= 0.0
+
+    @given(_deep_limit_cases)
+    @_derandomized
+    def test_factorial_moments_follow_the_k_factorial_law(self, case):
+        N, M = case
+        row = fock_pn_limit_fractions(N, M)
+        for k in (1, 2, 3):
+            moment = sum(math.perm(n, k) * p for n, p in enumerate(row))
+            assert moment == Fraction(math.perm(N, k) * math.factorial(k), M**k)
 
 
 class TestLimitVsSingleStage:
