@@ -486,7 +486,8 @@ def _resolve(args) -> tuple:
     if reads_input:
         kind = _settings(cp, args, "input", {"kind": _REQUIRED})["kind"].lower()
         if kind not in _KINDS:
-            expected = "fock, coherent, thermal, squeezed or custom"
+            *others, last = _KINDS
+            expected = f"{', '.join(others)} or {last}"
             raise ConfigError(f"unknown input kind {kind!r}; expected {expected}")
         make, keys = _KINDS[kind]
         sections, context = {"input": keys, **sections}, f"input kind {kind}"
@@ -557,6 +558,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except _NUMERIC_FAILURES as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"numeric failure: out of memory{detail}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

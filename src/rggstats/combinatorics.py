@@ -38,7 +38,7 @@ from typing import Iterator
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import Pmf, _as_int
+from .core import NormalizationFailure, Pmf, _as_int
 
 __all__ = [
     "config_count",
@@ -90,7 +90,7 @@ def fock_scatter_fractions(N: int, M: int) -> tuple[Fraction, ...]:
     z = math.comb(N + M - 1, M - 1)
     numerators = list(_row_numerators(z, N, M))
     if sum(numerators) != z:
-        raise AssertionError(f"configuration count mismatch for N={N}, M={M}")
+        raise NormalizationFailure(f"configuration count mismatch for N={N}, M={M}")
     return tuple(Fraction(c, z) for c in numerators)
 
 

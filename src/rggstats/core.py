@@ -27,8 +27,6 @@ from typing import Union
 import numpy as np
 
 __all__ = [
-    "PMF_SUM_TOL",
-    "TAIL_CEILING",
     "Pmf",
     "Fock",
     "Coherent",

@@ -45,8 +45,6 @@ from .core import (
 )
 
 __all__ = [
-    "TAIL_TARGET",
-    "N_CAP",
     "fock_pmf",
     "poisson_pmf",
     "thermal_pmf",

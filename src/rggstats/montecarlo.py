@@ -58,7 +58,6 @@ from .inputs import input_pmf
 from .transform import correlation_report
 
 __all__ = [
-    "JACKKNIFE_BLOCKS",
     "MCConfig",
     "EmpiricalReport",
     "run_mc",

@@ -141,19 +141,14 @@ def _scaled_numerators(N: int, M: int) -> tuple[list[int], int]:
     return ws, denominator
 
 
-def _numerators(ws: list[int], N: int) -> list[int]:
-    """``s_n = F_n w_n``, with ``F_n = N!/(N-n)!`` built upward."""
+def _limit_numerators(N: int, M: int) -> tuple[tuple[int, ...], int]:
+    """Exact numerators ``s_n = F_n w_n`` of ``p_n = s_n / M**N``, ``F_n`` built upward."""
+    ws, denominator = _scaled_numerators(N, M)
     numerators, F = [], 1
     for n, w in enumerate(ws):
         numerators.append(F * w)
         F *= N - n
-    return numerators
-
-
-def _limit_numerators(N: int, M: int) -> tuple[tuple[int, ...], int]:
-    """Exact integer numerators s_n with p_n = s_n / M**N."""
-    ws, denominator = _scaled_numerators(N, M)
-    return tuple(_numerators(ws, N)), denominator
+    return tuple(numerators), denominator
 
 
 def _rounded(ws: list[int], N: int, denominator: int) -> list[float]:
@@ -209,7 +204,7 @@ def fock_pn_limit_pmf(N: int, M: int) -> Pmf:
     N, M = _as_int("photon number N", N, 0), _as_int("cell count M", M, 1)
     ws, denominator = _scaled_numerators(N, M)
     if min(ws) < 0:  # F_n > 0, so s_n and w_n share their sign
-        numerators = _numerators(ws, N)
+        numerators, _ = _limit_numerators(N, M)
         lowest = min(numerators)
         raise InvalidPmf(
             f"deep-cascade form is not a distribution at N={N}, M={M}: "

@@ -7,14 +7,9 @@ rows:
     p_out(n) = sum_N P(N) * p_scatter(n | N, M).
 
 The mixture is evaluated from the exact integer numerators of the rows
-(see :mod:`.combinatorics`), compensated: where M is small against the
-support length L, as M - 1 suffix sums, O(L M), each entry rounded about
-once; elsewhere as one Toeplitz sum, O(L**2), each entry about as accurate
-as one rounding of the sum of its float terms.  A fixed cost rule on L and
-M picks the route.  An input with a single nonzero weight gets that weight
-times the float row.  The closed-form moment maps that follow from the same
-counting are provided alongside, including the correlation law of every
-order k
+by one of the two compensated routes that :mod:`rggstats.combinatorics`
+describes.  The closed-form moment maps that follow from the same counting
+are provided alongside, including the correlation law of every order k
 
     gk_out = k! * gk_in * M^k / (M (M + 1) ... (M + k - 1)),
 
@@ -46,16 +41,12 @@ def scatter_pmf(input_pmf: Pmf, M: int) -> Pmf:
 
     Mixes the exact N-photon rows with the input probabilities as weights.
     A single nonzero weight gives that weight times :func:`fock_scatter_pmf`
-    of its photon number, bit for bit.  Otherwise the rows are not rounded
-    one by one: each entry is ``sum_N P(N) b_{N-n} / z_N`` from the exact
-    integers, with the rounding errors added back, so results are
-    bit-for-bit reproducible at any ``N + M``.  For a support of L entries
-    a fixed cost rule on L and M picks the route: where M is small against
-    L, M - 1 suffix sums of ``P(N) / z_N`` (O(L M), each entry rounded
-    about once); elsewhere, or where those weights span more than the
-    double range, one Toeplitz sum in ascending N (O(L**2), a few units in
-    the last place).  The input's recorded tail has no rows to mix
-    and is carried over into the output's ``tail_mass`` unchanged.
+    of its photon number, bit for bit.  Otherwise each entry is
+    ``sum_N P(N) b_{N-n} / z_N`` from the exact integers, by one of the
+    compensated routes of :mod:`rggstats.combinatorics`, so results are
+    bit-for-bit reproducible at any ``N + M``.  The input's recorded tail
+    has no rows to mix and is carried over into the output's ``tail_mass``
+    unchanged.
     ``M = 1`` is the identity: a single cell collects every photon.
     """
     M = _as_int("cell count M", M, 1)

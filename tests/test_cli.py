@@ -427,11 +427,26 @@ class TestErrorHandling:
         assert rc == 2
         assert "[scatter] m" in capsys.readouterr().err
 
-    def test_unknown_input_kind_via_config(self, tmp_path):
+    def test_unknown_input_kind_via_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"
         cfg.write_text("[input]\nkind = laser\n", encoding="utf-8")
         rc = main(["scatter", "--M", "4", "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 2
+        assert capsys.readouterr().err == (
+            "configuration error: unknown input kind 'laser'; "
+            "expected fock, coherent, thermal, squeezed or custom\n"
+        )
+
+    @pytest.mark.parametrize("message", ["", "Unable to allocate 22.4 GiB"])
+    def test_out_of_memory_is_a_numeric_failure(self, tmp_path, monkeypatch, capsys, message):
+        def exhausted(spec):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "input_pmf", exhausted)
+        rc = main(["scatter", "--kind", "fock", "--n", "4", "--M", "8", "--out", str(tmp_path)])
+        assert rc == 3
+        detail = f": {message}" if message else ""
+        assert capsys.readouterr().err == f"numeric failure: out of memory{detail}\n"
 
     def test_percent_sign_in_config_value_is_taken_literally(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

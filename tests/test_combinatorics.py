@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from rggstats import (
+    NormalizationFailure,
     Pmf,
     approx_scatter_pmf,
     config_count,
@@ -15,6 +16,7 @@ from rggstats import (
     pmf_mean,
     scatter_pmf,
 )
+from rggstats import combinatorics
 from rggstats.combinatorics import _fock_scatter_array
 
 
@@ -92,6 +94,17 @@ class TestFockScatterExact:
         fm2 = sum(n * (n - 1) * p for n, p in enumerate(row))
         assert mean == 1
         assert fm2 / mean**2 == Fraction(14, 9)
+
+    def test_corrupted_numerator_fails_the_count_check(self, monkeypatch):
+        honest = combinatorics._row_numerators
+
+        def corrupted(z, N, M):
+            for n, b in enumerate(honest(z, N, M)):
+                yield b + 1 if n == 3 else b
+
+        monkeypatch.setattr(combinatorics, "_row_numerators", corrupted)
+        with pytest.raises(NormalizationFailure, match="count mismatch for N=9, M=4"):
+            fock_scatter_fractions(9, 4)
 
     def test_float_row_matches_fractions(self):
         row = fock_scatter_pmf(17, 5)

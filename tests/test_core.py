@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rggstats
 from rggstats.core import _as_int
 from rggstats import (
     Coherent,
@@ -242,3 +243,42 @@ class TestMCRunResult:
                 M=2,
                 block_histograms=((1, 1), (1, 0)),
             )
+
+
+class TestPackageApi:
+    # the package API, sorted; the package builds it from the modules' __all__
+    NAMES = [
+        "Coherent", "CorrelationReport", "Custom", "DimTooSmall", "EmpiricalReport",
+        "Fock", "InputStateSpec", "InvalidPmf", "MCConfig", "MCRunResult",
+        "NormalizationFailure", "OutOfRange", "Pmf", "SqueezedCoherent", "TailTooHeavy",
+        "Thermal", "UnstableEvaluation", "ZeroMean", "__version__", "approx_scatter_pmf",
+        "cascade_pmf", "coherent_limit_pmf", "config_count", "correlation_report",
+        "empirical_report", "fock_pmf", "fock_pn_limit_float64", "fock_pn_limit_fractions",
+        "fock_pn_limit_pmf", "fock_scatter_fractions", "fock_scatter_pmf",
+        "g2_out_predicted", "g3_out_predicted", "gn_limit", "gn_out_predicted", "input_pmf",
+        "pmf_mean", "poisson_pmf", "recommended_oracle_dim", "run_mc", "scatter_pmf",
+        "squeezed_coherent_pmf", "squeezed_oracle_pmf", "thermal_pmf", "total_variation",
+    ]
+
+    def test_names_are_pinned(self):
+        assert sorted(rggstats.__all__) == self.NAMES
+
+    def test_each_name_is_the_object_of_the_one_module_that_exports_it(self):
+        modules = [rggstats.core, rggstats.inputs, rggstats.combinatorics,
+                   rggstats.transform, rggstats.plimit, rggstats.montecarlo]
+        for name in self.NAMES:
+            owners = [m for m in modules if name in m.__all__]
+            if name == "__version__":
+                assert owners == [] and isinstance(rggstats.__version__, str)
+            else:
+                [owner] = owners
+                assert getattr(rggstats, name) is getattr(owner, name)
+
+    def test_module_constants_stay_importable(self):
+        # not in the package API, which the pinned names above already show
+        from rggstats.core import PMF_SUM_TOL, TAIL_CEILING
+        from rggstats.inputs import N_CAP, TAIL_TARGET
+        from rggstats.montecarlo import JACKKNIFE_BLOCKS
+
+        for value in (PMF_SUM_TOL, TAIL_CEILING, N_CAP, TAIL_TARGET, JACKKNIFE_BLOCKS):
+            assert value > 0

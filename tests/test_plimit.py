@@ -184,7 +184,10 @@ class TestRecurrenceAgainstAlternatingSum:
 
 @lru_cache(maxsize=None)
 def _fraction_floats(N, M):
-    return tuple(float(f) for f in fock_pn_limit_fractions(N, M))
+    # int / int true division rounds correctly, as float(Fraction) does,
+    # without Fraction's gcd per entry
+    numerators, denominator = _limit_numerators(N, M)
+    return tuple(s / denominator for s in numerators)
 
 
 # p_n = 5e-324, the smallest subnormal, sits at these n; a zero cut one bit
