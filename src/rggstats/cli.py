@@ -444,7 +444,7 @@ def _load_config(path: str | None) -> configparser.ConfigParser | None:
 
 
 def _settings(cp, args, section: str, defaults: dict) -> dict:
-    """Flag beats config beats default; a key left at a None default is omitted."""
+    """Flag beats config beats default."""
     values = {}
     given = cp[section] if cp is not None and cp.has_section(section) else {}
     for key, default in defaults.items():
@@ -460,8 +460,7 @@ def _settings(cp, args, section: str, defaults: dict) -> dict:
             if default is _REQUIRED:
                 raise ConfigError(f"missing required setting [{section}] {key} (or its flag)")
             value = default
-        if value is not None:
-            values[key] = value
+        values[key] = value
     return values
 
 

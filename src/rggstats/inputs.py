@@ -2,8 +2,10 @@
 
 Infinite-support states (coherent, thermal, squeezed coherent) are truncated
 at the smallest ``n_max`` whose remaining tail is below ``TAIL_TARGET``,
-capped at ``N_CAP`` entries; the cut mass is recorded in ``Pmf.tail_mass``
-instead of being renormalized away.  The Poisson entries are a running
+and at ``N_CAP`` at the latest; the cut mass is recorded in ``Pmf.tail_mass``
+instead of being renormalized away.  The thermal entries and their tail
+are powers of ``mean / (1 + mean)`` from libm's ``pow``, one per step of a
+single loop that also applies that rule.  The Poisson entries are a running
 product of the ratios ``mean / k`` and their tail is summed directly from
 them, so the production states need numpy and the standard library only.
 
@@ -109,23 +111,19 @@ def poisson_pmf(mean: float) -> Pmf:
 def thermal_pmf(mean: float) -> Pmf:
     """Geometric photon statistics p_n = mean^n / (1 + mean)^(n+1).
 
-    The tail beyond ``n`` is exactly ``q**(n+1)`` with
-    ``q = mean / (1 + mean)``, which fixes the truncation point in closed
-    form.
+    With ``q = mean / (1 + mean)`` the tail beyond ``n`` is exactly
+    ``q**(n+1)``.  One loop takes each power ``q**n`` from libm's ``pow``,
+    stores ``(1 / (1 + mean)) * q**n`` as entry ``n`` and stops at the first
+    power below ``TAIL_TARGET``, or after ``N_CAP + 1`` entries; that power
+    is the tail.
     """
     mean = _as_mean("mean", mean)
     if mean == 0.0:
         return Pmf((1.0,))
-    q = mean / (1.0 + mean)
-    # tail(n) = q^(n+1) < TAIL_TARGET  <=>  n + 1 > log(TAIL_TARGET)/log(q)
-    n_max = max(0, math.ceil(math.log(TAIL_TARGET) / math.log(q)) - 1)
-    while q ** (n_max + 1) >= TAIL_TARGET:
-        n_max += 1
-    while n_max > 0 and q**n_max < TAIL_TARGET:
-        n_max -= 1
-    n_max = min(n_max, N_CAP)
-    probs = (1.0 / (1.0 + mean)) * q ** np.arange(n_max + 1)
-    return Pmf(probs, q ** (n_max + 1))
+    q, first, probs = mean / (1.0 + mean), 1.0 / (1.0 + mean), []
+    while (tail := q ** len(probs)) >= TAIL_TARGET and len(probs) <= N_CAP:
+        probs.append(first * tail)
+    return Pmf(probs, tail)
 
 
 def squeezed_coherent_pmf(params: SqueezedCoherent) -> Pmf:

@@ -161,7 +161,7 @@ class TestExactRouteBitIdentical:
         assert peak < 2e6
 
 
-class TestThermalRatio:
+class TestRowRatios:
     # successive ratio p_{n+1} / p_n = (N - n) / (N - n + M - 2) of the row
 
     def test_matches_exact_row_ratios(self):

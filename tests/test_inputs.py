@@ -172,11 +172,15 @@ class TestThermal:
         for n in range(0, 20):
             assert p.probs[n] == 0.5 ** (n + 1)
 
-    def test_truncation_rule_is_minimal(self):
-        p = thermal_pmf(3.0)
-        q = 3.0 / 4.0
-        assert q ** (p.n_max + 1) < TAIL_TARGET <= q ** p.n_max
+    @pytest.mark.parametrize("mean", [1e-9, 0.5, 3.0, 26.5, 250.0, 1e6])
+    def test_truncation_rule_is_minimal(self, mean):
+        # every entry and the tail are Python's float powers, whatever the CPU;
+        # the last two means hit the cap
+        p = thermal_pmf(mean)
+        q = mean / (1.0 + mean)
+        assert p.probs == tuple((1.0 / (1.0 + mean)) * q**n for n in range(p.n_max + 1))
         assert p.tail_mass == q ** (p.n_max + 1)
+        assert q ** (p.n_max + 1) < TAIL_TARGET <= q**p.n_max or p.n_max == N_CAP
 
     @pytest.mark.parametrize("mean", [0.5, 1.0, 8.0, 50.0, 100.0])
     def test_thermal_g2_is_two(self, mean):
