@@ -8,10 +8,11 @@ the stars between consecutive bars.  The sampler reveals the arrangement
 one slot at a time: with ``s`` stars and ``b`` bars still to place, the
 next slot is a bar with probability ``b / (s + b)``.  A star joins the
 current cell and a bar opens the next one; once either kind runs out, the
-rest of the frame is fixed.  Pixel 0 holds the stars before the first bar,
-so a pixel-0 run stops each frame there; a recorded run reveals the whole
-frame.  No row formula enters, so the sampler checks the exact rows
-independently.
+rest of the frame is fixed.  Pixel 0 holds the stars before the first bar.
+Until that bar every slot was a star and all ``M - 1`` bars are left, so a
+pixel-0 run keeps one count per frame and stops the frame at its first
+bar; a recorded run reveals the whole frame.  No row formula enters, so
+the sampler checks the exact rows independently.
 
 Randomness is a counter hash, after Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3" (SC'11).  Draw ``j`` of frame ``f`` under
@@ -23,7 +24,12 @@ plus ``j + 1`` increments.  Its top 53 bits make a uniform ``x`` on
 slot ``r``: a bar when ``x * (s + b) < b`` in doubles.  The rounded
 product moves each test's probability off ``b / (s + b)`` by less than
 ``2**-52`` (while ``N + M < 2**53``), so a frame's pattern is off its
-uniform law by less than ``(N + M) * 2**-52`` in total variation.
+uniform law by less than ``(N + M) * 2**-52`` in total variation.  A
+photon-number draw past the stored support clamps to its last entry, and
+``run_mc`` refuses an input whose ``tail_mass`` reaches ``TAIL_CEILING``.
+So the law that a run's histogram samples is off the exact one by at most
+``tail_mass + (N + M) * 2**-52`` in total variation, ``N`` the last photon
+number of the support.
 Both modes read the same draws, so a pixel-0 run and a recorded run of one
 configuration give the same histogram.  No state passes from one frame to
 the next, so
@@ -137,19 +143,34 @@ def _uniform(keys: np.ndarray, j: int) -> np.ndarray:
     return (_mix(keys + step) >> np.uint64(11)) * 2.0**-53
 
 
-def _sample_frames(
-    cdf: np.ndarray, seed: int, frames: np.ndarray, M: int, record: bool = True
-) -> np.ndarray:
-    """Occupation patterns of the given frames, one row of M counts per frame.
+def _pixel0_counts(keys: np.ndarray, stars: np.ndarray, M: int) -> np.ndarray:
+    """Pixel 0's count of each frame, in place of its photon number.
 
-    With ``record`` false each frame stops at its first bar, and the rows
-    hold pixel 0's count alone.
+    Until a frame's first bar every slot was a star and all ``M - 1`` bars
+    are left, so a frame still live at draw j has ``s = N - (j - 1)``
+    stars to place.  It stores ``j - 1`` at its first bar, or keeps ``N``
+    if its stars run out first.
     """
-    keys = _frame_keys(seed, frames)
-    # tail draws (probability < TAIL_CEILING) clamp to the last entry
-    stars = np.minimum(np.searchsorted(cdf, _uniform(keys, 0), side="right"), len(cdf) - 1)
+    if M == 1:
+        return stars
+    b = M - 1
+    bar = _uniform(keys, 1) * (stars + b) < b  # slot 0: a zero-photon frame reads a bar
+    live = np.flatnonzero(~bar & (stars > 1))
+    stars[bar] = 0
+    j = 1
+    while live.size:
+        j += 1
+        s = stars[live] - (j - 1)
+        bar = _uniform(keys[live], j) * (s + b) < b
+        stars[live[bar]] = j - 1
+        live = live[~bar & (s > 1)]
+    return stars
+
+
+def _patterns(keys: np.ndarray, stars: np.ndarray, M: int) -> np.ndarray:
+    """Occupation pattern of each frame, one row of M counts per frame."""
     bars = np.full_like(stars, M - 1)
-    occ = np.zeros((len(stars), M if record else 1), dtype=np.int64)
+    occ = np.zeros((len(stars), M), dtype=np.int64)
     live = np.flatnonzero(stars * (M > 1))  # frames with stars and bars left to place
     draw = 0  # slot r of a frame takes draw r + 1
     while live.size:
@@ -160,10 +181,22 @@ def _sample_frames(
         occ[live[star], M - 1 - b[star]] += 1
         stars[live] = s - star
         bars[live] = b - bar
-        live = live[(s > star) & (b > bar) & (record | star)]
-    if record or M == 1:  # the slots left are stars, all in the last cell
-        occ[:, -1] += stars
+        live = live[(s > star) & (b > bar)]
+    occ[:, -1] += stars  # the slots left are stars, all in the last cell
     return occ
+
+
+def _sample_frames(
+    cdf: np.ndarray, seed: int, frames: np.ndarray, M: int, record: bool = True
+) -> np.ndarray:
+    """Occupation patterns of the given frames, one row of M counts per frame.
+
+    With ``record`` false it returns pixel 0's count alone, one per frame.
+    """
+    keys = _frame_keys(seed, frames)
+    # tail draws (probability < TAIL_CEILING) clamp to the last entry
+    stars = np.minimum(np.searchsorted(cdf, _uniform(keys, 0), side="right"), len(cdf) - 1)
+    return _patterns(keys, stars, M) if record else _pixel0_counts(keys, stars, M)
 
 
 def _replay_frame(cfg: MCConfig, frame: int) -> np.ndarray:
@@ -186,7 +219,7 @@ def run_mc(cfg: MCConfig) -> MCRunResult:
     chunk = max(1, min(_CHUNK_FRAMES, 4 * _CHUNK_FRAMES // cfg.M)) if record else _CHUNK_FRAMES
     for start in range(0, cfg.frames, chunk):
         frames = np.arange(start, min(start + chunk, cfg.frames), dtype=np.int64)
-        occupation = _sample_frames(cdf, cfg.seed, frames, cfg.M, record)
+        pixel0 = occupation = _sample_frames(cdf, cfg.seed, frames, cfg.M, record)
         if record:
             # each pattern row as one opaque 8M-byte item: np.unique sorts a 1-d
             # array, ~6x faster than axis=0; the first index gives each row
@@ -194,8 +227,9 @@ def run_mc(cfg: MCConfig) -> MCRunResult:
             _, first, counts = np.unique(as_bytes.ravel(), return_index=True, return_counts=True)
             for row, count in zip(occupation[first].tolist(), counts.tolist()):
                 patterns[tuple(row)] += count
+            pixel0 = occupation[:, 0]
         block = frames * n_blocks // cfg.frames
-        blocks += np.bincount(block * width + occupation[:, 0], minlength=n_blocks * width)
+        blocks += np.bincount(block * width + pixel0, minlength=n_blocks * width)
 
     blocks = blocks.reshape(n_blocks, width)
     return MCRunResult(
@@ -241,7 +275,10 @@ def empirical_report(result: MCRunResult, order: int = 2) -> EmpiricalReport:
     mean = estimates[:, :1]
     if np.any(mean == 0.0):
         raise ZeroMean("correlations are undefined for a zero-mean distribution")
-    estimates[:, 1:] /= mean ** np.arange(2, order + 1)  # column 0: mean, then g2, g3, ...
+    power = mean  # mean**k by repeated products: numpy's power picks its kernel by CPU
+    for k in range(1, order):  # column 0: mean, then g2, g3, ...
+        power = power * mean
+        estimates[:, k:k + 1] /= power
     deviations = estimates - estimates.mean(axis=0)
     se = np.sqrt((n_blocks - 1) / n_blocks * (deviations**2).sum(axis=0))
     return EmpiricalReport(

@@ -12,6 +12,7 @@ from rggstats import (
     Custom,
     Fock,
     MCConfig,
+    MCRunResult,
     Pmf,
     TailTooHeavy,
     Thermal,
@@ -84,7 +85,10 @@ class TestSampleConfiguration:
         [
             pytest.param(Fock(0), 1, id="fock0-M1"),
             pytest.param(Fock(5), 1, id="fock5-M1"),
+            pytest.param(Coherent(2.0), 1, id="coherent2-M1"),
+            pytest.param(Fock(0), 2, id="fock0-M2"),
             pytest.param(Fock(0), 4, id="fock0-M4"),
+            pytest.param(Thermal(3.0), 2, id="thermal3-M2"),
             pytest.param(Fock(1), 2, id="fock1-M2"),
             pytest.param(Fock(7), 2, id="fock7-M2"),
             pytest.param(Fock(3), 4, id="fock3-M4"),
@@ -103,8 +107,8 @@ class TestSampleConfiguration:
         for frames in np.array_split(np.arange(30_000), 3):
             pixel0 = montecarlo._sample_frames(cdf, seed, frames, M, record=False)
             patterns = montecarlo._sample_frames(cdf, seed, frames, M, record=True)
-            assert pixel0.shape == (len(frames), 1)
-            assert np.array_equal(pixel0[:, 0], patterns[:, 0])
+            assert pixel0.shape == (len(frames),)
+            assert np.array_equal(pixel0, patterns[:, 0])
 
     def test_marginal_matches_exact_row(self):
         # pixel 0's histogram against the exact scattered pmf; bins expecting
@@ -189,7 +193,7 @@ class TestRunMC:
         result = run_mc(cfg)
         assert result.configuration_counts == expected
         pixel0 = montecarlo._sample_frames(cdf, cfg.seed, np.arange(frames), M, record=False)
-        assert result.histogram == tuple(np.bincount(pixel0[:, 0], minlength=N + 1).tolist())
+        assert result.histogram == tuple(np.bincount(pixel0, minlength=N + 1).tolist())
 
     @pytest.mark.parametrize("budget", [1, 40, 333])
     def test_result_does_not_depend_on_chunking(self, monkeypatch, budget):
@@ -208,10 +212,20 @@ class TestRunMC:
         assert run_mc(cfg) == whole
 
     def test_recording_on_and_off_agree(self):
-        plain = run_mc(MCConfig(Thermal(3.0), 6, 5000, seed=31))
-        recorded = run_mc(MCConfig(Thermal(3.0), 6, 5000, seed=31, record_configurations=True))
-        assert plain.histogram == recorded.histogram
-        assert plain.block_histograms == recorded.block_histograms
+        # Fock(7) over 2 cells puts all 7 stars before the bar in 1/8 of frames
+        for spec, M in [
+            (Thermal(3.0), 6),
+            (Fock(0), 1),
+            (Fock(0), 5),
+            (Coherent(2.0), 1),
+            (Thermal(3.0), 2),
+            (Fock(7), 2),
+        ]:
+            plain = run_mc(MCConfig(spec, M, 5000, seed=31))
+            recorded = run_mc(MCConfig(spec, M, 5000, seed=31, record_configurations=True))
+            assert plain.histogram == recorded.histogram, (spec, M)
+            assert plain.block_histograms == recorded.block_histograms, (spec, M)
+        assert plain.histogram[7] > 0  # Fock(7): frames whose every star came before the bar
 
     def test_pixel0_builds_no_patterns(self):
         # recording off stops each frame at its first bar and keeps one
@@ -308,7 +322,10 @@ def float_histogram_report(result, order):
     n = len(kept)
     falling = np.cumprod(np.arange(len(total), dtype=float)[:, None] - np.arange(order), axis=1)
     estimates = (kept / kept.sum(axis=1, keepdims=True)) @ falling
-    estimates[:, 1:] /= estimates[:, :1] ** np.arange(2, order + 1)
+    power = estimates[:, :1]
+    for k in range(1, order):
+        power = power * estimates[:, :1]
+        estimates[:, k:k + 1] /= power
     se = np.sqrt((n - 1) / n * ((estimates - estimates.mean(axis=0)) ** 2).sum(axis=0))
     return full, float(se[0]), tuple(float(x) for x in se[1:])
 
@@ -331,6 +348,25 @@ class TestEmpiricalReport:
         for order in (2, 3, 4):
             rep = empirical_report(result, order)
             assert (rep.report, rep.mean_se, rep.g_se) == float_histogram_report(result, order)
+
+    @pytest.mark.parametrize(
+        "spec, M, expected",
+        [
+            (Coherent(8.0), 8, (0.0032741110795166195, 0.030151517927068997, 0.592408046425881)),
+            (Thermal(3.0), 6, (0.0017934045744365662, 0.141330670276171, 6.056966885873512)),
+        ],
+    )
+    def test_order3_errors_pinned(self, spec, M, expected):
+        # 17 blocks of 2**22 frames: each replicate keeps 2**26 frames, so its
+        # factorial moments are exact dyadic sums that no summation order (BLAS
+        # picks its kernel by CPU) can move.  Scaling the counts by 1000 gives
+        # the mean enough bits that its cube rounds, and the mean powers come
+        # by repeated products, as numpy's power picks its kernel by CPU too
+        blocks = 1000 * np.array([run_mc(MCConfig(spec, M, 2000, seed)).histogram for seed in range(17)])
+        blocks[:, 0] += 2**22 - blocks.sum(axis=1)
+        result = MCRunResult(blocks.sum(axis=0).tolist(), 17 * 2**22, 0, M, blocks)
+        rep = empirical_report(result, 3)
+        assert (rep.mean_se, *rep.g_se) == expected
 
     def test_single_block_run_reports_from_histogram(self):
         result = run_mc(MCConfig(Fock(4), 1, 1, seed=0))

@@ -129,6 +129,20 @@ class TestFockLimitExact:
         with pytest.raises(InvalidPmf, match=r"not a distribution at N=2, M=1: p_1 = -2\.0 < 0"):
             fock_pn_limit_pmf(2, 1)
 
+    @pytest.mark.parametrize("N, M", [(2, 1), (5, 2), (500, 300)])
+    def test_pmf_names_the_lowest_entry(self, N, M):
+        # the message names the first lowest entry of the exact numerators
+        numerators, denominator = _limit_numerators(N, M)
+        lowest = min(numerators)
+        expected = (
+            f"deep-cascade form is not a distribution at N={N}, M={M}: "
+            f"p_{numerators.index(lowest)} = {lowest / denominator!r} < 0; "
+            "raw values available via fock_pn_limit_fractions"
+        )
+        with pytest.raises(InvalidPmf) as failure:
+            fock_pn_limit_pmf(N, M)
+        assert str(failure.value) == expected
+
     def test_pmf_matches_fractions(self):
         p = fock_pn_limit_pmf(40, 80)
         exact = fock_pn_limit_fractions(40, 80)
