@@ -357,11 +357,12 @@ def approx_scatter_pmf(N: int, M: int) -> Pmf:
     beta0 = math.log1p((M - 2) / N)
     beta_c = (M - 2) / (2.0 * N * (N + M - 2))
     n = np.arange(N + 1)
-    log_w = -beta0 * n - beta_c * (n * (n - 1.0))
+    log_w = (-beta0 * n - beta_c * (n * (n - 1.0))).tolist()
     # log-sum-exp about the unique maximum log_w[0] = 0, as log1p of the
     # other weights; the max slot is zeroed, not dropped, so the pairwise sum
-    # adds in the same order as scipy.special.logsumexp and the bits agree
-    w = np.exp(log_w)
+    # adds in the same order as scipy.special.logsumexp.  exp and log1p come
+    # from libm, not numpy's kernels, which numpy picks by CPU
+    w = np.array([math.exp(x) for x in log_w])
     w[0] = 0.0
-    probs = np.exp(log_w - np.log1p(w.sum()))
-    return Pmf(probs, 0.0)
+    shift = math.log1p(w.sum())
+    return Pmf([math.exp(x - shift) for x in log_w], 0.0)

@@ -332,6 +332,39 @@ class MCRunResult:
 
 # --- pmf operations -----------------------------------------------------------
 
+def _moments(arr: np.ndarray, order: int) -> tuple[list, list]:
+    """Factorial moments 1..order and g^(2)..g^(order) of one pmf (1-d) or one per row.
+
+    Moment j is numpy's pairwise sum along the row of ``arr`` times ``n (n-1)
+    ... (n-j+1)``, and g^(j) divides it by ``mean**j`` taken as repeated
+    products.  No BLAS or numpy power enters, whose kernels are picked by CPU,
+    so the bits are the same on every CPU.  Raises :class:`ZeroMean` when an
+    order >= 2 meets a zero mean.
+    """
+    n = np.arange(arr.shape[-1], dtype=float)
+    falling, terms, moments = np.ones_like(n), np.empty_like(arr), []
+    for j in range(order):
+        falling *= n - j  # exactly 0 for every n <= j
+        moments.append(np.multiply(falling, arr, out=terms).sum(axis=-1))
+    if order > 1 and np.any(moments[0] == 0.0):
+        raise ZeroMean("correlations are undefined for a zero-mean distribution")
+    g, power = [], moments[0]
+    for moment in moments[1:]:
+        power = power * moments[0]
+        g.append(moment / power)
+    return moments, g
+
+
+def _stored(p: Pmf) -> np.ndarray:
+    """``p``'s entries; :class:`TailTooHeavy` when its tail would bias a moment."""
+    if p.tail_mass >= TAIL_CEILING:
+        raise TailTooHeavy(
+            f"tail_mass={p.tail_mass!r} >= {TAIL_CEILING:g}; "
+            "extend the support before taking moments"
+        )
+    return p.as_array()
+
+
 def pmf_mean(p: Pmf) -> float:
     """Mean photon number ``sum_n n * p[n]`` of the stored entries.
 
@@ -339,13 +372,7 @@ def pmf_mean(p: Pmf) -> float:
     a tail at or above ``TAIL_CEILING`` raises :class:`TailTooHeavy` rather
     than returning a silently biased number.
     """
-    if p.tail_mass >= TAIL_CEILING:
-        raise TailTooHeavy(
-            f"tail_mass={p.tail_mass!r} >= {TAIL_CEILING:g}; "
-            "extend the support before taking moments"
-        )
-    arr = p.as_array()
-    return float(np.arange(len(arr)) @ arr)
+    return float(_moments(_stored(p), 1)[0][0])
 
 
 def total_variation(p: Pmf, q: Pmf) -> float:

@@ -5,7 +5,8 @@ at the smallest ``n_max`` whose remaining tail is below ``TAIL_TARGET``,
 and at ``N_CAP`` at the latest; the cut mass is recorded in ``Pmf.tail_mass``
 instead of being renormalized away.  The thermal entries and their tail
 are powers of ``mean / (1 + mean)`` from libm's ``pow``, one per step of a
-single loop that also applies that rule.  The Poisson entries are a running
+single loop that also applies that rule (glibc picks its ``pow`` by CPU,
+and a few entries move by an ulp).  The Poisson entries are a running
 product of the ratios ``mean / k`` and their tail is summed directly from
 them, so the production states need numpy and the standard library only.
 
@@ -115,7 +116,8 @@ def thermal_pmf(mean: float) -> Pmf:
     ``q**(n+1)``.  One loop takes each power ``q**n`` from libm's ``pow``,
     stores ``(1 / (1 + mean)) * q**n`` as entry ``n`` and stops at the first
     power below ``TAIL_TARGET``, or after ``N_CAP + 1`` entries; that power
-    is the tail.
+    is the tail.  Rare entries move by an ulp with the ``pow`` variant that
+    glibc picks by CPU.
     """
     mean = _as_mean("mean", mean)
     if mean == 0.0:

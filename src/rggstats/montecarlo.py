@@ -41,7 +41,8 @@ the next, so
 
 Error bars come from a delete-one-block jackknife over 100 equal blocks of
 frames: correlations are ratios of moments, so naive per-frame variance
-propagation would be both messy and wrong.
+propagation would be both messy and wrong.  The replicates' moments are
+summed in the fixed order of ``correlation_report``, the same on every CPU.
 """
 
 from __future__ import annotations
@@ -51,15 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    CorrelationReport,
-    InputStateSpec,
-    MCRunResult,
-    Pmf,
-    ZeroMean,
-    _as_int,
-    pmf_mean,
-)
+from .core import CorrelationReport, InputStateSpec, MCRunResult, Pmf, _as_int, _moments, pmf_mean
 from .inputs import input_pmf
 from .transform import correlation_report
 
@@ -267,24 +260,10 @@ def empirical_report(result: MCRunResult, order: int = 2) -> EmpiricalReport:
         nan = float("nan")
         return EmpiricalReport(full, nan, (nan,) * (order - 1), result.frames, n_blocks)
 
-    # delete-one-block replicates, one row each; their factorial moments are
-    # one product with falling[n, j] = n (n - 1) ... (n - j)
+    # delete-one-block replicates, one pmf per row
     kept = total - np.array(result.block_histograms, dtype=np.int64)
-    falling = np.cumprod(np.arange(len(total), dtype=float)[:, None] - np.arange(order), axis=1)
-    estimates = (kept / kept.sum(axis=1, keepdims=True)) @ falling
-    mean = estimates[:, :1]
-    if np.any(mean == 0.0):
-        raise ZeroMean("correlations are undefined for a zero-mean distribution")
-    power = mean  # mean**k by repeated products: numpy's power picks its kernel by CPU
-    for k in range(1, order):  # column 0: mean, then g2, g3, ...
-        power = power * mean
-        estimates[:, k:k + 1] /= power
+    moments, g = _moments(kept / kept.sum(axis=1, keepdims=True), order)
+    estimates = np.column_stack((moments[0], *g))  # mean, g2, g3, ... per replicate
     deviations = estimates - estimates.mean(axis=0)
-    se = np.sqrt((n_blocks - 1) / n_blocks * (deviations**2).sum(axis=0))
-    return EmpiricalReport(
-        report=full,
-        mean_se=float(se[0]),
-        g_se=tuple(float(x) for x in se[1:]),
-        frames=result.frames,
-        blocks=n_blocks,
-    )
+    se = np.sqrt((n_blocks - 1) / n_blocks * (deviations**2).sum(axis=0)).tolist()
+    return EmpiricalReport(full, se[0], tuple(se[1:]), result.frames, n_blocks)

@@ -14,7 +14,8 @@ are provided alongside, including the correlation law of every order k
     gk_out = k! * gk_in * M^k / (M (M + 1) ... (M + k - 1)),
 
 so g2_out = 2 g2_in M / (M + 1) and g3_out = 6 g3_in M^2 / ((M + 1)(M + 2)).
-It holds exactly for every input state and photon number.
+It holds exactly for every input state and photon number.  Measured
+moments are summed in one fixed order, without BLAS, the same on every CPU.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 import numpy as np
 
 from .combinatorics import _fock_scatter_array, _mixture_array
-from .core import CorrelationReport, Pmf, ZeroMean, _as_int, pmf_mean
+from .core import CorrelationReport, Pmf, _as_int, _moments, _stored
 
 __all__ = [
     "scatter_pmf",
@@ -75,25 +76,14 @@ def cascade_pmf(input_pmf: Pmf, M: int, stages: int) -> Pmf:
 def correlation_report(p: Pmf, order: int = 2) -> CorrelationReport:
     """Mean, factorial moments up to ``order`` and g^(2)..g^(order) of a pmf.
 
-    ``g^(k) = <n(n-1)...(n-k+1)> / <n>^k``.  Raises :class:`ZeroMean` for
-    distributions with no photons at all, where the normalization is
-    undefined.
+    ``g^(k) = <n(n-1)...(n-k+1)> / <n>^k``, each moment summed in one fixed
+    order and ``<n>^k`` formed by repeated products, so the bits are the
+    same on every CPU.  Raises :class:`ZeroMean` for distributions with no
+    photons at all, where the normalization is undefined.
     """
     order = _as_int("order", order, 2)
-    mean = pmf_mean(p)
-    if mean == 0.0:
-        raise ZeroMean("correlations are undefined for a zero-mean distribution")
-    arr = p.as_array()
-    k = np.arange(len(arr), dtype=float)
-    moments = [mean]
-    falling = k.copy()
-    for j in range(2, order + 1):
-        falling *= k - (j - 1)  # hits exactly 0 at k = j - 1, never negative
-        moments.append(float(falling @ arr))
-    g = tuple(moments[j - 1] / mean**j for j in range(2, order + 1))
-    return CorrelationReport(
-        mean=mean, factorial_moments=tuple(moments), g=g, order=order
-    )
+    moments, g = _moments(_stored(p), order)
+    return CorrelationReport(float(moments[0]), moments, g, order)
 
 
 def gn_out_predicted(g_in: float, order: int, M: int) -> float:

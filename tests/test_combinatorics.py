@@ -213,15 +213,22 @@ class TestApproxScatter:
          (100000, 10**5)],
     )
     def test_bits_match_scipy_logsumexp(self, N, M):
-        # the numpy normalisation reproduces scipy's rounding bit for bit
+        # bit for bit scipy's logsumexp order of operations (exp of every
+        # weight, the max slot log_w[0] = 0 zeroed, log1p of the pairwise sum)
+        # with libm's exp and log1p in place of numpy's CPU-picked kernels;
+        # scipy's own numbers, from numpy's exp, within a few units in the last place
         from scipy.special import logsumexp
 
         beta0 = math.log1p((M - 2) / N)
         beta_c = (M - 2) / (2.0 * N * (N + M - 2))
         n = np.arange(N + 1)
         log_w = -beta0 * n - beta_c * (n * (n - 1.0))
-        reference = tuple(np.exp(log_w - logsumexp(log_w)))
-        assert approx_scatter_pmf(N, M).probs == reference
+        w = np.array([math.exp(x) for x in log_w.tolist()])
+        w[0] = 0.0
+        shift = math.log1p(w.sum())
+        probs = approx_scatter_pmf(N, M).probs
+        assert probs == tuple(math.exp(x) for x in (log_w - shift).tolist())
+        np.testing.assert_allclose(probs, np.exp(log_w - logsumexp(log_w)), rtol=4e-15, atol=0)
 
     def test_domain(self):
         with pytest.raises(ValueError, match="cell count M must be >= 3, got 2"):

@@ -325,6 +325,27 @@ class TestCorrelationReport:
         rep = correlation_report(poisson_pmf(3.0), 3)
         assert rep.factorial_moments[0] == rep.mean
 
+    @pytest.mark.parametrize(
+        "p, digest",
+        [
+            (poisson_pmf(100.0),
+             "ad923541471929ab6c6fcc4c026f26476ee5641b02fa2df0ab88834f74e39086"),
+            (fock_scatter_pmf(200, 8),
+             "8f2c5e963fccbbb8e6ad0d070d11e68fc1f82464bae97da4c428f773c983306b"),
+            (scatter_pmf(squeezed_coherent_pmf(SqueezedCoherent(8.0, 0.1, 0.5, 0.3)), 8),
+             "d0e8962031b087f0df69549e26af22299d8636ecff5c04e7baf7ea2a49d91ba4"),
+        ],
+        ids=["poisson", "fock", "squeezed-mixture"],
+    )
+    def test_moments_pinned(self, p, digest):
+        # every moment is an elementwise product and a pairwise sum, every g
+        # a division by repeated products of the mean: no BLAS or numpy power,
+        # whose kernels the CPU selects, so the digests hold on every CPU
+        rep = correlation_report(p, 6)
+        assert pmf_mean(p) == rep.mean
+        data = repr((rep.factorial_moments, rep.g)).encode()
+        assert hashlib.sha256(data).hexdigest() == digest
+
 
 class TestCorrelationLaws:
     def test_g2_law_values(self):
