@@ -223,16 +223,15 @@ def cmd_scatter(cfg: dict, spec, out: Path) -> None:
         if n_eff < 1:
             raise ConfigError("the small-n approximation needs N >= 1 photons; the input "
                               f"mean {pmf_mean(source)!r} rounds to N = {n_eff}")
-        approx_probs = approx_scatter_pmf(n_eff, M).probs
+        approximate = approx_scatter_pmf(n_eff, M)
         settings["approx_n"] = n_eff
     scattered = cascade_pmf(source, M, stages)
-    thermal_ref = thermal_pmf(pmf_mean(scattered))
-    columns = [range(len(scattered)), scattered.probs, thermal_ref.probs]
+    pmfs = [scattered, thermal_pmf(pmf_mean(scattered))]
     header = ["n", "p_exact", "p_thermal_ref"]
     if approx:
-        columns.append(approx_probs)
+        pmfs.append(approximate)
         header.append("p_approx")
-    _write_csv(out / "scatter.csv", cfg, header, columns)
+    _write_csv(out / "scatter.csv", cfg, header, _pmf_columns(*pmfs))
 
 
 def _report_as_dict(report) -> dict:

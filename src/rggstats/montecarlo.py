@@ -11,8 +11,9 @@ current cell and a bar opens the next one; once either kind runs out, the
 rest of the frame is fixed.  Pixel 0 holds the stars before the first bar.
 Until that bar every slot was a star and all ``M - 1`` bars are left, so a
 pixel-0 run keeps one count per frame and stops the frame at its first
-bar; a recorded run reveals the whole frame.  No row formula enters, so
-the sampler checks the exact rows independently.
+bar.  A recorded run reads cell ``c`` the same way, as pixel 0 of the rest
+of the frame, past the bar that closed cell ``c - 1``.  No row formula
+enters, so the sampler checks the exact rows independently.
 
 Randomness is a counter hash, after Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3" (SC'11).  Draw ``j`` of frame ``f`` under
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CorrelationReport, InputStateSpec, MCRunResult, Pmf, _as_int, _moments, pmf_mean
+from .core import CorrelationReport, InputStateSpec, MCRunResult, Pmf, _as_int, _moments, _stored
 from .inputs import input_pmf
 from .transform import correlation_report
 
@@ -73,11 +74,12 @@ class MCConfig:
 
     The input's recorded tail must lie below ``TAIL_CEILING``, as for
     ``pmf_mean``: a run raises :class:`TailTooHeavy` otherwise.
-    ``record_configurations`` additionally reveals every slot of every
-    frame and tallies the complete occupation patterns; useful for
-    uniformity tests, ruinous for memory and time at large ``(N, M)``,
-    hence off by default.  A pixel-0 run stops each frame at its first
-    bar, so its cost grows with ``N / M`` rather than with ``N + M``.
+    ``record_configurations`` additionally reads every cell of every
+    frame, each as pixel 0 of the rest of the frame, and tallies the
+    complete occupation patterns; useful for uniformity tests, ruinous
+    for memory and time at large ``(N, M)``, hence off by default.  A
+    pixel-0 run stops each frame at its first bar, so its cost grows
+    with ``N / M`` rather than with ``N + M``.
     """
 
     input: InputStateSpec
@@ -161,21 +163,20 @@ def _pixel0_counts(keys: np.ndarray, stars: np.ndarray, M: int) -> np.ndarray:
 
 
 def _patterns(keys: np.ndarray, stars: np.ndarray, M: int) -> np.ndarray:
-    """Occupation pattern of each frame, one row of M counts per frame."""
-    bars = np.full_like(stars, M - 1)
+    """Occupation patterns, one row of M counts per frame: cell c is pixel 0 of the rest."""
     occ = np.zeros((len(stars), M), dtype=np.int64)
-    live = np.flatnonzero(stars * (M > 1))  # frames with stars and bars left to place
-    draw = 0  # slot r of a frame takes draw r + 1
-    while live.size:
-        draw += 1
-        s, b = stars[live], bars[live]
-        bar = _uniform(keys[live], draw) * (s + b) < b
-        star = ~bar
-        occ[live[star], M - 1 - b[star]] += 1
-        stars[live] = s - star
-        bars[live] = b - bar
-        live = live[(s > star) & (b > bar)]
-    occ[:, -1] += stars  # the slots left are stars, all in the last cell
+    rows = np.flatnonzero(stars)  # frames with stars left to place
+    keys, stars = keys[rows], stars[rows]
+    for c in range(M - 1):
+        if not rows.size:
+            break
+        count = _pixel0_counts(keys, stars.copy(), M - c)
+        occ[rows, c] = count
+        stars -= count
+        keys += (count.astype(np.uint64) + np.uint64(1)) * _GOLDEN  # past the stars and the bar
+        left = stars > 0
+        rows, keys, stars = rows[left], keys[left], stars[left]
+    occ[rows, -1] = stars  # the slots left are stars, all in the last cell
     return occ
 
 
@@ -200,9 +201,8 @@ def _replay_frame(cfg: MCConfig, frame: int) -> np.ndarray:
 
 def run_mc(cfg: MCConfig) -> MCRunResult:
     """Run the sampler and histogram the photon count on pixel 0."""
-    source = input_pmf(cfg.input)
-    pmf_mean(source)  # raises TailTooHeavy: tail draws would bias the histogram
-    cdf = np.cumsum(source.as_array())
+    # raises TailTooHeavy: tail draws would bias the histogram
+    cdf = np.cumsum(_stored(input_pmf(cfg.input)))
     width = len(cdf)
     n_blocks = min(JACKKNIFE_BLOCKS, cfg.frames)
     blocks = np.zeros(n_blocks * width, dtype=np.int64)

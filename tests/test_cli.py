@@ -59,7 +59,9 @@ class TestScatterCommand:
         assert comments["input.kind"] == "fock"
         # repr() round-trips doubles exactly, so equality is bit-for-bit
         assert column(header, rows, "p_exact") == list(fock_scatter_pmf(8, 8).probs)
-        assert column(header, rows, "n", int) == list(range(9))
+        # the n column covers every row, the thermal reference's longer tail too
+        assert column(header, rows, "n", int) == list(range(len(rows)))
+        assert len(rows) == len(column(header, rows, "p_thermal_ref")) > 9
 
     def test_rerun_is_byte_identical(self, tmp_path):
         argv = [
@@ -129,7 +131,8 @@ class TestScatterCommand:
 
     def test_custom_pmf_roundtrip(self, tmp_path):
         src = tmp_path / "input.csv"
-        src.write_text("n,p\n0,0.25\n1,0.5\n2,0.25\n", encoding="utf-8")
+        # comment and blank lines are skipped, before the header and among the rows
+        src.write_text("# a pmf\n\nn,p\n0,0.25\n1,0.5\n\n# last row\n2,0.25\n", encoding="utf-8")
         rc = main(
             ["scatter", "--kind", "custom", "--pmf-csv", str(src),
              "--M", "3", "--out", str(tmp_path)]

@@ -171,6 +171,10 @@ class TestInputStateSpecs:
             SqueezedCoherent(-1.0, 0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             SqueezedCoherent(0.0, 0.0, -0.1, 0.0)
+        with pytest.raises(ValueError, match="theta must be finite, got nan"):
+            SqueezedCoherent(1.0, 0.0, 0.5, float("nan"))
+        with pytest.raises(ValueError, match="alpha_mag must be finite, got inf"):
+            SqueezedCoherent(float("inf"), 0.0, 0.5, 0.0)
 
     def test_custom_requires_pmf(self):
         Custom(Pmf((1.0,)))
@@ -194,6 +198,8 @@ class TestCorrelationReport:
     def test_length_checks(self):
         with pytest.raises(ValueError):
             CorrelationReport(mean=1.0, factorial_moments=(1.0,), g=(1.0,), order=2)
+        with pytest.raises(ValueError, match="one correlation per order"):
+            CorrelationReport(mean=1.0, factorial_moments=(1.0, 1.0), g=(1.0, 1.0), order=2)
         with pytest.raises(ValueError):
             CorrelationReport(mean=1.0, factorial_moments=(2.0, 1.0), g=(1.0,), order=2)
         with pytest.raises(ValueError):
@@ -216,6 +222,8 @@ class TestMCRunResult:
         MCRunResult(histogram=(3, 7), frames=10, seed=0, M=2)
         with pytest.raises(ValueError):
             MCRunResult(histogram=(3, 7), frames=11, seed=0, M=2)
+        with pytest.raises(ValueError, match="counts must be >= 0"):
+            MCRunResult(histogram=(-1, 11), frames=10, seed=0, M=2)
 
     def test_frames_and_cells_must_be_integers(self):
         with pytest.raises(TypeError, match="frames must be an integer"):
@@ -242,6 +250,14 @@ class TestMCRunResult:
                 seed=0,
                 M=2,
                 block_histograms=((1, 1), (1, 0)),
+            )
+        with pytest.raises(ValueError, match="same width as the total"):
+            MCRunResult(
+                histogram=(2, 2),
+                frames=4,
+                seed=0,
+                M=2,
+                block_histograms=((1, 1), (1, 1, 0)),
             )
 
 

@@ -410,3 +410,11 @@ class TestInputDispatch:
     def test_unknown_type_rejected(self):
         with pytest.raises(TypeError):
             input_pmf("thermal")
+
+    @pytest.mark.parametrize(
+        "squeezed", [squeezed_coherent_pmf, lambda state: squeezed_oracle_pmf(state, 20)],
+        ids=["recurrence", "oracle"],
+    )
+    def test_squeezed_rejects_other_states(self, squeezed):
+        with pytest.raises(TypeError, match="expected SqueezedCoherent parameters, got Coherent"):
+            squeezed(Coherent(1.0))

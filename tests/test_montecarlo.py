@@ -39,6 +39,29 @@ MARGINAL_CASES = (
 )
 
 
+def reveal_frame(key, N, M):
+    """Reference: one frame's pattern, revealed slot by slot in plain Python.
+
+    Slot r takes draw r + 1 of the frame key and is a bar when
+    ``x * (s + b) < b``; once the stars or the bars run out, the stars
+    left go to the current cell.
+    """
+    occ = [0] * M
+    s, b, cell = N, M - 1, 0
+    r = 0
+    while s and b:
+        x = float(montecarlo._uniform(key, r + 1)[0])
+        if x * (s + b) < b:
+            b -= 1
+            cell += 1
+        else:
+            s -= 1
+            occ[cell] += 1
+        r += 1
+    occ[cell] += s
+    return occ
+
+
 class TestSampleConfiguration:
     """The sequential-reveal core of run_mc: one occupation pattern per frame."""
 
@@ -109,6 +132,26 @@ class TestSampleConfiguration:
             patterns = montecarlo._sample_frames(cdf, seed, frames, M, record=True)
             assert pixel0.shape == (len(frames),)
             assert np.array_equal(pixel0, patterns[:, 0])
+
+    @pytest.mark.parametrize(
+        "N, M",
+        [
+            pytest.param(7, 3, id="N-above-M"),
+            pytest.param(2, 6, id="N-below-M"),
+            pytest.param(4, 4, id="N-equals-M"),
+            pytest.param(0, 5, id="no-stars"),
+            pytest.param(5, 1, id="one-cell"),
+            pytest.param(6, 2, id="two-cells"),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [3, 2**63 + 11])
+    def test_patterns_match_slot_by_slot_reveal(self, N, M, seed):
+        frames = np.arange(300)
+        cdf = np.cumsum(input_pmf(Fock(N)).as_array())
+        patterns = montecarlo._sample_frames(cdf, seed, frames, M, record=True)
+        keys = montecarlo._frame_keys(seed, frames)
+        expected = [reveal_frame(keys[f : f + 1], N, M) for f in frames]
+        assert patterns.tolist() == expected
 
     def test_marginal_matches_exact_row(self):
         # pixel 0's histogram against the exact scattered pmf; bins expecting
@@ -272,6 +315,39 @@ class TestRunMC:
         result = run_mc(cfg)
         data = repr((result.histogram, result.block_histograms)).encode()
         assert hashlib.sha256(data).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "cfg, digest",
+        [
+            (
+                MCConfig(Fock(5), 3, 3000, seed=51, record_configurations=True),
+                "ed8a67a8c0649c6addac2cd32bd6c41118fdedc1f64b647d0a4333eed20621ee",
+            ),
+            (
+                MCConfig(Fock(2), 6, 3000, seed=52, record_configurations=True),
+                "69ba4ca381d516016e53a3b9f5383e331fde696753793178530e5da947c945e2",
+            ),
+            (
+                MCConfig(Thermal(3.0), 6, 700, seed=4242, record_configurations=True),
+                "a0c61b617b97007e2a9f7dc44317a8531bca10b2ee942db93c618c93bf6919e6",
+            ),
+            (
+                MCConfig(Coherent(2.0), 1, 500, seed=14, record_configurations=True),
+                "56fffa508e2e70a7e79c38b3b0d42b99846cffa07ba0b0a0a365b31d50ba94ea",
+            ),
+            (
+                MCConfig(Fock(0), 4, 50, seed=2**63 + 11, record_configurations=True),
+                "72edfb30d2ae29ae0c10596a680acce4e2377bf9b12882f8d3b8a3add8024e2d",
+            ),
+        ],
+        ids=["fock5-M3", "fock2-M6", "thermal3-M6", "coherent2-M1", "fock0-M4"],
+    )
+    def test_configurations_pinned(self, cfg, digest):
+        # every cell of every recorded frame, not pixel 0 alone; digests
+        # recorded on the slot-by-slot sampler
+        result = run_mc(cfg)
+        data = repr((result.histogram, result.block_histograms, result.configuration_counts))
+        assert hashlib.sha256(data.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize(
         "N, M, seed",

@@ -308,6 +308,9 @@ class TestPhotonIndexValidation:
         with pytest.raises(TypeError, match="n must be an integer"):
             evaluate(5, 4, n)
 
+    def test_n_above_N_is_zero(self, evaluate):
+        assert evaluate(5, 4, 6) == 0.0
+
     def test_numpy_integer_n_accepted(self, evaluate):
         exact = float(fock_pn_limit_fractions(5, 4)[2])
         assert evaluate(5, 4, np.int64(2)) == pytest.approx(exact)
