@@ -84,7 +84,7 @@ def _load_custom_pmf(pmf_csv: str, tail_mass: float) -> Custom:
     if not file.is_file():
         raise ConfigError(f"custom pmf file not found: {pmf_csv}")
     probs: list[float] = []
-    with file.open(encoding="utf-8") as handle:
+    with file.open(encoding="utf-8-sig") as handle:  # drops a byte-order mark
         header: list[str] | None = None
         for line in handle:
             line = line.strip()
@@ -435,10 +435,11 @@ def _load_config(path: str | None) -> configparser.ConfigParser | None:
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        with file.open(encoding="utf-8") as handle:
+        with file.open(encoding="utf-8-sig") as handle:
             parser.read_file(handle)
     except configparser.Error as exc:
-        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
+        detail = " ".join(str(exc).split())  # configparser's messages span lines
+        raise ConfigError(f"cannot parse config file {path}: {detail}") from exc
     return parser
 
 

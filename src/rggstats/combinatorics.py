@@ -15,14 +15,14 @@ and each entry is one correctly rounded int/int division, so it is the
 exact rational rounded once to float, at any ``N + M``.
 
 A mixture of rows, ``sum_N P(N) b_{N-n} / z_N``, is evaluated from the
-exact integers at any ``N + M`` by :func:`_mixture_array`, along one of two
-compensated routes.  Since ``sum_k b_k x**k = (1 - x)**-(M - 1)``, it is
-M - 1 suffix sums of ``P(N) / z_N``: O(L M) for L entries, each entry
-rounded about once.  It is also one correlation of two sequences, a
-Toeplitz sum: O(L**2), within a few units in the last place.  A cost rule
-on L and M alone picks the suffix route where M is small against L, and
-the Toeplitz route elsewhere and where the suffix route cannot scale its
-weights into the double range.
+exact integers at any ``N + M`` by :func:`_mixture_array`, the one place
+that picks a route: one nonzero weight takes its exact row, more take one
+of two compensated kernels.  Since ``sum_k b_k x**k = (1 - x)**-(M - 1)``,
+it is M - 1 suffix sums of ``P(N) / z_N``: O(L M) for L entries, each
+entry rounded about once.  It is also one Toeplitz sum: O(L**2), within a
+few units in the last place.  A cost rule on L and M alone picks the suffix
+route where M is small against L, and the Toeplitz route elsewhere and
+where the suffix route cannot scale its weights into the double range.
 
 :func:`fock_scatter_fractions` returns the exact rationals themselves.
 """
@@ -117,7 +117,7 @@ _BLOCK_ELEMENTS = 1 << 16
 #: The binary exponents of z_N within one block stay at most this far above
 #: the block's anchor, so the scaled weights and numerators stay in range.
 _BLOCK_EXPONENT_SPAN = 256
-#: Weights below this are mixed apart, divided by it first (exactly).
+#: :func:`_toeplitz_mixture` takes weights below this divided by it (exactly).
 _TINY_WEIGHT = 2.0**-700
 #: Cost rule of :func:`_mixture_array`, in seconds, for a support of L
 #: entries: one suffix pass costs ``_SUFFIX_PASS_S + _SUFFIX_ENTRY_S * L``;
@@ -153,27 +153,26 @@ def _split(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _mixture_array(weights: np.ndarray, M: int) -> np.ndarray:
-    """``sum_N weights[N] * row N`` over M >= 2 cells, by the cheaper kernel.
+    """``sum_N weights[N] * row N`` over M >= 2 cells, by the one route picked here.
 
-    Weights below ``_TINY_WEIGHT`` are first mixed apart (see
-    :func:`_toeplitz_mixture`).  Each part then goes to :func:`_suffix_mixture`,
-    O(L M) for a support of length L, when :func:`_suffix_is_cheaper` says so
-    from L and M alone and its weights' range fits; otherwise, and always at
-    large M, to :func:`_toeplitz_mixture`, O(L**2).  Both are compensated:
-    the suffix route rounds each entry about once, the Toeplitz route is
-    within a few units in the last place.
+    A single nonzero weight gives that weight times its exact row.  More go
+    to :func:`_suffix_mixture`, O(L M) for a support of length L, when
+    :func:`_suffix_is_cheaper` says so from L and M alone and its weights'
+    range fits; otherwise, and always at large M, to :func:`_toeplitz_mixture`,
+    O(L**2).  Each takes every weight in one pass and is compensated: the
+    suffix route rounds each entry about once, the Toeplitz route is within
+    a few units in the last place.
     """
-    tiny = np.where(weights < _TINY_WEIGHT, weights, 0.0)
-    if tiny.any():
-        rest = _mixture_array(weights - tiny, M)
-        return rest + _mixture_array(tiny / _TINY_WEIGHT, M) * _TINY_WEIGHT
     nonzero = np.flatnonzero(weights)
     top = int(nonzero[-1]) + 1 if len(nonzero) else 0
-    if top and _suffix_is_cheaper(top, M):
-        suffix = _suffix_mixture(weights[:top], M)
-        if suffix is not None:
-            return np.concatenate((suffix, np.zeros(len(weights) - top)))
-    return _toeplitz_mixture(weights, M)
+    head = None
+    if len(nonzero) == 1:
+        head = weights[top - 1] * _fock_scatter_array(top - 1, M)
+    elif top and _suffix_is_cheaper(top, M):
+        head = _suffix_mixture(weights[:top], M)  # None where its range does not fit
+    if head is None:
+        return _toeplitz_mixture(weights, M)
+    return np.concatenate((head, np.zeros(len(weights) - top)))
 
 
 def _suffix_is_cheaper(L: int, M: int) -> bool:
@@ -277,9 +276,10 @@ def _toeplitz_mixture(weights: np.ndarray, M: int) -> np.ndarray:
     of ``m(b_k) * 2**(e(b_k) - c)``.  Scaling by powers of two is exact, so
     each term is the same double whatever the block, and it underflows only
     where its true value does.  The column reaches down to 2**-256 of a
-    weight, so :func:`_mixture_array` mixes weights below ``_TINY_WEIGHT`` =
-    2**-700 in a second pass at 2**700 times their size and scales them
-    back, which keeps their column normal.
+    weight, so rows of weights below ``_TINY_WEIGHT`` = 2**-700 build it
+    from the weight divided by ``_TINY_WEIGHT``, which keeps it normal, and
+    their terms are scaled back right after the block's product (exactly,
+    unless a term is subnormal).
 
     Each entry adds its terms in ascending N and also adds up, exactly by
     Fast2Sum, the rounding error of every addition; the sum of those errors
@@ -296,8 +296,10 @@ def _toeplitz_mixture(weights: np.ndarray, M: int) -> np.ndarray:
     b = _numerators(top, M)
     b_mant, b_exp = _split(b)
     z_mant, z_exp = _split(list(accumulate(b)))
-    scaled = weights[:top] / z_mant
-    carry = np.zeros(len(weights))  # summed rounding errors of out
+    weights = weights[:top]
+    tiny = (weights > 0.0) & (weights < _TINY_WEIGHT)
+    scaled = np.where(tiny, weights / _TINY_WEIGHT, weights) / z_mant
+    carry = np.zeros_like(out)  # summed rounding errors of out
     # work space shared by the blocks, so that no block faults in fresh pages
     space = np.empty((3, max(_BLOCK_ELEMENTS, top) + top))
     start = int(nonzero[0])  # rows below the first weight add nothing
@@ -318,6 +320,8 @@ def _toeplitz_mixture(weights: np.ndarray, M: int) -> np.ndarray:
         toeplitz = sliding_window_view(padded, stop)[start:stop]
         column = np.ldexp(scaled[start:stop], anchor - z_exp[start:stop])
         np.multiply(column[:, None], toeplitz, out=terms)
+        if tiny[start:stop].any():
+            terms[tiny[start:stop]] *= _TINY_WEIGHT
         partial[0] = out[stop - 1 :: -1]
         # row by row: add.accumulate(axis=0) runs column by column, ~5x slower
         for previous, term, current in zip(partial, terms, partial[1:]):

@@ -339,7 +339,7 @@ def _moments(arr: np.ndarray, order: int) -> tuple[list, list]:
     ... (n-j+1)``, and g^(j) divides it by ``mean**j`` taken as repeated
     products.  No BLAS or numpy power enters, whose kernels are picked by CPU,
     so the bits are the same on every CPU.  Raises :class:`ZeroMean` when an
-    order >= 2 meets a zero mean.
+    order >= 2 meets a zero mean, :class:`OverflowError` when a g is not finite.
     """
     n = np.arange(arr.shape[-1], dtype=float)
     falling, terms, moments = np.ones_like(n), np.empty_like(arr), []
@@ -349,9 +349,12 @@ def _moments(arr: np.ndarray, order: int) -> tuple[list, list]:
     if order > 1 and np.any(moments[0] == 0.0):
         raise ZeroMean("correlations are undefined for a zero-mean distribution")
     g, power = [], moments[0]
-    for moment in moments[1:]:
-        power = power * moments[0]
-        g.append(moment / power)
+    with np.errstate(all="ignore"):
+        for j, moment in enumerate(moments[1:], 2):
+            power = power * moments[0]
+            g.append(moment / power)
+            if not np.isfinite(g[-1]).all():
+                raise OverflowError(f"g^({j}) is not finite in doubles: the mean is too near 0")
     return moments, g
 
 

@@ -53,7 +53,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CorrelationReport, InputStateSpec, MCRunResult, Pmf, _as_int, _moments, _stored
+from .core import CorrelationReport, InputStateSpec, MCRunResult, Pmf, ZeroMean
+from .core import _as_int, _moments, _stored
 from .inputs import input_pmf
 from .transform import correlation_report
 
@@ -241,7 +242,7 @@ class EmpiricalReport:
 
     ``g_se[i]`` is the standard error of ``report.g[i]``; ``mean_se`` the
     standard error of the mean.  Errors are delete-one-block jackknife
-    estimates over ``blocks`` blocks.
+    estimates over ``blocks`` blocks; a g error is NaN if one leaves no photons.
     """
 
     report: CorrelationReport
@@ -262,7 +263,11 @@ def empirical_report(result: MCRunResult, order: int = 2) -> EmpiricalReport:
 
     # delete-one-block replicates, one pmf per row
     kept = total - np.array(result.block_histograms, dtype=np.int64)
-    moments, g = _moments(kept / kept.sum(axis=1, keepdims=True), order)
+    replicates = kept / kept.sum(axis=1, keepdims=True)
+    try:
+        moments, g = _moments(replicates, order)
+    except ZeroMean:  # a replicate without photons has no g
+        moments, g = _moments(replicates, 1)[0], [np.full(n_blocks, np.nan)] * (order - 1)
     estimates = np.column_stack((moments[0], *g))  # mean, g2, g3, ... per replicate
     deviations = estimates - estimates.mean(axis=0)
     se = np.sqrt((n_blocks - 1) / n_blocks * (deviations**2).sum(axis=0)).tolist()

@@ -7,9 +7,9 @@ rows:
     p_out(n) = sum_N P(N) * p_scatter(n | N, M).
 
 The mixture is evaluated from the exact integer numerators of the rows
-by one of the two compensated routes that :mod:`rggstats.combinatorics`
-describes.  The closed-form moment maps that follow from the same counting
-are provided alongside, including the correlation law of every order k
+along the one route that :mod:`rggstats.combinatorics` picks per stage.
+The closed-form moment maps that follow from the same counting are
+provided alongside, including the correlation law of every order k
 
     gk_out = k! * gk_in * M^k / (M (M + 1) ... (M + k - 1)),
 
@@ -22,9 +22,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .combinatorics import _fock_scatter_array, _mixture_array
+from .combinatorics import _mixture_array
 from .core import CorrelationReport, Pmf, _as_int, _moments, _stored
 
 __all__ = [
@@ -40,28 +38,17 @@ __all__ = [
 def scatter_pmf(input_pmf: Pmf, M: int) -> Pmf:
     """Single-cell photon statistics after scattering ``input_pmf`` over M cells.
 
-    Mixes the exact N-photon rows with the input probabilities as weights.
-    A single nonzero weight gives that weight times :func:`fock_scatter_pmf`
-    of its photon number, bit for bit.  Otherwise each entry is
-    ``sum_N P(N) b_{N-n} / z_N`` from the exact integers, by one of the
-    compensated routes of :mod:`rggstats.combinatorics`, so results are
-    bit-for-bit reproducible at any ``N + M``.  The input's recorded tail
-    has no rows to mix and is carried over into the output's ``tail_mass``
-    unchanged.
+    Mixes the exact N-photon rows with the input probabilities as weights,
+    along the one route that ``combinatorics._mixture_array`` picks, bit for
+    bit reproducible at any ``N + M``; one nonzero weight gives that weight
+    times :func:`fock_scatter_pmf`, bit for bit.  The input's recorded tail
+    has no rows to mix and is carried over into ``tail_mass`` unchanged.
     ``M = 1`` is the identity: a single cell collects every photon.
     """
     M = _as_int("cell count M", M, 1)
     if M == 1:
         return input_pmf
-    weights = input_pmf.as_array()
-    nonzero = np.flatnonzero(weights)
-    if len(nonzero) == 1:
-        (N,) = nonzero
-        out = np.zeros(len(weights))
-        out[: N + 1] = weights[N] * _fock_scatter_array(int(N), M)
-    else:
-        out = _mixture_array(weights, M)
-    return Pmf(out, input_pmf.tail_mass)
+    return Pmf(_mixture_array(input_pmf.as_array(), M), input_pmf.tail_mass)
 
 
 def cascade_pmf(input_pmf: Pmf, M: int, stages: int) -> Pmf:

@@ -182,6 +182,15 @@ class TestGnCommand:
         rc = main(["gn", "--kind", "fock", "--n", "0", "--M", "4", "--out", str(tmp_path)])
         assert rc == 3
 
+    def test_mean_too_small_to_square_is_numeric_failure(self, tmp_path, capsys):
+        # the output mean 5 / 3**400 ~ 7e-191 squares to 0.0, so g^(2) would be inf
+        argv = ["gn", "--kind", "fock", "--n", "5", "--M", "3", "--stages", "400",
+                "--order", "2", "--out", str(tmp_path)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "g^(2)" in err
+        assert not (tmp_path / "gn.json").exists()
+
     def test_squeezed_input(self, tmp_path):
         rc = main(
             ["gn", "--kind", "squeezed", "--alpha-mag", "2.0", "--r", "0.5",
@@ -249,6 +258,19 @@ class TestMcCommand:
                 "--M", "4", "--frames", "10000", "--seed", "1", "--out", str(tmp_path)]
         assert main(argv) == 3
         assert not (tmp_path / "mc.csv").exists()
+
+    def test_one_block_with_every_photon_has_no_g_error(self, tmp_path):
+        # the histogram is (299, 1, 0, 0, 0): the replicate without that one
+        # block has no photons, so no g
+        argv = ["mc", "--kind", "coherent", "--mean", "0.005", "--M", "2",
+                "--frames", "300", "--seed", "1", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        _, header, rows = read_csv(tmp_path / "mc.csv")
+        assert column(header, rows, "count", int)[:2] == [299, 1]
+        doc = json.loads((tmp_path / "mc.json").read_text(encoding="utf-8"))
+        assert doc["standard_errors"]["g"] == {"2": None}
+        assert doc["standard_errors"]["mean"] > 0
+        assert doc["z"] == {"2": None}
 
     def test_single_frame_writes_strict_json(self, tmp_path):
         # one frame gives one jackknife block: no standard error to estimate
@@ -400,12 +422,34 @@ class TestErrorHandling:
         assert rc == 2
         assert "unknown key" in capsys.readouterr().err
 
-    def test_bad_ini_syntax(self, tmp_path):
+    def test_bad_ini_syntax(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"
         cfg.write_text("this is not an ini file\n", encoding="utf-8")
         rc = main(["scatter", "--kind", "fock", "--n", "2", "--M", "4",
                    "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 2
+        # configparser's message spans three lines; the CLI reports one
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "no section headers" in err
+
+    def test_config_with_byte_order_mark(self, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("\ufeff[scatter]\nm = 4\n", encoding="utf-8")
+        rc = main(["scatter", "--kind", "fock", "--n", "2",
+                   "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 0
+        comments, _, _ = read_csv(tmp_path / "scatter.csv")
+        assert comments["scatter.m"] == "4"
+
+    def test_custom_pmf_with_byte_order_mark(self, tmp_path):
+        # as spreadsheets write "CSV UTF-8"
+        src = tmp_path / "input.csv"
+        src.write_text("\ufeffn,p\n0,0.25\n1,0.75\n", encoding="utf-8")
+        rc = main(["scatter", "--kind", "custom", "--pmf-csv", str(src),
+                   "--M", "3", "--out", str(tmp_path)])
+        assert rc == 0
+        _, header, rows = read_csv(tmp_path / "scatter.csv")
+        assert column(header, rows, "p_exact") == list(scatter_pmf(Pmf((0.25, 0.75)), 3).probs)
 
     def test_missing_config_file(self, tmp_path):
         rc = main(["scatter", "--kind", "fock", "--n", "2", "--M", "4",

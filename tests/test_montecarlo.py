@@ -470,13 +470,17 @@ class TestEmpiricalReport:
         assert rep.blocks == 1
         assert all(math.isnan(x) for x in (rep.mean_se, *rep.g_se))
 
-    def test_zero_mean_replicate_raises(self):
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_zero_mean_replicate_has_no_g_error(self, order):
         # 100 frames, one block each; deleting the one frame with a photon
-        # leaves a replicate with zero mean
+        # leaves a replicate with zero mean, and so with no g
         result = run_mc(MCConfig(Custom(Pmf((0.99, 0.01))), 1, 100, seed=5))
         assert result.histogram == (99, 1)
-        with pytest.raises(ZeroMean):
-            empirical_report(result, 2)
+        rep = empirical_report(result, order)
+        assert rep.report == correlation_report(Pmf((0.99, 0.01)), order)
+        # replicate means 1/99 (99 times) and 0: sqrt(0.99 * (1/9900)) = 0.01
+        assert rep.mean_se == pytest.approx(0.01, rel=1e-12)
+        assert len(rep.g_se) == order - 1 and all(math.isnan(x) for x in rep.g_se)
 
     def test_degenerate_run_has_zero_error_bars(self):
         result = run_mc(MCConfig(Custom(Pmf((0.0, 1.0))), 1, 400, seed=4))

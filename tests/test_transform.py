@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rggstats import (
     Pmf,
@@ -237,15 +239,19 @@ class TestMixtureKernel:
             # the Toeplitz route
             (thermal_pmf(40.0), 4096, 1,
              "8b7602db55b94c5203cde4fda5f438fc0022a7ec32ec5e188137cfd55bb9b669"),
-            # the second stage mixes its weights below _TINY_WEIGHT apart
+            # the second stage has weights below _TINY_WEIGHT, on the Toeplitz route
             (poisson_pmf(300.0), 25000, 2,
              "0c76516571e29f007ac35406d51cecf7e75b82a672d77655f0f8c81c7396f547"),
+            # the third stage has weights below _TINY_WEIGHT, on the suffix route
+            (poisson_pmf(300.0), 98, 3,
+             "f19285ddd899259c2987d7c1034a27430dada0e265beba70dde0aa84621ad28e"),
         ],
-        ids=["suffix", "toeplitz", "tiny-split"],
+        ids=["suffix", "toeplitz", "tiny-split", "tiny-suffix"],
     )
     def test_mixtures_pinned(self, p, M, stages, digest):
         # digests recorded before both kernels took z_N from one numerator
-        # recurrence; thermal_pmf's entries are Python float powers, so the
+        # recurrence, except tiny-suffix, recorded when each stage first took
+        # one kernel; thermal_pmf's entries are Python float powers, so the
         # thermal digests hold whichever numpy kernels the CPU selects
         data = repr(cascade_pmf(p, M, stages).probs).encode()
         assert hashlib.sha256(data).hexdigest() == digest
@@ -264,6 +270,48 @@ class TestMixtureKernel:
         rep_out = correlation_report(scatter_pmf(p, M), 3)
         assert rep_out.g2 == pytest.approx(gn_out_predicted(rep_in.g2, 2, M), rel=1e-12)
         assert rep_out.g3 == pytest.approx(gn_out_predicted(rep_in.g3, 3, M), rel=1e-12)
+
+
+_derandomized = settings(max_examples=80, deadline=None, derandomize=True)
+# inputs with tails of at most 1e-12, and supports of at most ~150 entries
+_light_inputs = st.one_of(
+    st.integers(0, 60).map(fock_pmf),
+    st.floats(0.01, 40.0).map(poisson_pmf),
+    st.floats(0.01, 5.0).map(thermal_pmf),
+    st.builds(
+        SqueezedCoherent,
+        st.floats(0.0, 3.0), st.floats(0.0, 6.3), st.floats(0.0, 0.8), st.floats(0.0, 6.3),
+    ).map(squeezed_coherent_pmf),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40)
+    .filter(lambda x: sum(x) > 0.0)
+    .map(lambda x: Pmf(np.array(x) / sum(x))),
+)
+_cells = st.integers(1, 10**4)
+
+
+class TestRouterProperties:
+    @given(_light_inputs, _cells, st.integers(1, 3))
+    @_derandomized
+    def test_mass_and_mean_are_kept(self, p, M, stages):
+        out = cascade_pmf(p, M, stages)
+        assert math.fsum((*out.probs, out.tail_mass)) == pytest.approx(
+            math.fsum((*p.probs, p.tail_mass)), rel=0, abs=1e-12
+        )
+        assert pmf_mean(out) == pytest.approx(pmf_mean(p) / M**stages, rel=1e-13, abs=0)
+
+    @given(_light_inputs)
+    @_derandomized
+    def test_one_cell_is_the_identity(self, p):
+        assert scatter_pmf(p, 1) is p
+
+    @given(st.integers(0, 60), st.integers(0, 5), st.floats(1e-300, 1.0), _cells)
+    @_derandomized
+    def test_one_weight_gives_its_exact_row(self, N, padding, weight, M):
+        probs = np.zeros(N + 1 + padding)
+        probs[N] = weight
+        expected = np.zeros(len(probs))
+        expected[: N + 1] = weight * fock_scatter_pmf(N, M).as_array()
+        assert scatter_pmf(Pmf(probs, 1.0 - weight), M).probs == tuple(expected.tolist())
 
 
 def second_moment(p):
@@ -316,6 +364,11 @@ class TestCorrelationReport:
     def test_zero_mean_raises(self):
         with pytest.raises(ZeroMean):
             correlation_report(fock_pmf(0), 2)
+
+    def test_mean_too_small_to_square_raises(self):
+        # mean 2**-600: its square underflows to 0.0, where g^(2) would be inf
+        with pytest.raises(OverflowError, match=r"g\^\(2\)"):
+            correlation_report(Pmf((1.0 - 2.0**-601, 0.0, 2.0**-601)), 2)
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
