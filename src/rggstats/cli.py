@@ -74,9 +74,7 @@ class ConfigError(Exception):
 
 
 _REQUIRED = object()
-_NUMERIC_FAILURES = (
-    TailTooHeavy, ZeroMean, OutOfRange, DimTooSmall, InvalidPmf, ArithmeticError
-)
+_NUMERIC_FAILURES = (TailTooHeavy, ZeroMean, OutOfRange, DimTooSmall, InvalidPmf, ArithmeticError)
 
 
 def _load_custom_pmf(pmf_csv: str, tail_mass: float) -> Custom:
@@ -273,9 +271,10 @@ def _finite_or_none(x: float) -> float | None:
 def cmd_mc(cfg: dict, spec, out: Path) -> None:
     M, settings = cfg["scatter"]["m"], cfg["mc"]
     frames, order = settings["frames"], settings["order"]
-    config = MCConfig(spec, M, frames, settings["seed"])
+    source = input_pmf(spec)
+    config = MCConfig(Custom(source), M, frames, settings["seed"])
     # the exact side is cheap and checks the order before the sampler runs
-    exact_pmf = scatter_pmf(input_pmf(spec), M)
+    exact_pmf = scatter_pmf(source, M)
     exact = correlation_report(exact_pmf, order)
     result = run_mc(config)
     empirical = empirical_report(result, order)
@@ -358,9 +357,13 @@ def _fig3d(cfg: dict, spec, out: Path) -> None:
     settings = cfg["figure"]
     # a zero mean leaves no g2 to sweep
     M, nbar, r = settings["m"], _at_least(cfg, "nbar", 1), settings["r"]
-    if math.sinh(r) ** 2 > nbar:
-        raise ConfigError(f"squeezing r={r} alone already exceeds the target mean {nbar}")
-    alpha_mag = settings["alpha_mag"] = math.sqrt(nbar - math.sinh(r) ** 2)
+    try:
+        squeezed = math.sinh(r) ** 2  # the mean photon number of the squeezing alone
+    except OverflowError:  # from |r| ~ 355.4 on
+        squeezed = math.inf
+    if not squeezed <= nbar:  # r = nan too
+        raise ConfigError(f"[figure] r = {r}: sinh(r)**2 must be a number <= nbar = {nbar}")
+    alpha_mag = settings["alpha_mag"] = math.sqrt(nbar - squeezed)
     rows = []
     for theta in np.linspace(0.0, 2.0 * math.pi, 65):
         state = SqueezedCoherent(alpha_mag, settings["alpha_phase"], r, float(theta))

@@ -8,8 +8,8 @@ indistinguishable photons over ``M`` cells is equally likely (bosonic
     p_n = b_{N-n} / z_N,   b_k = binom(k + M - 2, M - 2),
                            z_N = binom(N + M - 1, M - 1) = b_0 + ... + b_N.
 
-The integer numerators ``b_k`` come from exact recurrences, run afresh
-by each call that needs them: nothing is kept between calls.  A row runs
+The integer numerators ``b_k`` come from exact recurrences, run once by
+each call that needs them: nothing is kept between calls.  A row runs
 ``b_{k-1} = b_k k // (k + M - 2)`` down from ``b_N = z_N (M - 1) / (N + M - 1)``,
 and each entry is one correctly rounded int/int division, so it is the
 exact rational rounded once to float, at any ``N + M``.
@@ -17,7 +17,8 @@ exact rational rounded once to float, at any ``N + M``.
 A mixture of rows, ``sum_N P(N) b_{N-n} / z_N``, is evaluated from the
 exact integers at any ``N + M`` by :func:`_mixture_array`, the one place
 that picks a route: one nonzero weight takes its exact row, more take one
-of two compensated kernels.  Since ``sum_k b_k x**k = (1 - x)**-(M - 1)``,
+of two compensated kernels, handed the weights and the ``b_k`` that the
+router builds once per stage.  Since ``sum_k b_k x**k = (1 - x)**-(M - 1)``,
 it is M - 1 suffix sums of ``P(N) / z_N``: O(L M) for L entries, each
 entry rounded about once.  It is also one Toeplitz sum: O(L**2), within a
 few units in the last place.  A cost rule on L and M alone picks the suffix
@@ -155,24 +156,25 @@ def _split(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
 def _mixture_array(weights: np.ndarray, M: int) -> np.ndarray:
     """``sum_N weights[N] * row N`` over M >= 2 cells, by the one route picked here.
 
-    A single nonzero weight gives that weight times its exact row.  More go
-    to :func:`_suffix_mixture`, O(L M) for a support of length L, when
+    A single nonzero weight gives that weight times its exact row.  More
+    share ``b = _numerators(L, M)`` for a support of L entries, built here
+    once, and go to :func:`_suffix_mixture`, O(L M), when
     :func:`_suffix_is_cheaper` says so from L and M alone and its weights'
     range fits; otherwise, and always at large M, to :func:`_toeplitz_mixture`,
     O(L**2).  Each takes every weight in one pass and is compensated: the
     suffix route rounds each entry about once, the Toeplitz route is within
-    a few units in the last place.
+    a few units in the last place.  No weight at all calls no kernel.
     """
+    out = np.zeros(len(weights))
     nonzero = np.flatnonzero(weights)
     top = int(nonzero[-1]) + 1 if len(nonzero) else 0
-    head = None
     if len(nonzero) == 1:
-        head = weights[top - 1] * _fock_scatter_array(top - 1, M)
-    elif top and _suffix_is_cheaper(top, M):
-        head = _suffix_mixture(weights[:top], M)  # None where its range does not fit
-    if head is None:
-        return _toeplitz_mixture(weights, M)
-    return np.concatenate((head, np.zeros(len(weights) - top)))
+        out[:top] = weights[top - 1] * _fock_scatter_array(top - 1, M)
+    elif top:
+        b = _numerators(top, M)
+        head = _suffix_mixture(weights[:top], b) if _suffix_is_cheaper(top, M) else None
+        out[:top] = _toeplitz_mixture(weights[:top], b) if head is None else head
+    return out
 
 
 def _suffix_is_cheaper(L: int, M: int) -> bool:
@@ -181,15 +183,15 @@ def _suffix_is_cheaper(L: int, M: int) -> bool:
     return M - 1 < toeplitz / (_SUFFIX_PASS_S + _SUFFIX_ENTRY_S * L)
 
 
-def _z_parts(top: int, M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``z_0, ..., z_{top-1}`` of M cells as ``(hi + lo) * 2**e``, hi in [0.5, 1).
+def _z_parts(b: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``z_0, ..., z_{L-1}`` of the numerators ``b`` as ``(hi + lo) * 2**e``, hi in [0.5, 1).
 
     z_N is the running sum ``b_0 + ... + b_N`` of the exact numerators, the
     same integers the Toeplitz route splits.  Its top 106 bits are two
     53-bit halves, whose float sum and Fast2Sum error are hi and lo; the
     bits cut below them are under 2**-105 of z_N.
     """
-    z = list(accumulate(_numerators(top, M)))
+    z = list(accumulate(b))
     shifts = np.maximum(np.array([x.bit_length() for x in z]) - 106, 0)
     tops = [x >> s for x, s in zip(z, shifts.tolist())]
     upper = np.ldexp(np.array([t >> 53 for t in tops], dtype=float), 53)
@@ -207,14 +209,15 @@ def _veltkamp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return high, a - high
 
 
-def _suffix_mixture(weights: np.ndarray, M: int) -> np.ndarray | None:
+def _suffix_mixture(weights: np.ndarray, b: list[int]) -> np.ndarray | None:
     """The mixture as M - 1 compensated suffix sums, or None if it cannot scale.
 
-    The numerators have the generating function ``sum_k b_k x**k =
-    (1 - x)**-(M - 1)``, and multiplying by ``1 / (1 - x)`` is the suffix sum
-    ``(S w)(n) = sum_{N >= n} w_N``; so the mixture is ``S**(M - 1) w`` with
-    ``w_N = weights[N] / z_N``.  Every number below is >= 0, so no pass
-    cancels, and each ``S**j w`` is at most the final entry.
+    The numerators ``b`` of M cells, one per weight (two or more), have the
+    generating function ``sum_k b_k x**k = (1 - x)**-(M - 1)``, so ``b_1 =
+    M - 1``; multiplying by ``1 / (1 - x)`` is the suffix sum ``(S w)(n) =
+    sum_{N >= n} w_N``, so the mixture is ``S**(M - 1) w`` with ``w_N =
+    weights[N] / z_N``.  Every number below is >= 0, so no pass cancels,
+    and each ``S**j w`` is at most the final entry.
 
     w is a double-double: with ``weights[N] = m * 2**f`` and
     ``z_N = (h + l) * 2**e`` (see :func:`_z_parts`), ``q = m / h`` and the
@@ -230,7 +233,7 @@ def _suffix_mixture(weights: np.ndarray, M: int) -> np.ndarray | None:
     summation).  The result is the high plus low part, rounded once and
     scaled back.
     """
-    zh, zl, ze = _z_parts(len(weights), M)
+    zh, zl, ze = _z_parts(b)
     mant, exps = np.frexp(weights)
     q = mant / zh
     q_high, q_low = _veltkamp(q)
@@ -250,7 +253,7 @@ def _suffix_mixture(weights: np.ndarray, M: int) -> np.ndarray | None:
     views = [(x, x[:-1], x[1:]) for x in (hi, np.empty_like(hi))]
     larger, lost = np.empty((2, len(hi) - 1))
     lo_tail = lo[1:]
-    for _ in range(M - 1):
+    for _ in range(b[1]):  # M - 1 passes
         (x, _, x_tail), (s, s_head, s_tail) = views
         np.add.accumulate(x, out=s)
         # Fast2Sum of s[i] = s[i - 1] + x[i], larger addend first
@@ -264,10 +267,11 @@ def _suffix_mixture(weights: np.ndarray, M: int) -> np.ndarray | None:
     return np.ldexp(hi + lo, -shift)[::-1]
 
 
-def _toeplitz_mixture(weights: np.ndarray, M: int) -> np.ndarray:
+def _toeplitz_mixture(weights: np.ndarray, b: list[int]) -> np.ndarray:
     """``sum_N weights[N] * row N`` over M >= 2 cells, as one Toeplitz sum.
 
-    Entry n is ``sum_{N >= n} t(N, n)`` with the terms
+    With ``b`` the numerators of M cells, one per weight, entry n is
+    ``sum_{N >= n} t(N, n)`` with the terms
     ``t(N, n) = (weights[N] / z_N) * b_{N-n}``.  The exact integers b_k and
     z_N are split once into float mantissas and binary exponents.  Rows N go
     in blocks that share an anchor exponent c, the binary exponent of z at
@@ -288,21 +292,16 @@ def _toeplitz_mixture(weights: np.ndarray, M: int) -> np.ndarray:
     run in ascending N across blocks, so the bits do not depend on the
     blocking either.
     """
-    out = np.zeros(len(weights))
-    nonzero = np.flatnonzero(weights)
-    if not len(nonzero):
-        return out
-    top = int(nonzero[-1]) + 1
-    b = _numerators(top, M)
+    top = len(weights)
+    out = np.zeros(top)
     b_mant, b_exp = _split(b)
     z_mant, z_exp = _split(list(accumulate(b)))
-    weights = weights[:top]
     tiny = (weights > 0.0) & (weights < _TINY_WEIGHT)
     scaled = np.where(tiny, weights / _TINY_WEIGHT, weights) / z_mant
     carry = np.zeros_like(out)  # summed rounding errors of out
     # work space shared by the blocks, so that no block faults in fresh pages
     space = np.empty((3, max(_BLOCK_ELEMENTS, top) + top))
-    start = int(nonzero[0])  # rows below the first weight add nothing
+    start = int(np.flatnonzero(weights)[0])  # rows below the first weight add nothing
     while start < top:
         anchor = int(z_exp[start])
         stop = int(np.searchsorted(z_exp, anchor + _BLOCK_EXPONENT_SPAN, side="right"))

@@ -23,7 +23,7 @@ from rggstats import (
     scatter_pmf,
     total_variation,
 )
-from rggstats import cli
+from rggstats import cli, inputs
 from rggstats.cli import build_parser, main
 from rggstats.combinatorics import approx_scatter_pmf
 
@@ -288,6 +288,22 @@ class TestMcCommand:
         assert doc["z"] == {"2": None}
 
 
+    def test_input_is_built_once(self, monkeypatch, tmp_path):
+        # the exact side and the sampler read the same pmf
+        calls = []
+        thermal = inputs.thermal_pmf
+
+        def counted(mean):
+            calls.append(mean)
+            return thermal(mean)
+
+        monkeypatch.setattr(inputs, "thermal_pmf", counted)
+        argv = ["mc", "--kind", "thermal", "--mean", "250", "--M", "64",
+                "--frames", "200", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert calls == [250.0]
+
+
 class TestFigureCommand:
     def test_fig2_requires_cell_count(self, tmp_path, capsys):
         assert main(["figure", "fig2", "--out", str(tmp_path)]) == 2
@@ -376,11 +392,16 @@ class TestFigureCommand:
         # the sweep is 2*pi-periodic
         assert rows[0][1:] == rows[-1][1:]
 
-    def test_fig3d_rejects_impossible_mean(self, tmp_path):
+    def test_fig3d_rejects_impossible_mean(self, tmp_path, capsys):
         rc = main(
             ["figure", "fig3d", "--nbar", "1", "--r", "2.0", "--out", str(tmp_path)]
         )
         assert rc == 2
+        # sinh(r)**2 overflows, or is nan: the setting is named either way
+        for r in ("710.5", "nan"):
+            capsys.readouterr()
+            assert main(["figure", "fig3d", "--r", r, "--out", str(tmp_path)]) == 2
+            assert "[figure] r" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["fig5a", "fig5b"])
     def test_fig5(self, name, tmp_path):

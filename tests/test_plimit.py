@@ -129,7 +129,7 @@ class TestFockLimitExact:
         with pytest.raises(InvalidPmf, match=r"not a distribution at N=2, M=1: p_1 = -2\.0 < 0"):
             fock_pn_limit_pmf(2, 1)
 
-    @pytest.mark.parametrize("N, M", [(2, 1), (5, 2), (500, 300)])
+    @pytest.mark.parametrize("N, M", [(2, 1), (5, 2), (500, 300), (2000, 1000)])
     def test_pmf_names_the_lowest_entry(self, N, M):
         # the message names the first lowest entry of the exact numerators
         numerators, denominator = _limit_numerators(N, M)
@@ -142,6 +142,41 @@ class TestFockLimitExact:
         with pytest.raises(InvalidPmf) as failure:
             fock_pn_limit_pmf(N, M)
         assert str(failure.value) == expected
+
+    def test_invalid_row_runs_the_recurrence_once(self, monkeypatch):
+        # the message comes from the pass that found the sign, not the products
+        with pytest.raises(InvalidPmf) as first:
+            fock_pn_limit_pmf(500, 300)
+        passes = []
+        scaled = plimit._scaled_numerators
+
+        def counted(N, M):
+            passes.append((N, M))
+            return scaled(N, M)
+
+        def refuse(N, M):
+            raise AssertionError("every product formed to name one entry")
+
+        monkeypatch.setattr(plimit, "_scaled_numerators", counted)
+        monkeypatch.setattr(plimit, "_limit_numerators", refuse)
+        with pytest.raises(InvalidPmf) as second:
+            fock_pn_limit_pmf(500, 300)
+        assert str(second.value) == str(first.value)
+        assert passes == [(500, 300)]
+
+    def test_invalid_row_too_large_to_round_still_names_the_lowest(self, monkeypatch):
+        # an entry past the doubles makes _rounded overflow: every negative
+        # entry then ties and is compared exactly
+        with pytest.raises(InvalidPmf) as first:
+            fock_pn_limit_pmf(500, 300)
+
+        def overflow(ws, N, denominator):
+            raise OverflowError("integer division result too large for a float")
+
+        monkeypatch.setattr(plimit, "_rounded", overflow)
+        with pytest.raises(InvalidPmf) as second:
+            fock_pn_limit_pmf(500, 300)
+        assert str(second.value) == str(first.value)
 
     def test_pmf_matches_fractions(self):
         p = fock_pn_limit_pmf(40, 80)

@@ -116,6 +116,11 @@ FAMILIES = {
 }
 
 
+def numerators(weights, M):
+    """The numerators ``b_0, ..., b_{L-1}`` that the router hands a kernel."""
+    return combinatorics._numerators(len(weights), M)
+
+
 class TestMixtureKernel:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_no_less_accurate_than_row_mixture(self, family):
@@ -136,8 +141,9 @@ class TestMixtureKernel:
         for p in FAMILIES[family]:
             weights = p.as_array()
             for M in (2, 3, 8, 64, 200):
-                suffix = combinatorics._suffix_mixture(weights, M)
-                toeplitz = combinatorics._toeplitz_mixture(weights, M)
+                b = numerators(weights, M)
+                suffix = combinatorics._suffix_mixture(weights, b)
+                toeplitz = combinatorics._toeplitz_mixture(weights, b)
                 assert worst_relative_error(p, suffix, M) <= 2**-53
                 assert worst_relative_error(p, toeplitz, M) < 4e-16
 
@@ -159,7 +165,8 @@ class TestMixtureKernel:
         probs[50], probs[60], probs[80] = 1e-250, 3e-300, 1e-310
         p = Pmf(probs)
         assert probs[80] < probs[60] < probs[50] < combinatorics._TINY_WEIGHT
-        assert worst_relative_error(p, combinatorics._suffix_mixture(probs, M), M) <= 2**-53
+        suffix = combinatorics._suffix_mixture(probs, numerators(probs, M))
+        assert worst_relative_error(p, suffix, M) <= 2**-53
         monkeypatch.setattr(combinatorics, "_toeplitz_mixture", None)
         assert worst_relative_error(p, scatter_pmf(p, M).as_array(), M) < 4e-16
 
@@ -169,17 +176,38 @@ class TestMixtureKernel:
         probs = np.zeros(L)
         probs[0], probs[L - 1] = 0.5, 2.0**-699
         assert combinatorics._suffix_is_cheaper(L, M)
-        assert combinatorics._suffix_mixture(probs, M) is None
-        expected = combinatorics._toeplitz_mixture(probs, M)
+        b = numerators(probs, M)
+        assert combinatorics._suffix_mixture(probs, b) is None
+        expected = combinatorics._toeplitz_mixture(probs, b)
         assert scatter_pmf(Pmf(probs, 0.5), M).as_array().tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("M", [64, 500])
+    def test_router_builds_the_numerators_once(self, monkeypatch, M):
+        # thermal(250) takes the suffix route at M = 64; at M = 500 its range
+        # does not fit, and the Toeplitz kernel takes the same numerators
+        calls = []
+        build = combinatorics._numerators
+
+        def counted(count, M):
+            calls.append((count, M))
+            return build(count, M)
+
+        monkeypatch.setattr(combinatorics, "_numerators", counted)
+        p = thermal_pmf(250.0)
+        scatter_pmf(p, M)
+        weights = p.as_array()
+        assert calls == [(len(weights), M)]
+        fits = combinatorics._suffix_mixture(weights, build(len(weights), M)) is not None
+        assert combinatorics._suffix_is_cheaper(len(weights), M) and fits == (M == 64)
+
     def test_many_cells_never_run_the_passes(self, monkeypatch):
-        def refuse(weights, M):
+        def refuse(weights, b):
             raise AssertionError("suffix route at M = 10**9")
 
         monkeypatch.setattr(combinatorics, "_suffix_mixture", refuse)
         p = Pmf(np.random.default_rng(4).dirichlet(np.ones(500)))
-        expected = combinatorics._toeplitz_mixture(p.as_array(), 10**9)
+        weights = p.as_array()
+        expected = combinatorics._toeplitz_mixture(weights, numerators(weights, 10**9))
         assert scatter_pmf(p, 10**9).as_array().tobytes() == expected.tobytes()
 
     def test_correlation_laws_on_a_bright_input(self):
@@ -207,9 +235,10 @@ class TestMixtureKernel:
         # the Toeplitz kernel directly: the rule sends some of these to the
         # suffix route, which has no blocks
         weights = p.as_array()
-        whole = combinatorics._toeplitz_mixture(weights, M)
+        b = numerators(weights, M)
+        whole = combinatorics._toeplitz_mixture(weights, b)
         monkeypatch.setattr(combinatorics, "_BLOCK_ELEMENTS", budget)
-        assert combinatorics._toeplitz_mixture(weights, M).tobytes() == whole.tobytes()
+        assert combinatorics._toeplitz_mixture(weights, b).tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("M", [2, 3, 64, 25000])
     def test_single_weight_gives_the_exact_row(self, M):
@@ -312,6 +341,39 @@ class TestRouterProperties:
         expected = np.zeros(len(probs))
         expected[: N + 1] = weight * fock_scatter_pmf(N, M).as_array()
         assert scatter_pmf(Pmf(probs, 1.0 - weight), M).probs == tuple(expected.tolist())
+
+
+_kernel_inputs = st.one_of(
+    _light_inputs,
+    st.builds(
+        lambda width, seed: Pmf(np.random.default_rng(seed).dirichlet(np.ones(width))),
+        st.integers(2, 60), st.integers(0, 2**32),
+    ),
+)
+
+
+class TestKernelProperties:
+    # M log-uniform on [2, 10**4]: a suffix pass costs ~7 us at M = 10**4
+    @given(_kernel_inputs, st.floats(math.log(2), math.log(1e4)).map(math.exp).map(round))
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    def test_router_takes_one_of_two_agreeing_kernels(self, p, M):
+        weights = p.as_array()
+        nonzero = np.flatnonzero(weights)
+        top = int(nonzero[-1]) + 1
+        picked = np.zeros(len(weights))
+        if len(nonzero) == 1:
+            picked[:top] = weights[top - 1] * fock_scatter_pmf(top - 1, M).as_array()
+        else:
+            b = numerators(weights[:top], M)
+            toeplitz = combinatorics._toeplitz_mixture(weights[:top], b)
+            suffix = combinatorics._suffix_mixture(weights[:top], b)
+            if suffix is not None:  # where its range fits
+                compared = toeplitz > 1e-300
+                gap = np.abs(suffix - toeplitz)[compared]
+                assert np.all(gap <= 4e-16 * toeplitz[compared])
+            cheaper = combinatorics._suffix_is_cheaper(top, M) and suffix is not None
+            picked[:top] = suffix if cheaper else toeplitz
+        assert scatter_pmf(p, M).as_array().tobytes() == picked.tobytes()
 
 
 def second_moment(p):
