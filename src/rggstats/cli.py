@@ -74,7 +74,9 @@ class ConfigError(Exception):
 
 
 _REQUIRED = object()
-_NUMERIC_FAILURES = (TailTooHeavy, ZeroMean, OutOfRange, DimTooSmall, InvalidPmf, ArithmeticError)
+_NUMERIC_FAILURES = (
+    TailTooHeavy, ZeroMean, OutOfRange, DimTooSmall, InvalidPmf, ArithmeticError
+)
 
 
 def _load_custom_pmf(pmf_csv: str, tail_mass: float) -> Custom:

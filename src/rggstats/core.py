@@ -385,5 +385,8 @@ def total_variation(p: Pmf, q: Pmf) -> float:
     by zeros; recorded tails contribute like an extra (aggregated) outcome.
     """
     width = max(len(p), len(q))
-    a, b = (np.pad(x.as_array(), (0, width - len(x))) for x in (p, q))
+    a = np.zeros(width)
+    b = np.zeros(width)
+    a[: len(p)] = p.as_array()
+    b[: len(q)] = q.as_array()
     return 0.5 * (float(np.abs(a - b).sum()) + abs(p.tail_mass - q.tail_mass))

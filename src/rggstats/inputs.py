@@ -173,7 +173,8 @@ def squeezed_coherent_pmf(params: SqueezedCoherent) -> Pmf:
     v_prev, v = 0j, cmath.exp(complex(w_real - e * _LN2, w_imag)) / math.sqrt(math.cosh(params.r))
 
     probs = [math.ldexp(abs(v) ** 2, 2 * e)]
-    cum, n = probs[0], 0
+    cum = probs[0]
+    n = 0
     while 1.0 - cum >= TAIL_TARGET and n < N_CAP:
         v_prev, v = v, (g * v - h * math.sqrt(n) * v_prev) / math.sqrt(n + 1)
         n += 1
@@ -187,7 +188,9 @@ def squeezed_coherent_pmf(params: SqueezedCoherent) -> Pmf:
         probs.append(p)
         cum += p
         if cum > 1.0 + 1e-9:
-            raise UnstableEvaluation(f"cumulative probability {cum!r} exceeds 1 at n={n}")
+            raise UnstableEvaluation(
+                f"cumulative probability {cum!r} exceeds 1 at n={n}"
+            )
 
     return Pmf(probs, max(0.0, 1.0 - cum))
 
@@ -216,7 +219,9 @@ def squeezed_oracle_pmf(params: SqueezedCoherent, dim: int) -> Pmf:
         from scipy.sparse import diags
         from scipy.sparse.linalg import expm_multiply
     except ImportError as exc:
-        raise ImportError("squeezed_oracle_pmf needs scipy: pip install 'rggstats[test]'") from exc
+        raise ImportError(
+            "squeezed_oracle_pmf needs scipy: pip install 'rggstats[test]'"
+        ) from exc
 
     if not isinstance(params, SqueezedCoherent):
         raise TypeError(f"expected SqueezedCoherent parameters, got {type(params).__name__}")

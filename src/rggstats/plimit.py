@@ -199,19 +199,18 @@ def fock_pn_limit_pmf(N: int, M: int) -> Pmf:
     InvalidPmf
         If any exact entry is negative, i.e. (N, M) lies outside the
         domain where the limit form is a distribution; the message names the
-        first lowest entry, from ``|F_n w_n| / M**N`` rounded, ties exact.
-        :func:`fock_pn_limit_fractions` gives the raw values.
+        first lowest entry, with ``F_n w_n`` formed for the negative ``w_n``
+        only.  :func:`fock_pn_limit_fractions` gives the raw values.
     """
     N, M = _as_int("photon number N", N, 0), _as_int("cell count M", M, 1)
     ws, denominator = _scaled_numerators(N, M)
     if min(ws) < 0:  # F_n > 0, so s_n and w_n share their sign
-        try:  # rounding is monotone, so the lowest exact entry is among the ties
-            sizes = _rounded([abs(w) for w in ws], N, denominator)
-        except OverflowError:  # an entry passes the doubles: all tie, as if 0.0
-            sizes = [0.0] * len(ws)
-        worst = max(size for size, w in zip(sizes, ws) if w < 0)
-        ties = [n for n, w in enumerate(ws) if w < 0 and sizes[n] == worst]
-        lowest, n = min((math.perm(N, n) * ws[n], n) for n in ties)
+        lowest, F = (0, 0), 1  # (s_n, n) of the first lowest entry
+        for n, w in enumerate(ws):
+            if w < 0:
+                lowest = min(lowest, (F * w, n))
+            F *= N - n
+        lowest, n = lowest
         raise InvalidPmf(
             f"deep-cascade form is not a distribution at N={N}, M={M}: "
             f"p_{n} = {lowest / denominator!r} < 0; "

@@ -164,20 +164,6 @@ class TestFockLimitExact:
         assert str(second.value) == str(first.value)
         assert passes == [(500, 300)]
 
-    def test_invalid_row_too_large_to_round_still_names_the_lowest(self, monkeypatch):
-        # an entry past the doubles makes _rounded overflow: every negative
-        # entry then ties and is compared exactly
-        with pytest.raises(InvalidPmf) as first:
-            fock_pn_limit_pmf(500, 300)
-
-        def overflow(ws, N, denominator):
-            raise OverflowError("integer division result too large for a float")
-
-        monkeypatch.setattr(plimit, "_rounded", overflow)
-        with pytest.raises(InvalidPmf) as second:
-            fock_pn_limit_pmf(500, 300)
-        assert str(second.value) == str(first.value)
-
     def test_pmf_matches_fractions(self):
         p = fock_pn_limit_pmf(40, 80)
         exact = fock_pn_limit_fractions(40, 80)

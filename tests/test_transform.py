@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rggstats import (
@@ -316,6 +316,10 @@ _light_inputs = st.one_of(
     .map(lambda x: Pmf(np.array(x) / sum(x))),
 )
 _cells = st.integers(1, 10**4)
+_dirichlet_inputs = st.builds(
+    lambda width, seed: Pmf(np.random.default_rng(seed).dirichlet(np.ones(width))),
+    st.integers(2, 60), st.integers(0, 2**32),
+)
 
 
 class TestRouterProperties:
@@ -342,38 +346,26 @@ class TestRouterProperties:
         expected[: N + 1] = weight * fock_scatter_pmf(N, M).as_array()
         assert scatter_pmf(Pmf(probs, 1.0 - weight), M).probs == tuple(expected.tolist())
 
-
-_kernel_inputs = st.one_of(
-    _light_inputs,
-    st.builds(
-        lambda width, seed: Pmf(np.random.default_rng(seed).dirichlet(np.ones(width))),
-        st.integers(2, 60), st.integers(0, 2**32),
-    ),
-)
-
-
-class TestKernelProperties:
     # M log-uniform on [2, 10**4]: a suffix pass costs ~7 us at M = 10**4
-    @given(_kernel_inputs, st.floats(math.log(2), math.log(1e4)).map(math.exp).map(round))
-    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        st.one_of(_light_inputs, _dirichlet_inputs),
+        st.floats(math.log(2), math.log(1e4)).map(math.exp).map(round),
+    )
+    @_derandomized
     def test_router_takes_one_of_two_agreeing_kernels(self, p, M):
         weights = p.as_array()
-        nonzero = np.flatnonzero(weights)
-        top = int(nonzero[-1]) + 1
-        picked = np.zeros(len(weights))
-        if len(nonzero) == 1:
-            picked[:top] = weights[top - 1] * fock_scatter_pmf(top - 1, M).as_array()
-        else:
-            b = numerators(weights[:top], M)
-            toeplitz = combinatorics._toeplitz_mixture(weights[:top], b)
-            suffix = combinatorics._suffix_mixture(weights[:top], b)
-            if suffix is not None:  # where its range fits
-                compared = toeplitz > 1e-300
-                gap = np.abs(suffix - toeplitz)[compared]
-                assert np.all(gap <= 4e-16 * toeplitz[compared])
-            cheaper = combinatorics._suffix_is_cheaper(top, M) and suffix is not None
-            picked[:top] = suffix if cheaper else toeplitz
-        assert scatter_pmf(p, M).as_array().tobytes() == picked.tobytes()
+        assume(np.count_nonzero(weights) >= 2)  # one weight: its exact row, checked above
+        top = int(np.flatnonzero(weights)[-1]) + 1
+        b = numerators(weights[:top], M)
+        kernels = [combinatorics._toeplitz_mixture(weights[:top], b)]
+        suffix = combinatorics._suffix_mixture(weights[:top], b)
+        if suffix is not None:  # where its range fits
+            toeplitz, compared = kernels[0], kernels[0] > 1e-300
+            assert np.all(np.abs(suffix - toeplitz)[compared] <= 4e-16 * toeplitz[compared])
+            kernels.append(suffix)
+        out = scatter_pmf(p, M).as_array()
+        assert not out[top:].any()
+        assert any(out[:top].tobytes() == kernel.tobytes() for kernel in kernels)
 
 
 def second_moment(p):
