@@ -16,14 +16,12 @@ exact rational rounded once to float, at any ``N + M``.
 
 A mixture of rows, ``sum_N P(N) b_{N-n} / z_N``, is evaluated from the
 exact integers at any ``N + M`` by :func:`_mixture_array`, the one place
-that picks a route: one nonzero weight takes its exact row, more take one
-of two compensated kernels, handed the weights and the ``b_k`` that the
-router builds once per stage.  Since ``sum_k b_k x**k = (1 - x)**-(M - 1)``,
-it is M - 1 suffix sums of ``P(N) / z_N``: O(L M) for L entries, each
-entry rounded about once.  It is also one Toeplitz sum: O(L**2), within a
-few units in the last place.  A cost rule on L and M alone picks the suffix
-route where M is small against L, and the Toeplitz route elsewhere and
-where the suffix route cannot scale its weights into the double range.
+that picks a route: one nonzero weight takes its exact row; for more, it
+builds the ``b_k`` and z_N once, tests cost and range, and calls exactly
+one of two compensated kernels, neither of which falls back.  As ``sum_k
+b_k x**k = (1 - x)**-(M - 1)``, the mixture is M - 1 suffix sums of
+``P(N) / z_N``: O(L M) for L entries, each entry rounded about once.  It
+is also one Toeplitz sum: O(L**2), within a few units in the last place.
 
 :func:`fock_scatter_fractions` returns the exact rationals themselves.
 """
@@ -120,7 +118,7 @@ _BLOCK_ELEMENTS = 1 << 16
 _BLOCK_EXPONENT_SPAN = 256
 #: :func:`_toeplitz_mixture` takes weights below this divided by it (exactly).
 _TINY_WEIGHT = 2.0**-700
-#: Cost rule of :func:`_mixture_array`, in seconds, for a support of L
+#: Cost rule of :func:`_suffix_route`, in seconds, for a support of L
 #: entries: one suffix pass costs ``_SUFFIX_PASS_S + _SUFFIX_ENTRY_S * L``;
 #: the Toeplitz sum costs ``L * (_TOEPLITZ_ENTRY_S + _TOEPLITZ_TERM_S * L)``
 #: more than the suffix route's z_N and w.  Fitted to interleaved medians of
@@ -157,13 +155,11 @@ def _mixture_array(weights: np.ndarray, M: int) -> np.ndarray:
     """``sum_N weights[N] * row N`` over M >= 2 cells, by the one route picked here.
 
     A single nonzero weight gives that weight times its exact row.  More
-    share ``b = _numerators(L, M)`` for a support of L entries, built here
-    once, and go to :func:`_suffix_mixture`, O(L M), when
-    :func:`_suffix_is_cheaper` says so from L and M alone and its weights'
-    range fits; otherwise, and always at large M, to :func:`_toeplitz_mixture`,
-    O(L**2).  Each takes every weight in one pass and is compensated: the
-    suffix route rounds each entry about once, the Toeplitz route is within
-    a few units in the last place.  No weight at all calls no kernel.
+    share ``b = _numerators(L, M)`` for a support of L entries and their
+    running sums z_N, built here once, and go to exactly one kernel, which
+    takes every weight in one pass: :func:`_suffix_mixture`, O(L M), where
+    :func:`_suffix_route` picks it, and :func:`_toeplitz_mixture`, O(L**2),
+    elsewhere, always at large M.  No weight at all calls no kernel.
     """
     out = np.zeros(len(weights))
     nonzero = np.flatnonzero(weights)
@@ -171,28 +167,36 @@ def _mixture_array(weights: np.ndarray, M: int) -> np.ndarray:
     if len(nonzero) == 1:
         out[:top] = weights[top - 1] * _fock_scatter_array(top - 1, M)
     elif top:
-        b = _numerators(top, M)
-        head = _suffix_mixture(weights[:top], b) if _suffix_is_cheaper(top, M) else None
-        out[:top] = _toeplitz_mixture(weights[:top], b) if head is None else head
+        head, b = weights[:top], _numerators(top, M)
+        z = list(accumulate(b))
+        bits = _suffix_route(head, z, M)
+        out[:top] = _toeplitz_mixture(head, b, z) if bits is None else _suffix_mixture(head, z, bits)
     return out
 
 
-def _suffix_is_cheaper(L: int, M: int) -> bool:
-    """Whether M - 1 suffix passes over L entries beat the ~L**2 Toeplitz terms."""
-    toeplitz = L * (_TOEPLITZ_ENTRY_S + _TOEPLITZ_TERM_S * L)
-    return M - 1 < toeplitz / (_SUFFIX_PASS_S + _SUFFIX_ENTRY_S * L)
+def _suffix_route(weights: np.ndarray, z: list[int], M: int) -> np.ndarray | None:
+    """z_N's bit lengths if M - 1 suffix passes beat ~L**2 Toeplitz terms and w fits, else None.
 
-
-def _z_parts(b: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``z_0, ..., z_{L-1}`` of the numerators ``b`` as ``(hi + lo) * 2**e``, hi in [0.5, 1).
-
-    z_N is the running sum ``b_0 + ... + b_N`` of the exact numerators, the
-    same integers the Toeplitz route splits.  Its top 106 bits are two
-    53-bit halves, whose float sum and Fast2Sum error are hi and lo; the
-    bits cut below them are under 2**-105 of z_N.
+    A weight of binary exponent f over B bits of z_N has ``w_N > 2**(f - 1 - B)``, which
+    scaled as in :func:`_suffix_mixture` must reach 2**-969; up to 2**-968 it may be refused.
     """
-    z = list(accumulate(b))
-    shifts = np.maximum(np.array([x.bit_length() for x in z]) - 106, 0)
+    L = len(weights)
+    toeplitz = L * (_TOEPLITZ_ENTRY_S + _TOEPLITZ_TERM_S * L)
+    if M - 1 >= toeplitz / (_SUFFIX_PASS_S + _SUFFIX_ENTRY_S * L):
+        return None
+    bits = np.array([x.bit_length() for x in z])
+    shift = 1020 - math.frexp(float(weights.sum()))[1]
+    fits = (np.frexp(weights)[1] - bits)[weights > 0].min() - 1 + shift >= -969
+    return bits if fits else None
+
+
+def _z_parts(z: list[int], bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """z_N of bit lengths ``bits`` as ``(hi + lo) * 2**e``, hi in [0.5, 1).
+
+    The top 106 bits of each z_N are two 53-bit halves, whose float sum and
+    Fast2Sum error are hi and lo; the bits cut below are under 2**-105 of z_N.
+    """
+    shifts = np.maximum(bits - 106, 0)
     tops = [x >> s for x, s in zip(z, shifts.tolist())]
     upper = np.ldexp(np.array([t >> 53 for t in tops], dtype=float), 53)
     lower = np.array([t & _LOW_53 for t in tops], dtype=float)
@@ -209,12 +213,12 @@ def _veltkamp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return high, a - high
 
 
-def _suffix_mixture(weights: np.ndarray, b: list[int]) -> np.ndarray | None:
-    """The mixture as M - 1 compensated suffix sums, or None if it cannot scale.
+def _suffix_mixture(weights: np.ndarray, z: list[int], bits: np.ndarray) -> np.ndarray:
+    """The mixture as M - 1 compensated suffix sums.
 
-    The numerators ``b`` of M cells, one per weight (two or more), have the
-    generating function ``sum_k b_k x**k = (1 - x)**-(M - 1)``, so ``b_1 =
-    M - 1``; multiplying by ``1 / (1 - x)`` is the suffix sum ``(S w)(n) =
+    ``z`` and ``bits`` hold z_N of M cells and its bit length, one per
+    weight (two or more).  As ``sum_k b_k x**k = (1 - x)**-(M - 1)``, ``z_1
+    = M``, and multiplying by ``1 / (1 - x)`` is the suffix sum ``(S w)(n) =
     sum_{N >= n} w_N``, so the mixture is ``S**(M - 1) w`` with ``w_N =
     weights[N] / z_N``.  Every number below is >= 0, so no pass cancels,
     and each ``S**j w`` is at most the final entry.
@@ -223,17 +227,16 @@ def _suffix_mixture(weights: np.ndarray, b: list[int]) -> np.ndarray | None:
     ``z_N = (h + l) * 2**e`` (see :func:`_z_parts`), ``q = m / h`` and the
     error of ``q h`` from Dekker's TwoProduct on Veltkamp halves give the
     low part ``(m - q h - err - q l) / h``.  One exact power of two
-    ``2**shift`` puts the weights' total just below 2**1020; if the least
-    nonzero scaled w then falls below 2**-969, where its low part would lose
-    bits to underflow, the range does not fit and None is returned.  Each
-    pass runs a cumulative sum ``s`` of the high parts ``x``; the rounding
-    error of each of its additions comes back elementwise by Fast2Sum from
-    ``s[:-1]``, ``x[1:]`` and ``s[1:]`` and joins the low parts, which get a
-    cumulative sum of their own (Ogita, Rump and Oishi's compensated
-    summation).  The result is the high plus low part, rounded once and
-    scaled back.
+    ``2**shift`` puts the weights' total just below 2**1020, and the router
+    sends only stages where no nonzero w then falls below 2**-969, where its
+    low part would lose bits to underflow.  Each pass runs a cumulative sum
+    ``s`` of the high parts ``x``; the rounding error of each of its
+    additions comes back elementwise by Fast2Sum from ``s[:-1]``, ``x[1:]``
+    and ``s[1:]`` and joins the low parts, which get a cumulative sum of
+    their own (Ogita, Rump and Oishi's compensated summation).  The result
+    is the high plus low part, rounded once and scaled back.
     """
-    zh, zl, ze = _z_parts(b)
+    zh, zl, ze = _z_parts(z, bits)
     mant, exps = np.frexp(weights)
     q = mant / zh
     q_high, q_low = _veltkamp(q)
@@ -243,9 +246,6 @@ def _suffix_mixture(weights: np.ndarray, b: list[int]) -> np.ndarray | None:
     low = ((mant - product) - err - q * zl) / zh
     exps = exps - ze
     shift = 1020 - math.frexp(float(weights.sum()))[1]
-    least = np.frexp(q)[1] + exps
-    if int(least[weights > 0].min()) + shift < -968:
-        return None
     # reversed, so that prefix sums over the index are suffix sums over N
     hi = np.ldexp(q, exps + shift)[::-1].copy()
     lo = np.ldexp(low, exps + shift)[::-1].copy()
@@ -253,7 +253,7 @@ def _suffix_mixture(weights: np.ndarray, b: list[int]) -> np.ndarray | None:
     views = [(x, x[:-1], x[1:]) for x in (hi, np.empty_like(hi))]
     larger, lost = np.empty((2, len(hi) - 1))
     lo_tail = lo[1:]
-    for _ in range(b[1]):  # M - 1 passes
+    for _ in range(z[1] - 1):  # M - 1 passes
         (x, _, x_tail), (s, s_head, s_tail) = views
         np.add.accumulate(x, out=s)
         # Fast2Sum of s[i] = s[i - 1] + x[i], larger addend first
@@ -267,15 +267,15 @@ def _suffix_mixture(weights: np.ndarray, b: list[int]) -> np.ndarray | None:
     return np.ldexp(hi + lo, -shift)[::-1]
 
 
-def _toeplitz_mixture(weights: np.ndarray, b: list[int]) -> np.ndarray:
+def _toeplitz_mixture(weights: np.ndarray, b: list[int], z: list[int]) -> np.ndarray:
     """``sum_N weights[N] * row N`` over M >= 2 cells, as one Toeplitz sum.
 
-    With ``b`` the numerators of M cells, one per weight, entry n is
-    ``sum_{N >= n} t(N, n)`` with the terms
-    ``t(N, n) = (weights[N] / z_N) * b_{N-n}``.  The exact integers b_k and
-    z_N are split once into float mantissas and binary exponents.  Rows N go
-    in blocks that share an anchor exponent c, the binary exponent of z at
-    the block's first row: the block's terms are the column
+    With ``b`` the numerators of M cells and ``z`` their running sums z_N,
+    one of each per weight, entry n is ``sum_{N >= n} t(N, n)``, ``t(N, n)
+    = (weights[N] / z_N) * b_{N-n}``.  The exact b_k and z_N are split once
+    into float mantissas and binary exponents.  Rows N go in blocks that
+    share an anchor exponent c, the binary exponent of z at the block's
+    first row: the block's terms are the column
     ``weights[N] / m(z_N) * 2**(c - e(z_N))`` times a zero-copy Toeplitz view
     of ``m(b_k) * 2**(e(b_k) - c)``.  Scaling by powers of two is exact, so
     each term is the same double whatever the block, and it underflows only
@@ -295,7 +295,7 @@ def _toeplitz_mixture(weights: np.ndarray, b: list[int]) -> np.ndarray:
     top = len(weights)
     out = np.zeros(top)
     b_mant, b_exp = _split(b)
-    z_mant, z_exp = _split(list(accumulate(b)))
+    z_mant, z_exp = _split(z)
     tiny = (weights > 0.0) & (weights < _TINY_WEIGHT)
     scaled = np.where(tiny, weights / _TINY_WEIGHT, weights) / z_mant
     carry = np.zeros_like(out)  # summed rounding errors of out

@@ -71,6 +71,7 @@ double, that double times ``2^(sw+sf-K)`` is the correctly rounded
 
 from __future__ import annotations
 
+import decimal
 import math
 from fractions import Fraction
 
@@ -112,25 +113,19 @@ _TOP_BITS = 64
 _MIN_NORMAL = 2.0**-1022
 
 
-def _downward_w(N: int, M: int):
-    """Yield w_N, w_(N-1), ..., w_0 of the division-free recurrence."""
-    w_next, w = 0, 1  # w_(n+1), w_n at n = N
-    yield w
-    for n in range(N, 0, -1):
-        w_next, w = w, (n + 1) * (N - n) * w_next + (N + M - 2 * n) * w
-        yield w
-
-
 def _scaled_numerators(N: int, M: int) -> tuple[list[int], int]:
     """``w_0 .. w_N`` with ``s_n = F_n w_n``, and the denominator ``M**N``.
 
-    The same downward pass accumulates ``h = w_n + (N - n) h``, which ends
-    as ``sum_n F_n w_n = sum_n s_n``.  Anything but exactly ``M**N`` would
-    be an arithmetic bug and raises :class:`NormalizationFailure`.
+    The division-free recurrence runs down from ``w_N = 1``, and the same
+    pass accumulates ``h = w_n + (N - n) h``, which ends as ``sum_n F_n w_n
+    = sum_n s_n``.  Anything but exactly ``M**N`` would be an arithmetic
+    bug and raises :class:`NormalizationFailure`.
     """
-    ws, h = [], 0
-    for k, w in enumerate(_downward_w(N, M)):  # k = N - n
-        h = w + k * h
+    w_next, w = 0, 1  # w_(n+1), w_n at n = N
+    ws, h = [w], w
+    for n in range(N, 0, -1):
+        w_next, w = w, (n + 1) * (N - n) * w_next + (N + M - 2 * n) * w
+        h = w + (N - n + 1) * h
         ws.append(w)
     denominator = M**N
     if h != denominator:
@@ -211,9 +206,13 @@ def fock_pn_limit_pmf(N: int, M: int) -> Pmf:
                 lowest = min(lowest, (F * w, n))
             F *= N - n
         lowest, n = lowest
+        try:
+            value = repr(lowest / denominator)
+        except OverflowError:  # past the doubles: 17 digits and a decimal exponent
+            value = f"{decimal.Context(17, Emax=decimal.MAX_EMAX).divide(lowest, denominator):.16e}"
         raise InvalidPmf(
             f"deep-cascade form is not a distribution at N={N}, M={M}: "
-            f"p_{n} = {lowest / denominator!r} < 0; "
+            f"p_{n} = {value} < 0; "
             "raw values available via fock_pn_limit_fractions"
         )
     return Pmf(_rounded(ws, N, denominator), 0.0)

@@ -6,8 +6,10 @@ guarantee are all exercised exactly as a shell user would hit them.
 """
 
 import argparse
+import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -218,6 +220,14 @@ class TestPlimitCommand:
         # the limit expression goes negative for N >= 2, M = 1
         assert main(["plimit", "--n", "2", "--M", "1", "--out", str(tmp_path)]) == 3
 
+    def test_lowest_entry_past_the_doubles_is_named(self, tmp_path, capsys):
+        assert main(["plimit", "--n", "300", "--M", "2", "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == (
+            "numeric failure: deep-cascade form is not a distribution at N=300, M=2: "
+            "p_151 = -5.1737979291746066e+612 < 0; raw values available via "
+            "fock_pn_limit_fractions\n"
+        )
+
 
 class TestMcCommand:
     def test_outputs_consistent(self, tmp_path):
@@ -412,6 +422,46 @@ class TestFigureCommand:
         assert doc["total_variation"] == expected
         _, header, rows = read_csv(tmp_path / f"{name}.csv")
         assert header == ["n", "p_single_stage", "p_limit"]
+
+
+# SHA-256 of each file that the README's "Command line" block writes, recorded
+# before the router took over the suffix route's range test.  Three files are
+# left out: bright/scatter.csv, fig2.csv and mc-thermal/mc.csv hold entries
+# from glibc's exp, log1p or pow, whose FMA and plain variants differ in the
+# last bit, so they move with the CPU.  Every file embeds the engine version.
+README_DIGESTS = {
+    "big/scatter.csv": "4c8f9141aa83036e8ea47bfa82516465384f2c18616ace550a4e1da7da8b78d4",
+    "deep/plimit.csv": "b8a7cf30a0363d0b404ffe65c6f20cb714d030cb0a3b31138fffb91d401b5952",
+    "deep/plimit.json": "142e3e760a8902aa47733a00375371e54798b9f698664cc483a2b5e5d0880edf",
+    "fig3a.csv": "379bf76fd61298d38eca99620c534a6b522d17da58c9ced6ed84226715658da4",
+    "gn.json": "46563f800015fe619dd32d264d2e8a3cdd8a45f385167ec36a7f79e105eafe3d",
+    "mc-thermal/mc.json": "638374773ceafcf329fec15b671cba9ed70ce92581904a44468ccddcf5442858",
+    "mc.csv": "58c7897707bbc457964368ebfb12fe6e865f16765da3b820bacdcc177d0d5f5e",
+    "mc.json": "7d67ab8f4795b1033d0ab1a633fe63541cd4f06ebbdc6d70cf0ae79233dc7c56",
+    "plimit.csv": "38ece09efe5e95e3c311766af1e77dcda1593c88081afcadf427974de7dce678",
+    "plimit.json": "d2cd0dfa853317608c86b34232a575099825faef7b37d319a2517e0ef05daf2e",
+    "scatter.csv": "b6e6326f1fa6ddc649c2ae6970aa17da5b49e446efc7080811e2034ffce70114",
+    "squeezed/gn.json": "52093df1b3d3860ee12368485e237261efe9d5752544a78432e244a3b91b7d84",
+}
+
+
+class TestReadmeCommands:
+    def test_readme_outputs_pinned(self, tmp_path):
+        # the lines of the sh block under "## Command line", as CI reads them
+        text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = text.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        commands = [line for line in block.splitlines() if line]
+        assert len(commands) == 11
+        for command in commands:
+            program, *argv = shlex.split(command)
+            out = argv.index("--out") + 1
+            assert program == "rggstats" and argv[out].startswith("results/")
+            argv[out] = str(tmp_path / argv[out].removeprefix("results/"))
+            assert main(argv) == 0, command
+        written = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()}
+        assert len(written) == 15 and set(README_DIGESTS) <= written
+        for name, digest in README_DIGESTS.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 class TestErrorHandling:

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -129,14 +130,24 @@ class TestFockLimitExact:
         with pytest.raises(InvalidPmf, match=r"not a distribution at N=2, M=1: p_1 = -2\.0 < 0"):
             fock_pn_limit_pmf(2, 1)
 
-    @pytest.mark.parametrize("N, M", [(2, 1), (5, 2), (500, 300), (2000, 1000)])
+    @pytest.mark.parametrize(
+        "N, M",
+        # the last four overflow the doubles
+        [(2, 1), (5, 2), (500, 300), (2000, 1000), (170, 1), (171, 1), (172, 2), (300, 2)],
+    )
     def test_pmf_names_the_lowest_entry(self, N, M):
         # the message names the first lowest entry of the exact numerators
         numerators, denominator = _limit_numerators(N, M)
         lowest = min(numerators)
+        if -lowest < denominator << 1023:
+            value = repr(lowest / denominator)
+        else:  # 17 digits, rounded half to even, and a decimal exponent
+            exponent = len(str(-lowest // denominator)) - 1
+            digits = str(round(Fraction(-lowest, denominator * 10 ** (exponent - 16))))
+            value = f"-{digits[0]}.{digits[1:]}e+{exponent}"
         expected = (
             f"deep-cascade form is not a distribution at N={N}, M={M}: "
-            f"p_{numerators.index(lowest)} = {lowest / denominator!r} < 0; "
+            f"p_{numerators.index(lowest)} = {value} < 0; "
             "raw values available via fock_pn_limit_fractions"
         )
         with pytest.raises(InvalidPmf) as failure:
@@ -199,13 +210,13 @@ class TestRecurrenceAgainstAlternatingSum:
 
     @pytest.mark.parametrize("evaluate", [fock_pn_limit_pmf, fock_pn_limit_fractions])
     def test_corrupted_w_fails_the_horner_check(self, monkeypatch, evaluate):
-        honest = plimit._downward_w
-
-        def corrupted(N, M):
-            for k, w in enumerate(honest(N, M)):
-                yield w + 1 if k == 7 else w  # w_(N-7) off by one
-
-        monkeypatch.setattr(plimit, "_downward_w", corrupted)
+        # a copy of the recurrence with w_(N-7) off by one, put in its place
+        source = inspect.getsource(plimit._scaled_numerators)
+        corrupted = source.replace("(N + M - 2 * n) * w\n", "(N + M - 2 * n) * w + (n == N - 6)\n")
+        assert corrupted != source
+        namespace = dict(vars(plimit))
+        exec(corrupted, namespace)
+        monkeypatch.setattr(plimit, "_scaled_numerators", namespace["_scaled_numerators"])
         with pytest.raises(NormalizationFailure, match=r"N=40, M=80 sums to \d+/\d+ != 1"):
             evaluate(40, 80)
 

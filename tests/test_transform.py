@@ -1,6 +1,7 @@
 import hashlib
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -114,11 +115,47 @@ FAMILIES = {
     ],
     "custom": list(random_pmfs(3, 40, seed=2024)),
 }
+# the router's bit-identity grid; at M = 245 to 1300 the cost rule picks the
+# suffix route for some thermal(250) stages whose range does not fit
+GRID_CELLS = (2, 17, 98, 245, 500, 1000, 1300, 4096, 25275)
+GRID_INPUTS = (
+    poisson_pmf(8.0),
+    poisson_pmf(300.0),
+    thermal_pmf(3.0),
+    thermal_pmf(250.0),
+    squeezed_coherent_pmf(SqueezedCoherent(2.0, 0.1, 0.5, 0.3)),
+    squeezed_coherent_pmf(SqueezedCoherent(0.0, 0.0, 0.8, 1.0)),
+    Pmf(np.random.default_rng(3).dirichlet(np.ones(300))),
+)
 
 
 def numerators(weights, M):
-    """The numerators ``b_0, ..., b_{L-1}`` that the router hands a kernel."""
-    return combinatorics._numerators(len(weights), M)
+    """The numerators ``b_k`` and their running sums z_N that the router builds."""
+    b = combinatorics._numerators(len(weights), M)
+    return b, list(accumulate(b))
+
+
+def bit_lengths(z):
+    return np.array([x.bit_length() for x in z])
+
+
+def suffix_kernel(weights, M):
+    """The suffix kernel, called directly on what the router would hand it."""
+    _, z = numerators(weights, M)
+    return combinatorics._suffix_mixture(weights, z, bit_lengths(z))
+
+
+def toeplitz_kernel(weights, M):
+    """The Toeplitz kernel, called directly on what the router would hand it."""
+    return combinatorics._toeplitz_mixture(weights, *numerators(weights, M))
+
+
+def least_scaled_w(weights, z):
+    """The least nonzero ``w_N = weights[N] / z_N`` as the suffix kernel scales it."""
+    zh, _, ze = combinatorics._z_parts(z, bit_lengths(z))
+    mant, exps = np.frexp(weights)
+    shift = 1020 - math.frexp(float(weights.sum()))[1]
+    return np.ldexp(mant / zh, exps - ze + shift)[weights > 0].min()
 
 
 class TestMixtureKernel:
@@ -141,11 +178,8 @@ class TestMixtureKernel:
         for p in FAMILIES[family]:
             weights = p.as_array()
             for M in (2, 3, 8, 64, 200):
-                b = numerators(weights, M)
-                suffix = combinatorics._suffix_mixture(weights, b)
-                toeplitz = combinatorics._toeplitz_mixture(weights, b)
-                assert worst_relative_error(p, suffix, M) <= 2**-53
-                assert worst_relative_error(p, toeplitz, M) < 4e-16
+                assert worst_relative_error(p, suffix_kernel(weights, M), M) <= 2**-53
+                assert worst_relative_error(p, toeplitz_kernel(weights, M), M) < 4e-16
 
     def test_two_cells_round_each_entry_once(self, monkeypatch):
         # M = 2 is one suffix pass: entry n is sum_{N >= n} P(N) / (N + 1)
@@ -165,50 +199,47 @@ class TestMixtureKernel:
         probs[50], probs[60], probs[80] = 1e-250, 3e-300, 1e-310
         p = Pmf(probs)
         assert probs[80] < probs[60] < probs[50] < combinatorics._TINY_WEIGHT
-        suffix = combinatorics._suffix_mixture(probs, numerators(probs, M))
-        assert worst_relative_error(p, suffix, M) <= 2**-53
+        assert worst_relative_error(p, suffix_kernel(probs, M), M) <= 2**-53
         monkeypatch.setattr(combinatorics, "_toeplitz_mixture", None)
         assert worst_relative_error(p, scatter_pmf(p, M).as_array(), M) < 4e-16
 
-    def test_too_wide_a_range_falls_back_to_toeplitz(self):
-        # z_N reaches 2**1466, so w spans more than the doubles do
-        L, M = 3000, 300
-        probs = np.zeros(L)
-        probs[0], probs[L - 1] = 0.5, 2.0**-699
-        assert combinatorics._suffix_is_cheaper(L, M)
-        b = numerators(probs, M)
-        assert combinatorics._suffix_mixture(probs, b) is None
-        expected = combinatorics._toeplitz_mixture(probs, b)
-        assert scatter_pmf(Pmf(probs, 0.5), M).as_array().tobytes() == expected.tobytes()
+    @pytest.mark.parametrize(
+        "p, M",
+        [
+            # z_N reaches 2**1466, so w spans more than the doubles do
+            (Pmf(np.array([0.5, *[0.0] * 2998, 2.0**-699]), 0.5), 300),
+            (Pmf(np.random.default_rng(4).dirichlet(np.ones(500))), 10**9),
+        ],
+        ids=["too-wide-a-range", "many-cells"],
+    )
+    def test_router_refuses_the_suffix_route(self, monkeypatch, p, M):
+        # where the cost rule picks it but the range does not fit, and at
+        # many cells: the suffix kernel is never called
+        def refuse(*args):
+            raise AssertionError("suffix route taken")
 
-    @pytest.mark.parametrize("M", [64, 500])
-    def test_router_builds_the_numerators_once(self, monkeypatch, M):
-        # thermal(250) takes the suffix route at M = 64; at M = 500 its range
-        # does not fit, and the Toeplitz kernel takes the same numerators
-        calls = []
-        build = combinatorics._numerators
-
-        def counted(count, M):
-            calls.append((count, M))
-            return build(count, M)
-
-        monkeypatch.setattr(combinatorics, "_numerators", counted)
-        p = thermal_pmf(250.0)
-        scatter_pmf(p, M)
-        weights = p.as_array()
-        assert calls == [(len(weights), M)]
-        fits = combinatorics._suffix_mixture(weights, build(len(weights), M)) is not None
-        assert combinatorics._suffix_is_cheaper(len(weights), M) and fits == (M == 64)
-
-    def test_many_cells_never_run_the_passes(self, monkeypatch):
-        def refuse(weights, b):
-            raise AssertionError("suffix route at M = 10**9")
-
+        expected = toeplitz_kernel(p.as_array(), M)
         monkeypatch.setattr(combinatorics, "_suffix_mixture", refuse)
-        p = Pmf(np.random.default_rng(4).dirichlet(np.ones(500)))
-        weights = p.as_array()
-        expected = combinatorics._toeplitz_mixture(weights, numerators(weights, 10**9))
-        assert scatter_pmf(p, 10**9).as_array().tobytes() == expected.tobytes()
+        assert scatter_pmf(p, M).as_array().tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("M", GRID_CELLS)
+    def test_one_kernel_call_per_stage(self, monkeypatch, M):
+        # the router builds the numerators once per stage and calls one kernel,
+        # also where it refuses the suffix route for its range
+        calls = []
+        for name in ("_numerators", "_suffix_mixture", "_toeplitz_mixture"):
+            def counted(*args, _name=name, _function=getattr(combinatorics, name)):
+                calls.append(_name)
+                return _function(*args)
+
+            monkeypatch.setattr(combinatorics, name, counted)
+        one_kernel = [["_numerators", "_suffix_mixture"], ["_numerators", "_toeplitz_mixture"]]
+        for p in GRID_INPUTS:
+            for _ in range(3):  # stages
+                del calls[:]
+                rows = np.count_nonzero(p.as_array())
+                p = scatter_pmf(p, M)
+                assert calls in (one_kernel if rows > 1 else [[]])
 
     def test_correlation_laws_on_a_bright_input(self):
         # geometric of mean 1000 to a tail of 1e-12, past what thermal_pmf keeps
@@ -235,10 +266,9 @@ class TestMixtureKernel:
         # the Toeplitz kernel directly: the rule sends some of these to the
         # suffix route, which has no blocks
         weights = p.as_array()
-        b = numerators(weights, M)
-        whole = combinatorics._toeplitz_mixture(weights, b)
+        whole = toeplitz_kernel(weights, M)
         monkeypatch.setattr(combinatorics, "_BLOCK_ELEMENTS", budget)
-        assert combinatorics._toeplitz_mixture(weights, b).tobytes() == whole.tobytes()
+        assert toeplitz_kernel(weights, M).tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("M", [2, 3, 64, 25000])
     def test_single_weight_gives_the_exact_row(self, M):
@@ -356,16 +386,31 @@ class TestRouterProperties:
         weights = p.as_array()
         assume(np.count_nonzero(weights) >= 2)  # one weight: its exact row, checked above
         top = int(np.flatnonzero(weights)[-1]) + 1
-        b = numerators(weights[:top], M)
-        kernels = [combinatorics._toeplitz_mixture(weights[:top], b)]
-        suffix = combinatorics._suffix_mixture(weights[:top], b)
-        if suffix is not None:  # where its range fits
+        head = weights[:top]
+        kernels = [toeplitz_kernel(head, M)]
+        if least_scaled_w(head, numerators(head, M)[1]) >= 2.0**-969:  # where its range fits
             toeplitz, compared = kernels[0], kernels[0] > 1e-300
+            suffix = suffix_kernel(head, M)
             assert np.all(np.abs(suffix - toeplitz)[compared] <= 4e-16 * toeplitz[compared])
             kernels.append(suffix)
         out = scatter_pmf(p, M).as_array()
         assert not out[top:].any()
         assert any(out[:top].tobytes() == kernel.tobytes() for kernel in kernels)
+
+    # supports where the cost rule always picks the suffix route, so that the
+    # range alone decides; the last weight puts the least scaled w_N within a
+    # few binary exponents of 2**-969
+    @given(st.integers(2000, 3000), st.integers(200, 300), st.floats(-3.0, 3.0))
+    @_derandomized
+    def test_suffix_route_keeps_w_in_range(self, L, M, offset):
+        weights = np.zeros(L)
+        _, z = numerators(weights, M)
+        weights[0], weights[-1] = 0.5, 2.0 ** (offset - 969 - 1020 + math.log2(z[-1]))
+        least = least_scaled_w(weights, z)
+        if combinatorics._suffix_route(weights, z, M) is None:
+            assert least < 2.0**-968  # refused within one binary exponent of the bound
+        else:
+            assert least >= 2.0**-969
 
 
 def second_moment(p):
