@@ -17,11 +17,13 @@ exact rational rounded once to float, at any ``N + M``.
 A mixture of rows, ``sum_N P(N) b_{N-n} / z_N``, is evaluated from the
 exact integers at any ``N + M`` by :func:`_mixture_array`, the one place
 that picks a route: one nonzero weight takes its exact row; for more, it
-builds the ``b_k`` and z_N once, tests cost and range, and calls exactly
-one of two compensated kernels, neither of which falls back.  As ``sum_k
-b_k x**k = (1 - x)**-(M - 1)``, the mixture is M - 1 suffix sums of
-``P(N) / z_N``: O(L M) for L entries, each entry rounded about once.  It
-is also one Toeplitz sum: O(L**2), within a few units in the last place.
+builds the ``b_k`` and z_N once, splits z_N once into floats, forms
+``w_N = P(N) / z_N`` once, tests the cost and the range of w, and hands w
+to exactly one of two compensated kernels, neither of which falls back or
+sees z_N.  As ``sum_k b_k x**k = (1 - x)**-(M - 1)``, the mixture is M - 1
+suffix sums of w: O(L M) for L entries, each entry rounded about once.  It
+is also one Toeplitz sum of w times the ``b_k``: O(L**2), within a few
+units in the last place.  Both split their integers with :func:`_split`.
 
 :func:`fock_scatter_fractions` returns the exact rationals themselves.
 """
@@ -29,9 +31,10 @@ is also one Toeplitz sum: O(L**2), within a few units in the last place.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Iterator
 
 import numpy as np
@@ -113,42 +116,42 @@ def _fock_scatter_array(N: int, M: int) -> np.ndarray:
 #: Most elements in one block of :func:`_toeplitz_mixture`, sized so that a
 #: block's few arrays stay in cache; the bits of the result do not depend on it.
 _BLOCK_ELEMENTS = 1 << 16
-#: The binary exponents of z_N within one block stay at most this far above
+#: The binary exponents of b_k within one block stay at most this far above
 #: the block's anchor, so the scaled weights and numerators stay in range.
 _BLOCK_EXPONENT_SPAN = 256
-#: :func:`_toeplitz_mixture` takes weights below this divided by it (exactly).
+#: :func:`_toeplitz_mixture` builds the columns of weights below this from
+#: their w divided by it (exactly).
 _TINY_WEIGHT = 2.0**-700
-#: Cost rule of :func:`_suffix_route`, in seconds, for a support of L
+#: Cost rule of :func:`_mixture_array`, in seconds, for a support of L
 #: entries: one suffix pass costs ``_SUFFIX_PASS_S + _SUFFIX_ENTRY_S * L``;
 #: the Toeplitz sum costs ``L * (_TOEPLITZ_ENTRY_S + _TOEPLITZ_TERM_S * L)``
-#: more than the suffix route's z_N and w.  Fitted to interleaved medians of
-#: both kernels at L = 25 to 6400 on a 2-vCPU x86-64 machine; the rule then
-#: puts the crossover at M = 15, 52, 176, 579 and 2088 for L = 25, 100,
-#: 400, 1600 and 6400, where the measured one was 18, 40, 185, 599 and 2217.
+#: more than the suffix route's low parts of z_N and w.  Fitted to
+#: interleaved medians of both kernels at L = 25 to 6400 on a 2-vCPU x86-64
+#: machine; the rule then puts the crossover at M = 15, 52, 176, 579 and
+#: 2088 for L = 25, 100, 400, 1600 and 6400, where the measured one was 18,
+#: 40, 185, 599 and 2217.
 _SUFFIX_PASS_S = 5.3e-6
 _SUFFIX_ENTRY_S = 13.5e-9
 _TOEPLITZ_ENTRY_S = 3e-6
 _TOEPLITZ_TERM_S = 4.2e-9
-#: The low 53 bits of an int, exactly a double's significand.
-_LOW_53 = (1 << 53) - 1
 
 
-def _split(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending positive ints ``x`` as ``m * 2**e``: ``m`` in [0.5, 1] correctly rounded."""
-    # float() rounds an int correctly but overflows from 2**1024 on; for the
-    # larger ones it rounds their top 64 bits, the last of them set when any
-    # bit below is (a sticky bit), which rounds the same way
-    small = bisect_left(values, 1 << 1023)
-    mantissas, exponents = np.frexp(np.array(values[:small], dtype=float))
-    big_exponents = [x.bit_length() for x in values[small:]]
-    tops = []
-    for x, e in zip(values[small:], big_exponents):
-        top = x >> (e - 64)
-        tops.append(float(top | ((top << (e - 64)) != x)))
-    return (
-        np.concatenate((mantissas, np.ldexp(tops, -64))),
-        np.concatenate((exponents, big_exponents)).astype(np.int64),
-    )
+def _split(values: list[int]) -> tuple[np.ndarray, np.ndarray, list[int], np.ndarray]:
+    """Ascending positive ints ``x`` as ``m * 2**e``, m in [0.5, 1), with their tops and shifts.
+
+    Each x is ``t * 2**s`` plus cut bits below 2**-105 of x, where the top t
+    holds x's leading <= 106 bits (below 2**106, t is x and s is 0), and
+    numpy rounds t once to ``m * 2**(e - s)``.  So ``m * 2**e`` is within
+    half an ulp plus 2**-105 of x, and it differs from x correctly rounded
+    only where t ends in exactly half an ulp and a cut bit is set.  The
+    suffix route takes z_N's low part, t minus its rounding, from its tops.
+    """
+    cut = bisect_left(values, 1 << 106)
+    big, shifts = values[cut:], np.zeros(len(values), dtype=np.int64)
+    shifts[cut:] = np.fromiter(map(int.bit_length, big), np.int64, len(big)) - 106
+    tops = values[:cut] + list(map(operator.rshift, big, shifts[cut:].tolist()))
+    mantissas, exponents = np.frexp(np.array(tops, dtype=float))
+    return mantissas, exponents + shifts, tops, shifts
 
 
 def _mixture_array(weights: np.ndarray, M: int) -> np.ndarray:
@@ -156,10 +159,19 @@ def _mixture_array(weights: np.ndarray, M: int) -> np.ndarray:
 
     A single nonzero weight gives that weight times its exact row.  More
     share ``b = _numerators(L, M)`` for a support of L entries and their
-    running sums z_N, built here once, and go to exactly one kernel, which
-    takes every weight in one pass: :func:`_suffix_mixture`, O(L M), where
-    :func:`_suffix_route` picks it, and :func:`_toeplitz_mixture`, O(L**2),
-    elsewhere, always at large M.  No weight at all calls no kernel.
+    running sums z_N, built here once; z is split once (:func:`_split`) into
+    ``h * 2**e``, and ``w_N = weights[N] / z_N`` is formed once, as ``q *
+    2**f`` with ``q = m / h`` for ``weights[N] = m * 2**f'``, and scaled by
+    one exact ``2**shift`` that puts the weights' total just below 2**1020.
+    The stage goes to :func:`_suffix_mixture`, O(L M), where the cost rule
+    says that M - 1 suffix passes beat ~L**2 Toeplitz terms and no nonzero
+    scaled w falls below 2**-969, where its low part would lose bits to
+    underflow; else to :func:`_toeplitz_mixture`, O(L**2).  Either kernel
+    takes every weight in one pass; none takes z.
+
+    On the suffix route w is a double-double: z_N's top bits are h plus its
+    rounding error ``low``, and Dekker's TwoProduct on Veltkamp halves gives
+    w's low part ``(m - q h - err - q low) / h``, err that of ``q h``.
     """
     out = np.zeros(len(weights))
     nonzero = np.flatnonzero(weights)
@@ -168,42 +180,26 @@ def _mixture_array(weights: np.ndarray, M: int) -> np.ndarray:
         out[:top] = weights[top - 1] * _fock_scatter_array(top - 1, M)
     elif top:
         head, b = weights[:top], _numerators(top, M)
-        z = list(accumulate(b))
-        bits = _suffix_route(head, z, M)
-        out[:top] = _toeplitz_mixture(head, b, z) if bits is None else _suffix_mixture(head, z, bits)
+        h, e, tops, shifts = _split(list(accumulate(b)))
+        m, f = np.frexp(head)
+        q, f = m / h, f - e  # w_N = q * 2**f
+        shift = 1020 - math.frexp(float(head.sum()))[1]
+        hi = np.ldexp(q, f + shift)
+        toeplitz = top * (_TOEPLITZ_ENTRY_S + _TOEPLITZ_TERM_S * top)
+        cheaper = M - 1 < toeplitz / (_SUFFIX_PASS_S + _SUFFIX_ENTRY_S * top)
+        if not cheaper or hi[head > 0].min() < 2.0**-969:
+            out[:top] = _toeplitz_mixture(q, f, (head > 0) & (head < _TINY_WEIGHT), b)
+        else:
+            # t = upper 2**53 + lower, and (upper 2**53 - t rounded) + lower is exact
+            upper = np.fromiter(map(operator.rshift, tops, repeat(53)), float, top)
+            lower = np.fromiter(map(operator.and_, tops, repeat((1 << 53) - 1)), float, top)
+            low = np.ldexp((np.ldexp(upper, 53) - np.ldexp(h, e - shifts)) + lower, shifts - e)
+            (q1, q2), (h1, h2) = _veltkamp(q), _veltkamp(h)
+            product = q * h
+            err = ((q1 * h1 - product) + q1 * h2 + q2 * h1) + q2 * h2
+            lo = np.ldexp(((m - product) - err - q * low) / h, f + shift)
+            out[:top] = np.ldexp(_suffix_mixture(hi, lo, M - 1), -shift)
     return out
-
-
-def _suffix_route(weights: np.ndarray, z: list[int], M: int) -> np.ndarray | None:
-    """z_N's bit lengths if M - 1 suffix passes beat ~L**2 Toeplitz terms and w fits, else None.
-
-    A weight of binary exponent f over B bits of z_N has ``w_N > 2**(f - 1 - B)``, which
-    scaled as in :func:`_suffix_mixture` must reach 2**-969; up to 2**-968 it may be refused.
-    """
-    L = len(weights)
-    toeplitz = L * (_TOEPLITZ_ENTRY_S + _TOEPLITZ_TERM_S * L)
-    if M - 1 >= toeplitz / (_SUFFIX_PASS_S + _SUFFIX_ENTRY_S * L):
-        return None
-    bits = np.array([x.bit_length() for x in z])
-    shift = 1020 - math.frexp(float(weights.sum()))[1]
-    fits = (np.frexp(weights)[1] - bits)[weights > 0].min() - 1 + shift >= -969
-    return bits if fits else None
-
-
-def _z_parts(z: list[int], bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """z_N of bit lengths ``bits`` as ``(hi + lo) * 2**e``, hi in [0.5, 1).
-
-    The top 106 bits of each z_N are two 53-bit halves, whose float sum and
-    Fast2Sum error are hi and lo; the bits cut below are under 2**-105 of z_N.
-    """
-    shifts = np.maximum(bits - 106, 0)
-    tops = [x >> s for x, s in zip(z, shifts.tolist())]
-    upper = np.ldexp(np.array([t >> 53 for t in tops], dtype=float), 53)
-    lower = np.array([t & _LOW_53 for t in tops], dtype=float)
-    hi = upper + lower
-    lo = lower - (hi - upper)
-    hi, e = np.frexp(hi)
-    return hi, np.ldexp(lo, -e), e + shifts
 
 
 def _veltkamp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -213,47 +209,27 @@ def _veltkamp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return high, a - high
 
 
-def _suffix_mixture(weights: np.ndarray, z: list[int], bits: np.ndarray) -> np.ndarray:
-    """The mixture as M - 1 compensated suffix sums.
+def _suffix_mixture(hi: np.ndarray, lo: np.ndarray, passes: int) -> np.ndarray:
+    """``S**passes`` of ``hi + lo``, as compensated suffix sums, still scaled.
 
-    ``z`` and ``bits`` hold z_N of M cells and its bit length, one per
-    weight (two or more).  As ``sum_k b_k x**k = (1 - x)**-(M - 1)``, ``z_1
-    = M``, and multiplying by ``1 / (1 - x)`` is the suffix sum ``(S w)(n) =
-    sum_{N >= n} w_N``, so the mixture is ``S**(M - 1) w`` with ``w_N =
-    weights[N] / z_N``.  Every number below is >= 0, so no pass cancels,
-    and each ``S**j w`` is at most the final entry.
-
-    w is a double-double: with ``weights[N] = m * 2**f`` and
-    ``z_N = (h + l) * 2**e`` (see :func:`_z_parts`), ``q = m / h`` and the
-    error of ``q h`` from Dekker's TwoProduct on Veltkamp halves give the
-    low part ``(m - q h - err - q l) / h``.  One exact power of two
-    ``2**shift`` puts the weights' total just below 2**1020, and the router
-    sends only stages where no nonzero w then falls below 2**-969, where its
-    low part would lose bits to underflow.  Each pass runs a cumulative sum
-    ``s`` of the high parts ``x``; the rounding error of each of its
-    additions comes back elementwise by Fast2Sum from ``s[:-1]``, ``x[1:]``
-    and ``s[1:]`` and joins the low parts, which get a cumulative sum of
-    their own (Ogita, Rump and Oishi's compensated summation).  The result
-    is the high plus low part, rounded once and scaled back.
+    The router hands it w_N = weights[N] / z_N over M cells, two or more,
+    as a scaled double-double ``hi + lo``, and ``passes = M - 1``: as ``sum_k
+    b_k x**k = (1 - x)**-(M - 1)``, the mixture is ``S**(M - 1) w`` for the
+    suffix sum ``(S w)(n) = sum_{N >= n} w_N``.  Every number below is >=
+    0, so no pass cancels, and each ``S**j w`` is at most the final entry.
+    Each pass runs a cumulative sum ``s`` of the high parts ``x``; the
+    rounding error of each of its additions comes back elementwise by
+    Fast2Sum from ``s[:-1]``, ``x[1:]`` and ``s[1:]`` and joins the low
+    parts, which get a cumulative sum of their own (Ogita, Rump and Oishi's
+    compensated summation).  The result is hi plus lo, rounded once.
     """
-    zh, zl, ze = _z_parts(z, bits)
-    mant, exps = np.frexp(weights)
-    q = mant / zh
-    q_high, q_low = _veltkamp(q)
-    z_high, z_low = _veltkamp(zh)
-    product = q * zh
-    err = ((q_high * z_high - product) + q_high * z_low + q_low * z_high) + q_low * z_low
-    low = ((mant - product) - err - q * zl) / zh
-    exps = exps - ze
-    shift = 1020 - math.frexp(float(weights.sum()))[1]
     # reversed, so that prefix sums over the index are suffix sums over N
-    hi = np.ldexp(q, exps + shift)[::-1].copy()
-    lo = np.ldexp(low, exps + shift)[::-1].copy()
+    hi, lo = hi[::-1].copy(), lo[::-1].copy()
     # the passes swap two buffers; each has its views made once, ahead
     views = [(x, x[:-1], x[1:]) for x in (hi, np.empty_like(hi))]
     larger, lost = np.empty((2, len(hi) - 1))
     lo_tail = lo[1:]
-    for _ in range(z[1] - 1):  # M - 1 passes
+    for _ in range(passes):
         (x, _, x_tail), (s, s_head, s_tail) = views
         np.add.accumulate(x, out=s)
         # Fast2Sum of s[i] = s[i - 1] + x[i], larger addend first
@@ -263,27 +239,25 @@ def _suffix_mixture(weights: np.ndarray, z: list[int], bits: np.ndarray) -> np.n
         lo_tail += lost
         np.add.accumulate(lo, out=lo)
         views.reverse()
-    hi = views[0][0]
-    return np.ldexp(hi + lo, -shift)[::-1]
+    return (views[0][0] + lo)[::-1]
 
 
-def _toeplitz_mixture(weights: np.ndarray, b: list[int], z: list[int]) -> np.ndarray:
-    """``sum_N weights[N] * row N`` over M >= 2 cells, as one Toeplitz sum.
+def _toeplitz_mixture(q: np.ndarray, f: np.ndarray, tiny: np.ndarray, b: list[int]) -> np.ndarray:
+    """The mixture of the rows over M >= 2 cells as one Toeplitz sum of ``w_N b_{N-n}``.
 
-    With ``b`` the numerators of M cells and ``z`` their running sums z_N,
-    one of each per weight, entry n is ``sum_{N >= n} t(N, n)``, ``t(N, n)
-    = (weights[N] / z_N) * b_{N-n}``.  The exact b_k and z_N are split once
-    into float mantissas and binary exponents.  Rows N go in blocks that
-    share an anchor exponent c, the binary exponent of z at the block's
-    first row: the block's terms are the column
-    ``weights[N] / m(z_N) * 2**(c - e(z_N))`` times a zero-copy Toeplitz view
-    of ``m(b_k) * 2**(e(b_k) - c)``.  Scaling by powers of two is exact, so
-    each term is the same double whatever the block, and it underflows only
-    where its true value does.  The column reaches down to 2**-256 of a
-    weight, so rows of weights below ``_TINY_WEIGHT`` = 2**-700 build it
-    from the weight divided by ``_TINY_WEIGHT``, which keeps it normal, and
-    their terms are scaled back right after the block's product (exactly,
-    unless a term is subnormal).
+    The router hands it ``w_N = weights[N] / z_N = q[N] * 2**f[N]``, the
+    rows ``tiny`` whose weights lie below ``_TINY_WEIGHT`` = 2**-700, and
+    the numerators ``b`` of M cells, one per weight, split once by
+    :func:`_split`; entry n is ``sum_{N >= n} w_N b_{N-n}``.  Rows N go in
+    blocks that share an anchor exponent c, the binary exponent of b at the
+    block's first row: the block's terms are the column ``q[N] * 2**(f[N] +
+    c)`` times a zero-copy Toeplitz view of ``m(b_k) * 2**(e(b_k) - c)``.
+    Scaling by powers of two is exact, so each term is the same double
+    whatever the block, and it underflows only where its true value does.
+    As ``z_N = b_N (N + M - 1) / (M - 1)``, the column reaches down to
+    ``weight * 2**-(257 + log2((N + M - 1) / (M - 1)))``, so tiny rows build
+    it from ``q / _TINY_WEIGHT``, normal at any N < 2**50, and their terms
+    are scaled back after the block's product (exactly, unless subnormal).
 
     Each entry adds its terms in ascending N and also adds up, exactly by
     Fast2Sum, the rounding error of every addition; the sum of those errors
@@ -292,19 +266,17 @@ def _toeplitz_mixture(weights: np.ndarray, b: list[int], z: list[int]) -> np.nda
     run in ascending N across blocks, so the bits do not depend on the
     blocking either.
     """
-    top = len(weights)
+    top = len(q)
     out = np.zeros(top)
-    b_mant, b_exp = _split(b)
-    z_mant, z_exp = _split(z)
-    tiny = (weights > 0.0) & (weights < _TINY_WEIGHT)
-    scaled = np.where(tiny, weights / _TINY_WEIGHT, weights) / z_mant
+    b_mant, b_exp = _split(b)[:2]
+    scaled = np.where(tiny, q / _TINY_WEIGHT, q)
     carry = np.zeros_like(out)  # summed rounding errors of out
     # work space shared by the blocks, so that no block faults in fresh pages
     space = np.empty((3, max(_BLOCK_ELEMENTS, top) + top))
-    start = int(np.flatnonzero(weights)[0])  # rows below the first weight add nothing
+    start = int(np.flatnonzero(q)[0])  # rows below the first weight add nothing
     while start < top:
-        anchor = int(z_exp[start])
-        stop = int(np.searchsorted(z_exp, anchor + _BLOCK_EXPONENT_SPAN, side="right"))
+        anchor = int(b_exp[start])
+        stop = int(np.searchsorted(b_exp, anchor + _BLOCK_EXPONENT_SPAN, side="right"))
         # r rows of width start + r, with r (start + r) <= _BLOCK_ELEMENTS
         rows = (math.isqrt(start * start + 4 * _BLOCK_ELEMENTS) - start) // 2
         stop = min(stop, start + max(rows, 1), top)
@@ -317,7 +289,7 @@ def _toeplitz_mixture(weights: np.ndarray, b: list[int], z: list[int]) -> np.nda
         padded = np.zeros(2 * stop - 1)
         padded[stop - 1 :] = np.ldexp(b_mant[:stop], b_exp[:stop] - anchor)
         toeplitz = sliding_window_view(padded, stop)[start:stop]
-        column = np.ldexp(scaled[start:stop], anchor - z_exp[start:stop])
+        column = np.ldexp(scaled[start:stop], f[start:stop] + anchor)
         np.multiply(column[:, None], toeplitz, out=terms)
         if tiny[start:stop].any():
             terms[tiny[start:stop]] *= _TINY_WEIGHT

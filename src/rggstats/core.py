@@ -78,6 +78,22 @@ def _as_mean(name: str, value) -> float:
     return value
 
 
+def _law(order: int, rounded, exact) -> float:
+    """``rounded()``, a law in doubles, or ``exact()`` rounded once where a double overflows.
+
+    :class:`OverflowError` names the order of a value past the doubles.
+    """
+    try:
+        if (value := rounded()) != math.inf:
+            return value
+    except OverflowError:  # an int too large to convert
+        pass
+    try:
+        return float(exact())
+    except OverflowError:
+        raise OverflowError(f"the law's g^({order}) is too large for a double") from None
+
+
 class InvalidPmf(ValueError):
     """Raised when numbers claiming to be a pmf fail the invariants."""
 
@@ -339,21 +355,24 @@ def _moments(arr: np.ndarray, order: int) -> tuple[list, list]:
     ... (n-j+1)``, and g^(j) divides it by ``mean**j`` taken as repeated
     products.  No BLAS or numpy power enters, whose kernels are picked by CPU,
     so the bits are the same on every CPU.  Raises :class:`ZeroMean` when an
-    order >= 2 meets a zero mean, :class:`OverflowError` when a g is not finite.
+    order >= 2 meets a zero mean, :class:`OverflowError` naming the first order
+    whose factorial moment overflows or whose g is not finite.
     """
     n = np.arange(arr.shape[-1], dtype=float)
     falling, terms, moments = np.ones_like(n), np.empty_like(arr), []
-    for j in range(order):
-        falling *= n - j  # exactly 0 for every n <= j
-        moments.append(np.multiply(falling, arr, out=terms).sum(axis=-1))
-    if order > 1 and np.any(moments[0] == 0.0):
-        raise ZeroMean("correlations are undefined for a zero-mean distribution")
-    g, power = [], moments[0]
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # what leaves the doubles is named below
+        for j in range(order):
+            falling *= n - j  # exactly 0 for every n <= j
+            moments.append(np.multiply(falling, arr, out=terms).sum(axis=-1))
+        if order > 1 and np.any(moments[0] == 0.0):
+            raise ZeroMean("correlations are undefined for a zero-mean distribution")
+        g, power = [], moments[0]
         for j, moment in enumerate(moments[1:], 2):
             power = power * moments[0]
             g.append(moment / power)
             if not np.isfinite(g[-1]).all():
+                if not np.isfinite(moment).all():
+                    raise OverflowError(f"factorial moment {j} overflows in doubles")
                 raise OverflowError(f"g^({j}) is not finite in doubles: the mean is too near 0")
     return moments, g
 

@@ -77,7 +77,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import InvalidPmf, NormalizationFailure, Pmf, _as_int, _as_mean
+from .core import InvalidPmf, NormalizationFailure, Pmf, _as_int, _as_mean, _law
 from .inputs import thermal_pmf
 
 __all__ = [
@@ -101,11 +101,13 @@ def gn_limit(g_in: float, order: int, stages: int = 1) -> float:
 
     The ``M`` dependence cancels between numerator and mean, so each stage
     contributes a clean factor ``order!`` - thermal light (g2 = 2) turns
-    into 2**stages super-bunched light, independent of intensity.
+    into 2**stages super-bunched light, independent of intensity.  A value
+    past the doubles raises :class:`OverflowError`, naming the order.
     """
     order = _as_int("order", order, 2)
     stages = _as_int("stages", stages, 1)
-    return float(math.factorial(order) ** stages) * g_in
+    factor = math.factorial(order) ** stages
+    return _law(order, lambda: float(factor) * g_in, lambda: factor * Fraction(g_in))
 
 
 # Top bits of w_n and of F_n kept when an entry is rounded; R has one or two more.

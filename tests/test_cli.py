@@ -193,6 +193,25 @@ class TestGnCommand:
         assert err.count("\n") == 1 and "g^(2)" in err
         assert not (tmp_path / "gn.json").exists()
 
+    @pytest.mark.parametrize(
+        "kind, mean", [("thermal", "3"), ("thermal", "10"), ("coherent", "10")]
+    )
+    def test_standard_json_at_every_order_or_one_line(self, tmp_path, capsys, kind, mean):
+        # high orders overflow on the way to the law, or in the moments
+        def refuse(constant):
+            raise ValueError(f"{constant} is not standard JSON")
+
+        for order in (2, 50, 89, 90, 131, 132, 169, 170, 171, 200):
+            out = tmp_path / str(order)
+            argv = ["gn", "--kind", kind, "--mean", mean, "--M", "8", "--order", str(order),
+                    "--out", str(out)]
+            rc = main(argv)
+            err = capsys.readouterr().err
+            if rc == 0:
+                json.loads((out / "gn.json").read_text(encoding="utf-8"), parse_constant=refuse)
+            else:
+                assert rc == 3 and err.count("\n") == 1, (order, err)
+
     def test_squeezed_input(self, tmp_path):
         rc = main(
             ["gn", "--kind", "squeezed", "--alpha-mag", "2.0", "--r", "0.5",

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -269,3 +270,36 @@ class TestBitExactAboveOldSeam:
                 c = c * (N - n) // (N - n + M - 2)
         assert np.count_nonzero(exact) > 30
         assert np.array_equal(row, exact)
+
+
+class TestSplit:
+    # the one int -> float split of the mixture kernels: the top <= 106 bits
+    # of each int, rounded once
+
+    @staticmethod
+    def check(values):
+        mantissas, exponents, tops, shifts = combinatorics._split(values)
+        parts = zip(mantissas.tolist(), exponents.tolist(), tops, shifts.tolist())
+        for x, (m, e, t, s) in zip(values, parts):
+            assert 0.5 <= m < 1.0
+            assert (t, s) == (x >> s, max(x.bit_length() - 106, 0))
+            # half an ulp of m * 2**e, plus the cut bits below 2**-105 of x
+            error = abs(Fraction(m) * Fraction(2) ** e - x)
+            assert error <= Fraction(2) ** (e - 54) + Fraction(x, 2**105)
+        return mantissas, exponents
+
+    def test_within_half_an_ulp_and_the_cut_bits(self):
+        rng = random.Random(17)
+        sizes = [*range(1, 140), *range(140, 20001, 97), 20000]
+        values = [rng.getrandbits(bits) | 1 << (bits - 1) for bits in sizes]
+        edges = [(1 << k) + d for k in (53, 105, 106, 107, 1023, 1024) for d in (-1, 0, 1)]
+        self.check(sorted(values + edges))
+
+    def test_a_tie_in_the_top_bits_rounds_to_even(self):
+        # the top 106 bits end in exactly half an ulp and a cut bit is set:
+        # rounding t once goes to even, one ulp below x correctly rounded
+        even = (1 << 52) + 2
+        x = ((even << 53 | 1 << 52) << 20) | 1
+        mantissas, exponents = self.check([x])
+        assert float(x) == (even + 1) << 73
+        assert np.ldexp(mantissas[0], exponents[0]) == even << 73

@@ -75,6 +75,12 @@ class TestMomentMaps:
         assert gn_limit(1.0, 3) == 6.0
         assert gn_limit(1.0, 2, 3) == 8.0  # three stages: 2^3
 
+    def test_gn_limit_past_the_doubles(self):
+        # 180! alone leaves the doubles; the value is rounded once, or named
+        assert gn_limit(1e-200, 180) == float(math.factorial(180) * Fraction(1e-200))
+        with pytest.raises(OverflowError, match=r"g\^\(100\)"):
+            gn_limit(2.0, 100, 3)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             gn_limit(1.0, 1)

@@ -1,7 +1,8 @@
 import hashlib
 import math
 from fractions import Fraction
-from itertools import accumulate
+from contextlib import ExitStack
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -129,33 +130,38 @@ GRID_INPUTS = (
 )
 
 
-def numerators(weights, M):
-    """The numerators ``b_k`` and their running sums z_N that the router builds."""
-    b = combinatorics._numerators(len(weights), M)
-    return b, list(accumulate(b))
+def routed(weights, M, kernel):
+    """The router's output with its cost rule set to pick ``kernel``, and its kernel calls.
 
+    The calls map each kernel's name to the arguments the router handed it;
+    the range test may still send the stage to the other kernel.
+    """
+    calls = {}
+    forced = {"_suffix_mixture": "_TOEPLITZ_TERM_S", "_toeplitz_mixture": "_SUFFIX_PASS_S"}
+    with ExitStack() as stack:
+        stack.enter_context(mock.patch.object(combinatorics, forced[kernel], math.inf))
+        for name in forced:
+            def spy(*args, _name=name, _kernel=getattr(combinatorics, name)):
+                calls[_name] = args
+                return _kernel(*args)
 
-def bit_lengths(z):
-    return np.array([x.bit_length() for x in z])
+            stack.enter_context(mock.patch.object(combinatorics, name, spy))
+        out = combinatorics._mixture_array(weights, M)
+    return out, calls
 
 
 def suffix_kernel(weights, M):
-    """The suffix kernel, called directly on what the router would hand it."""
-    _, z = numerators(weights, M)
-    return combinatorics._suffix_mixture(weights, z, bit_lengths(z))
+    """The mixture from the suffix kernel, on what the router hands it."""
+    out, calls = routed(weights, M, "_suffix_mixture")
+    assert list(calls) == ["_suffix_mixture"]
+    return out
 
 
 def toeplitz_kernel(weights, M):
-    """The Toeplitz kernel, called directly on what the router would hand it."""
-    return combinatorics._toeplitz_mixture(weights, *numerators(weights, M))
-
-
-def least_scaled_w(weights, z):
-    """The least nonzero ``w_N = weights[N] / z_N`` as the suffix kernel scales it."""
-    zh, _, ze = combinatorics._z_parts(z, bit_lengths(z))
-    mant, exps = np.frexp(weights)
-    shift = 1020 - math.frexp(float(weights.sum()))[1]
-    return np.ldexp(mant / zh, exps - ze + shift)[weights > 0].min()
+    """The mixture from the Toeplitz kernel, on what the router hands it."""
+    out, calls = routed(weights, M, "_toeplitz_mixture")
+    assert list(calls) == ["_toeplitz_mixture"]
+    return out
 
 
 class TestMixtureKernel:
@@ -202,6 +208,26 @@ class TestMixtureKernel:
         assert worst_relative_error(p, suffix_kernel(probs, M), M) <= 2**-53
         monkeypatch.setattr(combinatorics, "_toeplitz_mixture", None)
         assert worst_relative_error(p, scatter_pmf(p, M).as_array(), M) < 4e-16
+
+    @pytest.mark.parametrize(
+        "p, M",
+        [(thermal_pmf(3.0), 8), (Pmf(np.random.default_rng(3).dirichlet(np.ones(300))), 17),
+         (poisson_pmf(300.0), 98), (thermal_pmf(40.0), 64)],
+        ids=["thermal-3", "dirichlet-300", "poisson-300", "thermal-40"],
+    )
+    def test_suffix_weights_are_double_doubles(self, p, M):
+        # z_N below and above 2**106: hi + lo is the scaled w_N to about
+        # 2**-104, which needs z's top bits exactly (rounded top + low part)
+        weights = p.as_array()
+        _, calls = routed(weights, M, "_suffix_mixture")
+        hi, lo, passes = calls["_suffix_mixture"]
+        assert passes == M - 1
+        shift = 1020 - math.frexp(float(weights.sum()))[1]
+        z = 0
+        for N, weight in enumerate(weights):
+            z += math.comb(N + M - 2, M - 2)
+            exact = Fraction(weight) * 2**shift / z
+            assert abs(Fraction(hi[N]) + Fraction(lo[N]) - exact) <= exact / 2**102
 
     @pytest.mark.parametrize(
         "p, M",
@@ -315,6 +341,39 @@ class TestMixtureKernel:
         data = repr(cascade_pmf(p, M, stages).probs).encode()
         assert hashlib.sha256(data).hexdigest() == digest
 
+    # every input's bits come from IEEE basic operations alone, with no libm
+    # or numpy kernel picked by CPU: Poisson ratio products, a Fock mixture,
+    # integers over their sum, and powers of two down to 2**-1074
+    @pytest.mark.parametrize(
+        "p, digest",
+        [
+            (poisson_pmf(2.0), "e862cc7936abf2e2bf6f1c1f8602bb73e7d7ecad615148565a1994b6211b8eb0"),
+            (poisson_pmf(30.0), "1d39605543c1c018fe7f11a4bd700f966301d58edbcbfbceee4221ba97f30534"),
+            (poisson_pmf(300.0),
+             "392bc071b1b433b653f1fd950fcc9c9faa9d3c8717175900fa43a289cc50b16c"),
+            (Pmf(np.bincount([2, 2, 17, 120], minlength=121) / 4),
+             "4a85a08ea46801abaa3d7d8421fdfd3cfc0469aee696330e2a28cd040c11f9ab"),
+            (Pmf(np.arange(1, 301) / (300 * 301 // 2)),
+             "4119402af42abe0a0ad188f05e5a134710d75ef0637f309d3da2cda2ed177bfd"),
+            (Pmf(np.append(np.ldexp(1.0, -np.arange(1, 1075)), 2.0**-1074)),
+             "a6d9835450967a7e94a0447624f62798821dd2aa6ef807d4fd0886d6a9d8e5b8"),
+        ],
+        ids=["poisson-2", "poisson-30", "poisson-300", "fock-mixture", "ramp", "powers-of-two"],
+    )
+    def test_cascade_grid_pinned(self, p, digest):
+        # each stage of a three-stage cascade at each cell count: 91 stages
+        # take the suffix route and 125 the Toeplitz route, two of them (the
+        # powers of two at M = 300 and 400) refused the suffix route for
+        # range, and 68 mix weights below _TINY_WEIGHT; digests recorded
+        # before the kernels took w_N in place of z_N
+        data = hashlib.sha256()
+        for M in (2, 3, 8, 17, 45, 98, 245, 300, 400, 1300, 4096, 25275):
+            stage = p
+            for _ in range(3):
+                stage = cascade_pmf(stage, M, 1)
+                data.update(repr(stage.probs).encode())
+        assert data.hexdigest() == digest
+
     @pytest.mark.parametrize(
         "p",
         [
@@ -388,9 +447,9 @@ class TestRouterProperties:
         top = int(np.flatnonzero(weights)[-1]) + 1
         head = weights[:top]
         kernels = [toeplitz_kernel(head, M)]
-        if least_scaled_w(head, numerators(head, M)[1]) >= 2.0**-969:  # where its range fits
+        suffix, calls = routed(head, M, "_suffix_mixture")
+        if "_suffix_mixture" in calls:  # where its range fits
             toeplitz, compared = kernels[0], kernels[0] > 1e-300
-            suffix = suffix_kernel(head, M)
             assert np.all(np.abs(suffix - toeplitz)[compared] <= 4e-16 * toeplitz[compared])
             kernels.append(suffix)
         out = scatter_pmf(p, M).as_array()
@@ -404,13 +463,14 @@ class TestRouterProperties:
     @_derandomized
     def test_suffix_route_keeps_w_in_range(self, L, M, offset):
         weights = np.zeros(L)
-        _, z = numerators(weights, M)
-        weights[0], weights[-1] = 0.5, 2.0 ** (offset - 969 - 1020 + math.log2(z[-1]))
-        least = least_scaled_w(weights, z)
-        if combinatorics._suffix_route(weights, z, M) is None:
-            assert least < 2.0**-968  # refused within one binary exponent of the bound
-        else:
-            assert least >= 2.0**-969
+        z_top = math.comb(L + M - 2, M - 1)
+        weights[0], weights[-1] = 0.5, 2.0 ** (offset - 969 - 1020 + math.log2(z_top))
+        # w as the router forms it, scaled as on the suffix route
+        q, f, _, _ = routed(weights, M, "_toeplitz_mixture")[1]["_toeplitz_mixture"]
+        shift = 1020 - math.frexp(float(weights.sum()))[1]
+        least = np.ldexp(q, f + shift)[weights > 0].min()
+        _, calls = routed(weights, M, "_suffix_mixture")  # what the cost rule picks here
+        assert list(calls) == ["_suffix_mixture" if least >= 2.0**-969 else "_toeplitz_mixture"]
 
 
 def second_moment(p):
@@ -581,6 +641,27 @@ class TestGnLaw:
                 assert gn_out_predicted(g, 3, M) == 6.0 * g * M * M / ((M + 1.0) * (M + 2.0))
                 assert g2_out_predicted(g, M) == gn_out_predicted(g, 2, M)
                 assert g3_out_predicted(g, M) == gn_out_predicted(g, 3, M)
+
+    def test_high_orders_give_every_finite_value(self):
+        # k! g M**(k-1) overflows a double on the way, or the denominator
+        # does; the law's value itself is finite and rounded once
+        g90 = correlation_report(thermal_pmf(3.0), 90).g_at(90)
+        for g, order in ((g90, 90), (2.0, 170)):
+            exact = gn_out_predicted(Fraction(g), order, 8)
+            assert isinstance(exact, Fraction)
+            assert gn_out_predicted(g, order, 8) == float(exact)
+        assert gn_out_predicted(g90, 90, 8) == pytest.approx(6.434e162, rel=1e-3)
+        assert gn_out_predicted(2.0, 170, 8) == pytest.approx(7.0e141, rel=1e-2)
+
+    def test_a_law_value_past_the_doubles_names_its_order(self):
+        with pytest.raises(OverflowError, match=r"g\^\(100\)"):
+            gn_out_predicted(1e300, 100, 8)
+
+    def test_a_moment_past_the_doubles_names_its_order(self):
+        # the mean is 10, and n (n - 1) ... (n - 131) overflows at the largest
+        # n; numpy warnings fail the test
+        with pytest.raises(OverflowError, match="factorial moment 132 overflows"):
+            correlation_report(thermal_pmf(10.0), 132)
 
     def test_higher_orders_hold_through_the_pmf_route(self):
         for p in random_pmfs(20, 40, seed=5):
