@@ -12,8 +12,9 @@ Each setting is declared once, in the tables ``_KEYS``, ``_KINDS``,
 ``_FIGURES`` and ``_COMMANDS``; the flags, the keys each INI section accepts
 and the resolution (flag, then ``--config`` file, then default) follow from
 them.  Flags the chosen subcommand, recipe or input kind does not read, and
-sections no subcommand reads, are configuration errors, found before any
-numeric work; the sections of other subcommands are ignored.
+sections no subcommand reads (a ``[DEFAULT]`` with keys among them), are
+configuration errors, found before any numeric work; the sections of other
+subcommands are ignored.
 
 Every output file embeds the fully resolved configuration and the engine
 version, and rerunning a command with the same resolved configuration
@@ -30,6 +31,7 @@ import configparser
 import json
 import math
 import sys
+from fractions import Fraction
 from itertools import zip_longest
 from pathlib import Path
 
@@ -49,6 +51,7 @@ from .core import (
     Thermal,
     ZeroMean,
     _as_int,
+    _law,
     pmf_mean,
     total_variation,
 )
@@ -118,7 +121,7 @@ def _load_custom_pmf(pmf_csv: str, tail_mass: float) -> Custom:
 # (bool: a --flag/--no-flag pair, and yes/no, on/off, true/false or 1/0 in the
 # config).  Keys without a flag are set in the config file only.
 _KEYS = {
-    "kind": (str, "--kind", None),
+    "kind": (str.lower, "--kind", None),
     "n": (int, "--n", "photon number of the Fock input"),
     "mean": (float, "--mean", "mean photon number (coherent/thermal)"),
     "alpha_mag": (float, "--alpha-mag", "displacement magnitude of the squeezed input"),
@@ -247,11 +250,9 @@ def cmd_gn(cfg: dict, spec, out: Path) -> None:
     outgoing = correlation_report(cascade_pmf(source, M, stages), order)
 
     predicted = {}
-    for k in range(2, order + 1):
-        g = incoming.g_at(k)
-        for _ in range(stages):
-            g = gn_out_predicted(g, k, M)
-        predicted[str(k)] = g
+    for k in range(2, order + 1):  # the law composed exactly over the stages, rounded once
+        factor = gn_out_predicted(Fraction(1), k, M) ** stages
+        predicted[str(k)] = _law(k, incoming.g_at(k), factor.numerator, factor.denominator)
 
     payload = {
         "input": _report_as_dict(incoming),
@@ -445,6 +446,10 @@ def _load_config(path: str | None) -> configparser.ConfigParser | None:
     except configparser.Error as exc:
         detail = " ".join(str(exc).split())  # configparser's messages span lines
         raise ConfigError(f"cannot parse config file {path}: {detail}") from exc
+    if parser.defaults():  # configparser would lend its keys to every section
+        keys = ", ".join(sorted(parser.defaults()))
+        raise ConfigError(f"config section [DEFAULT] is not read ({keys}); "
+                          "set each key in the section that reads it")
     return parser
 
 
@@ -488,7 +493,7 @@ def _resolve(args) -> tuple:
                 raise ConfigError(f"unknown key(s) in [{section}]: {', '.join(stray)}")
 
     if reads_input:
-        kind = _settings(cp, args, "input", {"kind": _REQUIRED})["kind"].lower()
+        kind = _settings(cp, args, "input", {"kind": _REQUIRED})["kind"]
         if kind not in _KINDS:
             *others, last = _KINDS
             expected = f"{', '.join(others)} or {last}"

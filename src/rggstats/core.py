@@ -13,8 +13,8 @@ Conventions
   whatever probability lies beyond ``n_max``.  Constructors validate and
   *never* silently renormalize; fixing up an unnormalized histogram is the
   caller's job.
-* Probabilities are doubles.  Exact rational arithmetic lives in the
-  modules that need it (``combinatorics``, ``plimit``); by the time numbers
+* Probabilities are doubles.  Exact rational arithmetic lives where it is
+  needed (``combinatorics``, ``plimit``, the laws); by the time numbers
   reach a :class:`Pmf` they are floats.
 """
 
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Union
 
 import numpy as np
@@ -78,18 +79,17 @@ def _as_mean(name: str, value) -> float:
     return value
 
 
-def _law(order: int, rounded, exact) -> float:
-    """``rounded()``, a law in doubles, or ``exact()`` rounded once where a double overflows.
+def _law(order: int, g_in, numerator: int, denominator: int):
+    """The law ``g_in * numerator / denominator`` of g^(order), exact.
 
+    A Fraction ``g_in`` gives a Fraction; any other is rounded once, and
     :class:`OverflowError` names the order of a value past the doubles.
     """
-    try:
-        if (value := rounded()) != math.inf:
-            return value
-    except OverflowError:  # an int too large to convert
-        pass
-    try:
-        return float(exact())
+    g_numerator, g_denominator = g_in.as_integer_ratio()
+    if isinstance(g_in, Fraction):
+        return Fraction(g_numerator * numerator, g_denominator * denominator)
+    try:  # int / int rounds once
+        return g_numerator * numerator / (g_denominator * denominator)
     except OverflowError:
         raise OverflowError(f"the law's g^({order}) is too large for a double") from None
 

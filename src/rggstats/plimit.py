@@ -101,13 +101,13 @@ def gn_limit(g_in: float, order: int, stages: int = 1) -> float:
 
     The ``M`` dependence cancels between numerator and mean, so each stage
     contributes a clean factor ``order!`` - thermal light (g2 = 2) turns
-    into 2**stages super-bunched light, independent of intensity.  A value
-    past the doubles raises :class:`OverflowError`, naming the order.
+    into 2**stages super-bunched light, independent of intensity.  Exact, and
+    rounded once, as :func:`rggstats.transform.gn_out_predicted` is, with the
+    same errors for a value past the doubles and a nan or infinite ``g_in``.
     """
     order = _as_int("order", order, 2)
     stages = _as_int("stages", stages, 1)
-    factor = math.factorial(order) ** stages
-    return _law(order, lambda: float(factor) * g_in, lambda: factor * Fraction(g_in))
+    return _law(order, g_in, math.factorial(order) ** stages, 1)
 
 
 # Top bits of w_n and of F_n kept when an entry is rounded; R has one or two more.

@@ -14,14 +14,14 @@ provided alongside, including the correlation law of every order k
     gk_out = k! * gk_in * M^k / (M (M + 1) ... (M + k - 1)),
 
 so g2_out = 2 g2_in M / (M + 1) and g3_out = 6 g3_in M^2 / ((M + 1)(M + 2)).
-It holds exactly for every input state and photon number.  Measured
+It holds exactly for every input state and photon number; each value is
+its exact rational rounded once.  Measured
 moments are summed in one fixed order, without BLAS, the same on every CPU.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .combinatorics import _mixture_array
 from .core import CorrelationReport, Pmf, _as_int, _law, _moments, _stored
@@ -79,25 +79,15 @@ def gn_out_predicted(g_in: float, order: int, M: int) -> float:
 
     One stage thins the photons binomially with a Beta(1, M - 1)
     transmissivity t, so the k-th factorial moment gains E[t^k] =
-    k! / (M (M+1) ... (M+k-1)) and the mean E[t] = 1/M.  Exact in rationals:
-    a :class:`fractions.Fraction` ``g_in`` gives a Fraction back; a float
-    gives every value finite in doubles, else :class:`OverflowError`.
+    k! / (M (M+1) ... (M+k-1)) and the mean E[t] = 1/M.  A Fraction ``g_in``
+    gives the exact Fraction, any other the exact value rounded once, or
+    :class:`OverflowError` naming the order past the doubles; a nan ``g_in``
+    raises :class:`ValueError` and an infinite one :class:`OverflowError`.
     """
     order = _as_int("order", order, 2)
     M = _as_int("cell count M", M, 1)
-
-    # numerator and exact integer denominator apart, one division at the end:
-    # orders 2 and 3 then round exactly as 2 g M / (M + 1) and
-    # 6 g M M / ((M + 1) (M + 2)) do (for M < 2**53)
-    def rounded():
-        x, d = math.factorial(order) * g_in, 1
-        for j in range(1, order):
-            x *= M
-            d *= M + j
-        return x / d
-
-    return _law(order, rounded, lambda: Fraction(g_in) * math.factorial(order)
-                * M ** (order - 1) / math.prod(range(M + 1, M + order)))
+    return _law(order, g_in, math.factorial(order) * M ** (order - 1),
+                math.prod(range(M + 1, M + order)))
 
 
 def g2_out_predicted(g2_in: float, M: int) -> float:

@@ -8,13 +8,18 @@ guarantee are all exercised exactly as a shell user would hit them.
 import argparse
 import hashlib
 import json
+import math
 import os
 import shlex
 import subprocess
 import sys
+import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rggstats
 from rggstats import (
@@ -173,12 +178,33 @@ class TestGnCommand:
         assert sorted(doc["predicted"]) == sorted(doc["difference"]) == ["2", "3", "4", "5"]
         for k, value in doc["predicted"].items():
             assert abs(doc["difference"][k]) < 1e-9 * value
-        g4_in = doc["input"]["g"]["4"]
-        assert doc["predicted"]["4"] == gn_out_predicted(gn_out_predicted(g4_in, 4, 5), 4, 5)
+        exact = gn_out_predicted(gn_out_predicted(Fraction(doc["input"]["g"]["4"]), 4, 5), 4, 5)
+        assert doc["predicted"]["4"] == float(exact)
         # thermal input, g^(4) = 4! up to the truncated tail; each stage multiplies
         # by 4! M^4 / (M (M+1) (M+2) (M+3))
         per_stage = 24 * 5**4 / (5 * 6 * 7 * 8)
         assert doc["predicted"]["4"] == pytest.approx(24 * per_stage**2, rel=1e-6)
+
+    # the law through every stage in exact rationals, rounded once
+    @given(
+        st.sampled_from(["coherent", "thermal"]), st.floats(0.1, 20.0),
+        st.integers(1, 10**4), st.integers(1, 3), st.integers(2, 6),
+    )
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    def test_predicted_is_the_exact_law_rounded_once(self, kind, mean, M, stages, order):
+        with tempfile.TemporaryDirectory() as out:
+            argv = ["gn", "--kind", kind, "--mean", repr(mean), "--M", str(M),
+                    "--stages", str(stages), "--order", str(order), "--out", out]
+            assert main(argv) == 0
+            doc = json.loads((Path(out) / "gn.json").read_text(encoding="utf-8"))
+        for k in map(str, range(2, order + 1)):
+            exact = Fraction(doc["input"]["g"][k])
+            for _ in range(stages):
+                exact *= math.factorial(int(k))
+                for j in range(int(k)):
+                    exact *= Fraction(M, M + j)
+            assert doc["predicted"][k] == float(exact)
+            assert doc["difference"][k] == doc["output"]["g"][k] - doc["predicted"][k]
 
     def test_vacuum_input_is_numeric_failure(self, tmp_path):
         rc = main(["gn", "--kind", "fock", "--n", "0", "--M", "4", "--out", str(tmp_path)])
@@ -448,6 +474,9 @@ class TestFigureCommand:
 # left out: bright/scatter.csv, fig2.csv and mc-thermal/mc.csv hold entries
 # from glibc's exp, log1p or pow, whose FMA and plain variants differ in the
 # last bit, so they move with the CPU.  Every file embeds the engine version.
+# squeezed/gn.json was re-recorded when the law's g^(3) became its exact
+# rational rounded once: 2.9510592334323813, where the old float expression,
+# rounded at each step, gave 2.951059233432381.
 README_DIGESTS = {
     "big/scatter.csv": "4c8f9141aa83036e8ea47bfa82516465384f2c18616ace550a4e1da7da8b78d4",
     "deep/plimit.csv": "b8a7cf30a0363d0b404ffe65c6f20cb714d030cb0a3b31138fffb91d401b5952",
@@ -460,7 +489,7 @@ README_DIGESTS = {
     "plimit.csv": "38ece09efe5e95e3c311766af1e77dcda1593c88081afcadf427974de7dce678",
     "plimit.json": "d2cd0dfa853317608c86b34232a575099825faef7b37d319a2517e0ef05daf2e",
     "scatter.csv": "b6e6326f1fa6ddc649c2ae6970aa17da5b49e446efc7080811e2034ffce70114",
-    "squeezed/gn.json": "52093df1b3d3860ee12368485e237261efe9d5752544a78432e244a3b91b7d84",
+    "squeezed/gn.json": "6b8119562d9ae7cf61c0cda2c35eda1a58b4e91af6dc0065b5c900a6198b4e1c",
 }
 
 
@@ -573,6 +602,22 @@ class TestErrorHandling:
             "configuration error: unknown input kind 'laser'; "
             "expected fock, coherent, thermal, squeezed or custom\n"
         )
+
+    def test_kind_has_one_spelling_rule_for_flag_and_config(self, tmp_path):
+        # --kind and kind = parse alike: any case, written in lower case
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[input]\nkind = Thermal\nmean = 2\n", encoding="utf-8")
+        runs = {
+            "flag-lower": ["--kind", "thermal", "--mean", "2"],
+            "flag-upper": ["--kind", "THERMAL", "--mean", "2"],
+            "config": ["--config", str(cfg)],
+        }
+        for name, argv in runs.items():
+            assert main(["scatter", *argv, "--M", "4", "--out", str(tmp_path / name)]) == 0
+        first = (tmp_path / "flag-lower" / "scatter.csv").read_bytes()
+        assert b"# input.kind = thermal\n" in first
+        for name in runs:
+            assert (tmp_path / name / "scatter.csv").read_bytes() == first
 
     @pytest.mark.parametrize("message", ["", "Unable to allocate 22.4 GiB"])
     def test_out_of_memory_is_a_numeric_failure(self, tmp_path, monkeypatch, capsys, message):
@@ -767,6 +812,27 @@ class TestUnreadSettings:
         )
         assert main(["scatter", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert f"[{section}]" in capsys.readouterr().err
+
+    # configparser lends [DEFAULT]'s keys to every section, where the command
+    # would read them unasked or ignore them
+    @pytest.mark.parametrize(
+        "text, argv",
+        [("[DEFAULT]\nframes = 5\n", ["mc", "--kind", "coherent", "--mean", "1", "--M", "4"]),
+         ("[DEFAULT]\nnbar = 3\n\n[figure]\nm = 4\n", ["figure", "fig3a"])],
+        ids=["ignored", "leaked"],
+    )
+    def test_default_section_is_rejected(self, tmp_path, capsys, text, argv):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(text, encoding="utf-8")
+        assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "[DEFAULT]" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_default_section_is_accepted(self, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[DEFAULT]\n\n[figure]\nm = 4\n", encoding="utf-8")
+        assert main(["figure", "fig3a", "--config", str(cfg), "--out", str(tmp_path)]) == 0
 
     @pytest.mark.parametrize(
         "argv",
