@@ -17,13 +17,13 @@ exact rational rounded once to float, at any ``N + M``.
 A mixture of rows, ``sum_N P(N) b_{N-n} / z_N``, is evaluated from the
 exact integers at any ``N + M`` by :func:`_mixture_array`, the one place
 that picks a route: one nonzero weight takes its exact row; for more, it
-builds the ``b_k`` and z_N once, splits z_N once into floats, forms
-``w_N = P(N) / z_N`` once, tests the cost and the range of w, and hands w
-to exactly one of two compensated kernels, neither of which falls back or
-sees z_N.  As ``sum_k b_k x**k = (1 - x)**-(M - 1)``, the mixture is M - 1
-suffix sums of w: O(L M) for L entries, each entry rounded about once.  It
-is also one Toeplitz sum of w times the ``b_k``: O(L**2), within a few
-units in the last place.  Both split their integers with :func:`_split`.
+builds the ``b_k`` and z_N once and splits each into floats at most once,
+forms ``w_N = P(N) / z_N`` once, tests the cost and the range of w, and
+hands floats only to exactly one of two compensated kernels, neither of
+which falls back or sees an integer.  As ``sum_k b_k x**k = (1 - x)**-(M
+- 1)``, the mixture is M - 1 suffix sums of w: O(L M) for L entries, each
+entry rounded about once.  It is also one Toeplitz sum of w, rounded once,
+times the ``b_k``: O(L**2), within a few units in the last place.
 
 :func:`fock_scatter_fractions` returns the exact rationals themselves.
 """
@@ -159,19 +159,17 @@ def _mixture_array(weights: np.ndarray, M: int) -> np.ndarray:
 
     A single nonzero weight gives that weight times its exact row.  More
     share ``b = _numerators(L, M)`` for a support of L entries and their
-    running sums z_N, built here once; z is split once (:func:`_split`) into
-    ``h * 2**e``, and ``w_N = weights[N] / z_N`` is formed once, as ``q *
-    2**f`` with ``q = m / h`` for ``weights[N] = m * 2**f'``, and scaled by
-    one exact ``2**shift`` that puts the weights' total just below 2**1020.
-    The stage goes to :func:`_suffix_mixture`, O(L M), where the cost rule
-    says that M - 1 suffix passes beat ~L**2 Toeplitz terms and no nonzero
-    scaled w falls below 2**-969, where its low part would lose bits to
-    underflow; else to :func:`_toeplitz_mixture`, O(L**2).  Either kernel
-    takes every weight in one pass; none takes z.
-
-    On the suffix route w is a double-double: z_N's top bits are h plus its
-    rounding error ``low``, and Dekker's TwoProduct on Veltkamp halves gives
-    w's low part ``(m - q h - err - q low) / h``, err that of ``q h``.
+    running sums z_N, built and split (:func:`_split`) here once each, so
+    the kernels take floats only.  z_N's top bits are ``h * 2**e`` plus
+    their rounding error ``low``; for ``weights[N] = m * 2**f'``, ``w_N =
+    weights[N] / z_N`` is formed once as ``(q + corr) * 2**f``, ``q = m /
+    h``, where Dekker's TwoProduct on Veltkamp halves gives ``corr = (m - q
+    h - err - q low) / h``, err that of ``q h``.  :func:`_suffix_mixture`,
+    O(L M), takes this double-double times one exact ``2**shift`` that puts
+    the weights' total just below 2**1020, where the cost rule says that M
+    - 1 suffix passes beat ~L**2 Toeplitz terms and no nonzero scaled q
+    falls below 2**-969, where its low part would lose bits to underflow;
+    else :func:`_toeplitz_mixture`, O(L**2), takes ``q + corr``, rounded once.
     """
     out = np.zeros(len(weights))
     nonzero = np.flatnonzero(weights)
@@ -182,23 +180,24 @@ def _mixture_array(weights: np.ndarray, M: int) -> np.ndarray:
         head, b = weights[:top], _numerators(top, M)
         h, e, tops, shifts = _split(list(accumulate(b)))
         m, f = np.frexp(head)
-        q, f = m / h, f - e  # w_N = q * 2**f
+        q, f = m / h, f - e  # w_N = (q + corr) * 2**f
+        # t = upper 2**53 + lower, and (upper 2**53 - t rounded) + lower is exact
+        upper = np.fromiter(map(operator.rshift, tops, repeat(53)), float, top)
+        lower = np.fromiter(map(operator.and_, tops, repeat((1 << 53) - 1)), float, top)
+        low = np.ldexp((np.ldexp(upper, 53) - np.ldexp(h, e - shifts)) + lower, shifts - e)
+        (q1, q2), (h1, h2) = _veltkamp(q), _veltkamp(h)
+        product = q * h
+        err = ((q1 * h1 - product) + q1 * h2 + q2 * h1) + q2 * h2
+        corr = ((m - product) - err - q * low) / h
         shift = 1020 - math.frexp(float(head.sum()))[1]
         hi = np.ldexp(q, f + shift)
         toeplitz = top * (_TOEPLITZ_ENTRY_S + _TOEPLITZ_TERM_S * top)
         cheaper = M - 1 < toeplitz / (_SUFFIX_PASS_S + _SUFFIX_ENTRY_S * top)
         if not cheaper or hi[head > 0].min() < 2.0**-969:
-            out[:top] = _toeplitz_mixture(q, f, (head > 0) & (head < _TINY_WEIGHT), b)
+            tiny = (head > 0) & (head < _TINY_WEIGHT)
+            out[:top] = _toeplitz_mixture(q + corr, f, tiny, *_split(b)[:2])
         else:
-            # t = upper 2**53 + lower, and (upper 2**53 - t rounded) + lower is exact
-            upper = np.fromiter(map(operator.rshift, tops, repeat(53)), float, top)
-            lower = np.fromiter(map(operator.and_, tops, repeat((1 << 53) - 1)), float, top)
-            low = np.ldexp((np.ldexp(upper, 53) - np.ldexp(h, e - shifts)) + lower, shifts - e)
-            (q1, q2), (h1, h2) = _veltkamp(q), _veltkamp(h)
-            product = q * h
-            err = ((q1 * h1 - product) + q1 * h2 + q2 * h1) + q2 * h2
-            lo = np.ldexp(((m - product) - err - q * low) / h, f + shift)
-            out[:top] = np.ldexp(_suffix_mixture(hi, lo, M - 1), -shift)
+            out[:top] = np.ldexp(_suffix_mixture(hi, np.ldexp(corr, f + shift), M - 1), -shift)
     return out
 
 
@@ -212,16 +211,16 @@ def _veltkamp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _suffix_mixture(hi: np.ndarray, lo: np.ndarray, passes: int) -> np.ndarray:
     """``S**passes`` of ``hi + lo``, as compensated suffix sums, still scaled.
 
-    The router hands it w_N = weights[N] / z_N over M cells, two or more,
-    as a scaled double-double ``hi + lo``, and ``passes = M - 1``: as ``sum_k
-    b_k x**k = (1 - x)**-(M - 1)``, the mixture is ``S**(M - 1) w`` for the
-    suffix sum ``(S w)(n) = sum_{N >= n} w_N``.  Every number below is >=
-    0, so no pass cancels, and each ``S**j w`` is at most the final entry.
-    Each pass runs a cumulative sum ``s`` of the high parts ``x``; the
-    rounding error of each of its additions comes back elementwise by
-    Fast2Sum from ``s[:-1]``, ``x[1:]`` and ``s[1:]`` and joins the low
-    parts, which get a cumulative sum of their own (Ogita, Rump and Oishi's
-    compensated summation).  The result is hi plus lo, rounded once.
+    The router forms w_N = weights[N] / z_N over M >= 2 cells once and
+    hands it as the scaled double-double ``hi + lo``, ``passes = M - 1``.
+    As ``sum_k b_k x**k = (1 - x)**-(M - 1)``, the mixture is ``S**(M - 1)
+    w`` for the suffix sum ``(S w)(n) = sum_{N >= n} w_N``.  Every number
+    below is >= 0, so no pass cancels, and each ``S**j w`` is at most the
+    final entry.  Each pass runs a cumulative sum ``s`` of the high parts
+    ``x``; the rounding error of each addition comes back by Fast2Sum from
+    ``s[:-1]``, ``x[1:]`` and ``s[1:]`` and joins the low parts, which get
+    a cumulative sum of their own (Ogita, Rump and Oishi's compensated
+    summation).  The result is hi plus lo, rounded once.
     """
     # reversed, so that prefix sums over the index are suffix sums over N
     hi, lo = hi[::-1].copy(), lo[::-1].copy()
@@ -242,22 +241,24 @@ def _suffix_mixture(hi: np.ndarray, lo: np.ndarray, passes: int) -> np.ndarray:
     return (views[0][0] + lo)[::-1]
 
 
-def _toeplitz_mixture(q: np.ndarray, f: np.ndarray, tiny: np.ndarray, b: list[int]) -> np.ndarray:
+def _toeplitz_mixture(
+    w: np.ndarray, f: np.ndarray, tiny: np.ndarray, b_mant: np.ndarray, b_exp: np.ndarray
+) -> np.ndarray:
     """The mixture of the rows over M >= 2 cells as one Toeplitz sum of ``w_N b_{N-n}``.
 
-    The router hands it ``w_N = weights[N] / z_N = q[N] * 2**f[N]``, the
-    rows ``tiny`` whose weights lie below ``_TINY_WEIGHT`` = 2**-700, and
-    the numerators ``b`` of M cells, one per weight, split once by
-    :func:`_split`; entry n is ``sum_{N >= n} w_N b_{N-n}``.  Rows N go in
-    blocks that share an anchor exponent c, the binary exponent of b at the
-    block's first row: the block's terms are the column ``q[N] * 2**(f[N] +
-    c)`` times a zero-copy Toeplitz view of ``m(b_k) * 2**(e(b_k) - c)``.
-    Scaling by powers of two is exact, so each term is the same double
-    whatever the block, and it underflows only where its true value does.
-    As ``z_N = b_N (N + M - 1) / (M - 1)``, the column reaches down to
-    ``weight * 2**-(257 + log2((N + M - 1) / (M - 1)))``, so tiny rows build
-    it from ``q / _TINY_WEIGHT``, normal at any N < 2**50, and their terms
-    are scaled back after the block's product (exactly, unless subnormal).
+    The router hands it floats only: ``w_N = weights[N] / z_N`` rounded
+    once, as ``w[N] * 2**f[N]``, the rows ``tiny`` whose weights lie below
+    ``_TINY_WEIGHT`` = 2**-700, and the numerators of M cells, one per
+    weight, as ``b_k = b_mant[k] * 2**b_exp[k]``; entry n is ``sum_{N >= n}
+    w_N b_{N-n}``.  Rows N go in blocks that share an anchor exponent c,
+    b_exp at the block's first row: the block's terms are the column ``w[N]
+    * 2**(f[N] + c)`` times a zero-copy Toeplitz view of ``b_mant[k] *
+    2**(b_exp[k] - c)``.  Scaling by powers of two is exact, so a term is
+    the same double in any block, and underflows only where its true value
+    does.  As ``z_N = b_N (N + M - 1) / (M - 1)``, the column reaches down
+    to ``weight * 2**-(257 + log2((N + M - 1) / (M - 1)))``, so tiny rows
+    build it from ``w / _TINY_WEIGHT``, normal at any N < 2**50, and their
+    terms are scaled back after the block's product (exact unless subnormal).
 
     Each entry adds its terms in ascending N and also adds up, exactly by
     Fast2Sum, the rounding error of every addition; the sum of those errors
@@ -266,14 +267,13 @@ def _toeplitz_mixture(q: np.ndarray, f: np.ndarray, tiny: np.ndarray, b: list[in
     run in ascending N across blocks, so the bits do not depend on the
     blocking either.
     """
-    top = len(q)
+    top = len(w)
     out = np.zeros(top)
-    b_mant, b_exp = _split(b)[:2]
-    scaled = np.where(tiny, q / _TINY_WEIGHT, q)
+    scaled = np.where(tiny, w / _TINY_WEIGHT, w)
     carry = np.zeros_like(out)  # summed rounding errors of out
     # work space shared by the blocks, so that no block faults in fresh pages
     space = np.empty((3, max(_BLOCK_ELEMENTS, top) + top))
-    start = int(np.flatnonzero(q)[0])  # rows below the first weight add nothing
+    start = int(np.flatnonzero(w)[0])  # rows below the first weight add nothing
     while start < top:
         anchor = int(b_exp[start])
         stop = int(np.searchsorted(b_exp, anchor + _BLOCK_EXPONENT_SPAN, side="right"))

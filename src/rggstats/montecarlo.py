@@ -92,6 +92,8 @@ class MCConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "M", _as_int("M", self.M, 1))
         object.__setattr__(self, "frames", _as_int("frames", self.frames, 1))
+        if self.frames >= 2**63:  # frame counters are int64
+            raise ValueError(f"frames must be < 2**63, got {self.frames}")
         object.__setattr__(self, "seed", _as_int("seed", self.seed))
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
@@ -205,6 +207,10 @@ def run_mc(cfg: MCConfig) -> MCRunResult:
     # raises TailTooHeavy: tail draws would bias the histogram
     cdf = np.cumsum(_stored(input_pmf(cfg.input)))
     width = len(cdf)
+    if width - 1 + cfg.M >= 2**53:  # the law's bound holds only while N + M < 2**53
+        raise ValueError(
+            f"M must be < 2**53 - N at the support's last N = {width - 1}, got {cfg.M}"
+        )
     n_blocks = min(JACKKNIFE_BLOCKS, cfg.frames)
     blocks = np.zeros(n_blocks * width, dtype=np.int64)
     record = cfg.record_configurations

@@ -6,7 +6,9 @@ guarantee are all exercised exactly as a shell user would hit them.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -533,6 +535,20 @@ class TestErrorHandling:
         with pytest.raises(SystemExit):
             main([*argv, "--M", "8", "--approx-nmax", "3", "--out", str(tmp_path)])
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--M", str(10**20), "--frames", "10"], "M must be < 2**53 - N"),
+         (["--M", "4", "--frames", str(10**20)], "frames must be < 2**63")],
+        ids=["cells", "frames"],
+    )
+    def test_sampler_range_is_a_configuration_error(self, tmp_path, capsys, flags, message):
+        # both once exited 3 with "Python int too large to convert to C long"
+        argv = ["mc", "--kind", "coherent", "--mean", "3", *flags, "--out", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+        assert not list(tmp_path.iterdir())
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"
         cfg.write_text("[scatter]\nm = 4\nq = 3\n", encoding="utf-8")
@@ -924,3 +940,121 @@ class TestImportPath:
             monkeypatch.setitem(sys.modules, module, None)
         with pytest.raises(ImportError, match=r"rggstats\[test\]"):
             oracle()
+
+
+# --- fuzz: argv and INI files drawn from the settings tables ----------------------
+
+# sizes that loop or allocate in proportion to their value never get a huge
+# one (10**30 stages, orders, m_max or n_sweep_max run for ever); every other
+# int setting does, and is refused before any work in its size
+_LOOPING = {"stages", "order", "m_max", "n_sweep_max"}
+_CSV_FILES = {"good.csv": "n,p\n0,0.25\n1,0.5\n2,0.25\n", "bad.csv": "n,p\n0,abc\n"}
+# strings that no flag's type takes; they reach the settings through INI files
+_WRONG_TYPE = ["abc", "yes", "true", "off", "1.5", "", "0x10", "nan", "inf", "1e30"]
+
+
+def _fuzz_value(key, in_ini, clean):
+    """A value of ``key`` as text: valid and small, or else also out of range or wrong-typed."""
+    kind = cli._KEYS[key][0]
+    if clean:
+        valid = {"kind": st.sampled_from(list(cli._KINDS)), "pmf_csv": st.just("good.csv"),
+                 "tail_mass": st.just("0.0"), "seed": st.integers(0, 2**64 - 1).map(str),
+                 "order": st.integers(2, 6).map(str), "frames": st.integers(200, 400).map(str)}
+        return valid.get(key, st.integers(1, 12).map(str) if kind is int
+                         else st.floats(0.1, 4.0).map(repr))
+    if key == "kind":  # the flag takes only the kinds themselves
+        values = st.sampled_from([*cli._KINDS, *(["FOCK", "laser"] if in_ini else [])])
+    elif key == "pmf_csv":
+        values = st.sampled_from([*_CSV_FILES, "missing.csv"])
+    elif kind is int:
+        huge = [] if key in _LOOPING else [str(10**30), str(2**63)]
+        values = st.one_of(st.integers(0, 12).map(str), st.sampled_from(["-1", "-7", *huge]))
+    else:  # float: supports of at most ~150 entries, so any M stays cheap
+        special = ["-1.0", "-0.0", "nan", "inf", "-inf", "1e30", "5e-324"]
+        values = st.one_of(st.floats(0.0, 4.0).map(repr), st.sampled_from(special))
+    return st.one_of(values, st.sampled_from(_WRONG_TYPE)) if in_ini else values
+
+
+@st.composite
+def _cli_runs(draw):
+    """argv (without ``--out``) and INI sections of the keys the command reads.
+
+    A clean run sets every key to a valid value; the others leave keys out,
+    draw out-of-range and wrong-typed values, add keys nothing reads, and
+    may put the output directory under a file.
+    """
+    clean = draw(st.booleans())
+    command = draw(st.sampled_from(
+        [*(c for c in cli._COMMANDS if c != "figure"), *(f"figure {f}" for f in cli._FIGURES)]
+    ))
+    head, *recipe = command.split()
+    _, reads_input, sections, _ = cli._COMMANDS[head]
+    flagged = {key for keys in sections.values() for key in keys}  # what argparse takes
+    if recipe:
+        sections = {"figure": cli._FIGURES[recipe[0]][1]}
+    if reads_input:
+        state = draw(_fuzz_value("kind", in_ini=False, clean=True))
+        foreign = [] if clean else draw(
+            st.lists(st.sampled_from(list(cli._INPUT_KEYS)), max_size=1)
+        )
+        sections = {"input": dict.fromkeys(["kind", *cli._KINDS[state][1], *foreign]), **sections}
+        flagged |= set(cli._INPUT_KEYS)
+    bools = st.sampled_from(["yes", "no", "on", "0", *([] if clean else ["maybe", "2"])])
+    argv, ini = command.split(), {}
+    for section, keys in sections.items():
+        for key in keys:
+            kind, flag, _ = cli._KEYS[key]
+            where = draw(st.sampled_from(["argv", "ini", *([] if clean else ["none"])]))
+            if where == "argv" and flag is not None and key in flagged:
+                if kind is bool:
+                    argv.append(draw(st.sampled_from([flag, f"--no-{flag[2:]}"])))
+                else:
+                    value = state if key == "kind" else draw(_fuzz_value(key, False, clean))
+                    argv.append(f"{flag}={value}")
+            elif where != "none":
+                value = state if key == "kind" else draw(_fuzz_value(key, True, clean))
+                ini.setdefault(section, {})[key] = draw(bools) if kind is bool else value
+    if not clean:
+        section, key = draw(st.sampled_from([("input", "colour"), ("mc", "m"), ("extra", "n")]))
+        if draw(st.booleans()):
+            ini.setdefault(section, {})[key] = "1"
+    return argv, ini, not clean and draw(st.booleans())
+
+
+class TestCliFuzz:
+    @given(_cli_runs())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_every_run_exits_cleanly(self, run):
+        # exit 0, 2, 3 or 4 with one line on stderr (none on success), never a
+        # traceback; a successful run writes the same bytes when run again
+        argv, ini, under_a_file = run
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            for name, text in _CSV_FILES.items():
+                (root / name).write_text(text, encoding="utf-8")
+            argv = [arg.replace("=", f"={root}/", 1) if arg.startswith("--pmf-csv=")
+                    else arg for arg in argv]
+            if ini:
+                text = "".join(
+                    f"[{section}]\n" + "".join(
+                        f"{key} = {root / value if key == 'pmf_csv' else value}\n"
+                        for key, value in keys.items()
+                    )
+                    for section, keys in ini.items()
+                )
+                (root / "run.ini").write_text(text, encoding="utf-8")
+                argv += ["--config", str(root / "run.ini")]
+            outputs = []
+            for out in ("first", "second"):
+                out = root / "good.csv" / out if under_a_file else root / out
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    rc = main([*argv, "--out", str(out)])
+                assert rc in (0, 2, 3, 4), (argv, ini)
+                assert err.getvalue().count("\n") == (rc != 0), (argv, ini, err.getvalue())
+                assert "Traceback" not in err.getvalue()
+                if rc:
+                    assert not outputs, (argv, ini)  # a success reruns as one
+                    break
+                outputs.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*")})
+            assert outputs[:1] == outputs[1:], (argv, ini)

@@ -520,3 +520,19 @@ class TestMCConfigValidation:
             MCConfig(Fock(1), 2, 10, 2**64)
         with pytest.raises(TypeError):
             MCConfig(Fock(1), 2.0, 10, 0)
+        with pytest.raises(ValueError, match="frames must be < 2"):
+            MCConfig(Fock(1), 2, 2**63, 0)
+        assert MCConfig(Fock(1), 2, 2**63 - 1, 0).frames == 2**63 - 1
+
+    # the sampler's law is bounded only while N + M < 2**53, N the support's
+    # last photon number; at 10**20 cells the run once failed in numpy
+    @pytest.mark.parametrize(
+        "spec, M", [(Fock(0), 2**53), (Fock(3), 2**53 - 3), (Coherent(3.0), 10**20)]
+    )
+    def test_cells_past_the_sampler_range(self, spec, M):
+        with pytest.raises(ValueError, match="M must be < 2\\*\\*53 - N"):
+            run_mc(MCConfig(spec, M, 10, seed=0))
+
+    def test_cells_at_the_edge_of_the_sampler_range(self):
+        result = run_mc(MCConfig(Fock(3), 2**53 - 4, 10, seed=0))
+        assert result.histogram == (10, 0, 0, 0)

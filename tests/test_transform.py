@@ -183,12 +183,47 @@ class TestMixtureKernel:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_each_kernel_is_accurate(self, family):
         # called directly, whatever the rule would pick: the suffix route
-        # rounds about once, the Toeplitz route within a few units
+        # rounds about once, the Toeplitz route within a few units (2.66e-16
+        # on these while it rounded w_N twice)
         for p in FAMILIES[family]:
             weights = p.as_array()
-            for M in (2, 3, 8, 64, 200):
-                assert worst_relative_error(p, suffix_kernel(weights, M), M) <= 2**-53
-                assert worst_relative_error(p, toeplitz_kernel(weights, M), M) < 4e-16
+            for M in (2, 3, 8, 64, 200, 4096, 25275):
+                if M <= 200:
+                    assert worst_relative_error(p, suffix_kernel(weights, M), M) <= 2**-53
+                assert worst_relative_error(p, toeplitz_kernel(weights, M), M) < 2.6e-16
+
+    def test_toeplitz_term_rounds_w_once(self):
+        # squeezed vacuum's third stage at M = 25 275, a Toeplitz stage: row
+        # 30's term dominates entry 30, which was 1.31 ulp off the exact
+        # mixture of the stored input while w_N was rounded twice
+        M = 25275
+        p = cascade_pmf(squeezed_coherent_pmf(SqueezedCoherent(0.0, 0.0, 0.8, 1.0)), M, 2)
+        out, calls = routed(p.as_array(), M, "_toeplitz_mixture")
+        assert list(calls) == ["_toeplitz_mixture"]
+        assert out.tobytes() == scatter_pmf(p, M).as_array().tobytes()
+        exact = sum(
+            Fraction(weight) * math.comb(N - 30 + M - 2, M - 2) / math.comb(N + M - 1, M - 1)
+            for N, weight in enumerate(p.probs[30:], 30)
+        )
+        assert abs(Fraction(out[30]) - exact) <= math.ulp(float(exact))
+
+    @pytest.mark.parametrize(
+        "p, M",
+        [(thermal_pmf(3.0), 4096), (poisson_pmf(300.0), 98), (thermal_pmf(40.0), 25000)],
+        ids=["thermal-3", "poisson-300", "thermal-40"],
+    )
+    def test_toeplitz_weights_are_rounded_once(self, p, M):
+        # z_N below and above 2**106: the router hands the Toeplitz kernel
+        # floats only, w_N = weights[N] / z_N as its one rounding w * 2**f
+        weights = p.as_array()
+        _, calls = routed(weights, M, "_toeplitz_mixture")
+        args = calls["_toeplitz_mixture"]
+        assert all(isinstance(arg, np.ndarray) for arg in args)
+        w, f = args[:2]
+        z = 0
+        for N, weight in enumerate(weights):
+            z += math.comb(N + M - 2, M - 2)
+            assert w[N] == float(Fraction(weight) / z / Fraction(2) ** int(f[N]))
 
     def test_two_cells_round_each_entry_once(self, monkeypatch):
         # M = 2 is one suffix pass: entry n is sum_{N >= n} P(N) / (N + 1)
@@ -326,10 +361,10 @@ class TestMixtureKernel:
              "da1680a87adb1cb780894c78c6a08b9707b0c357d94a7a53664025a41f6a6a56"),
             # the Toeplitz route
             (thermal_pmf(40.0), 4096, 1,
-             "8b7602db55b94c5203cde4fda5f438fc0022a7ec32ec5e188137cfd55bb9b669"),
+             "0c3ea0b79b41ba236d43344af2f8c06b9b41c2425700b331faf8f7c9aa834d90"),
             # the second stage has weights below _TINY_WEIGHT, on the Toeplitz route
             (poisson_pmf(300.0), 25000, 2,
-             "0c76516571e29f007ac35406d51cecf7e75b82a672d77655f0f8c81c7396f547"),
+             "fc6fdbdacde54831e5d3f7943f4dd209af91acd3c0fe3ff205a5837b93aba956"),
             # the third stage has weights below _TINY_WEIGHT, on the suffix route
             (poisson_pmf(300.0), 98, 3,
              "f19285ddd899259c2987d7c1034a27430dada0e265beba70dde0aa84621ad28e"),
@@ -337,9 +372,10 @@ class TestMixtureKernel:
         ids=["suffix", "toeplitz", "tiny-split", "tiny-suffix"],
     )
     def test_mixtures_pinned(self, p, M, stages, digest):
-        # digests recorded before both kernels took z_N from one numerator
-        # recurrence, except tiny-suffix, recorded when each stage first took
-        # one kernel; thermal_pmf's entries are Python float powers, so the
+        # suffix recorded before both kernels took z_N from one numerator
+        # recurrence, tiny-suffix when each stage first took one kernel, and
+        # the two Toeplitz stages when that route took w rounded once, not
+        # twice; thermal_pmf's entries are Python float powers, so the
         # thermal digests hold whichever numpy kernels the CPU selects
         data = repr(cascade_pmf(p, M, stages).probs).encode()
         assert hashlib.sha256(data).hexdigest() == digest
@@ -350,16 +386,16 @@ class TestMixtureKernel:
     @pytest.mark.parametrize(
         "p, digest",
         [
-            (poisson_pmf(2.0), "e862cc7936abf2e2bf6f1c1f8602bb73e7d7ecad615148565a1994b6211b8eb0"),
-            (poisson_pmf(30.0), "1d39605543c1c018fe7f11a4bd700f966301d58edbcbfbceee4221ba97f30534"),
+            (poisson_pmf(2.0), "95e58b54704d5606878dd272d3ecca57541de639ecf851448185ab79ea59f592"),
+            (poisson_pmf(30.0), "75f13bf793ca8af78f933853acf06f942b3d4b4c156f29dfd24d6f184150b6bd"),
             (poisson_pmf(300.0),
-             "392bc071b1b433b653f1fd950fcc9c9faa9d3c8717175900fa43a289cc50b16c"),
+             "50a4802facc740fe7a38a3d20fafd922d04088f9231dd96e86a091a5722d7373"),
             (Pmf(np.bincount([2, 2, 17, 120], minlength=121) / 4),
-             "4a85a08ea46801abaa3d7d8421fdfd3cfc0469aee696330e2a28cd040c11f9ab"),
+             "21ca75f0bdfd390eeb342f1191553fa18d2e1a7fbe3e9e7301642335b4f4861d"),
             (Pmf(np.arange(1, 301) / (300 * 301 // 2)),
-             "4119402af42abe0a0ad188f05e5a134710d75ef0637f309d3da2cda2ed177bfd"),
+             "5cfda26db248a5cf80c7963f0a8910e63f66bf7215b3455c42122bf99b0805bc"),
             (Pmf(np.append(np.ldexp(1.0, -np.arange(1, 1075)), 2.0**-1074)),
-             "a6d9835450967a7e94a0447624f62798821dd2aa6ef807d4fd0886d6a9d8e5b8"),
+             "057f91941415aa7b2f1afcacaa39a0248eaf64b7d32469c85bd00ebb109dc223"),
         ],
         ids=["poisson-2", "poisson-30", "poisson-300", "fock-mixture", "ramp", "powers-of-two"],
     )
@@ -368,7 +404,7 @@ class TestMixtureKernel:
         # take the suffix route and 125 the Toeplitz route, two of them (the
         # powers of two at M = 300 and 400) refused the suffix route for
         # range, and 68 mix weights below _TINY_WEIGHT; digests recorded
-        # before the kernels took w_N in place of z_N
+        # when the Toeplitz route took w_N rounded once, not twice
         data = hashlib.sha256()
         for M in (2, 3, 8, 17, 45, 98, 245, 300, 400, 1300, 4096, 25275):
             stage = p
@@ -511,9 +547,9 @@ class TestRouterProperties:
         z_top = math.comb(L + M - 2, M - 1)
         weights[0], weights[-1] = 0.5, 2.0 ** (offset - 969 - 1020 + math.log2(z_top))
         # w as the router forms it, scaled as on the suffix route
-        q, f, _, _ = routed(weights, M, "_toeplitz_mixture")[1]["_toeplitz_mixture"]
+        w, f, _, _, _ = routed(weights, M, "_toeplitz_mixture")[1]["_toeplitz_mixture"]
         shift = 1020 - math.frexp(float(weights.sum()))[1]
-        least = np.ldexp(q, f + shift)[weights > 0].min()
+        least = np.ldexp(w, f + shift)[weights > 0].min()
         _, calls = routed(weights, M, "_suffix_mixture")  # what the cost rule picks here
         assert list(calls) == ["_suffix_mixture" if least >= 2.0**-969 else "_toeplitz_mixture"]
 
