@@ -355,8 +355,10 @@ def _moments(arr: np.ndarray, order: int) -> tuple[list, list]:
     ... (n-j+1)``, and g^(j) divides it by ``mean**j`` taken as repeated
     products.  No BLAS or numpy power enters, whose kernels are picked by CPU,
     so the bits are the same on every CPU.  Raises :class:`ZeroMean` when an
-    order >= 2 meets a zero mean, :class:`OverflowError` naming the first order
-    whose factorial moment overflows or whose g is not finite.
+    order >= 2 meets a zero mean in the first row (a 1-d pmf is its own first
+    row); a later zero-mean row gets nan for its g.  :class:`OverflowError`
+    names the first order whose factorial moment overflows or whose g is not
+    finite in a row with a nonzero mean.
     """
     n = np.arange(arr.shape[-1], dtype=float)
     falling, terms, moments = np.ones_like(n), np.empty_like(arr), []
@@ -364,13 +366,13 @@ def _moments(arr: np.ndarray, order: int) -> tuple[list, list]:
         for j in range(order):
             falling *= n - j  # exactly 0 for every n <= j
             moments.append(np.multiply(falling, arr, out=terms).sum(axis=-1))
-        if order > 1 and np.any(moments[0] == 0.0):
+        if order > 1 and np.ravel(moments[0])[0] == 0.0:
             raise ZeroMean("correlations are undefined for a zero-mean distribution")
         g, power = [], moments[0]
         for j, moment in enumerate(moments[1:], 2):
             power = power * moments[0]
-            g.append(moment / power)
-            if not np.isfinite(g[-1]).all():
+            g.append(moment / power)  # 0 / 0 = nan in a zero-mean row
+            if (~np.isfinite(g[-1]) & (moments[0] != 0.0)).any():
                 if not np.isfinite(moment).all():
                     raise OverflowError(f"factorial moment {j} overflows in doubles")
                 raise OverflowError(f"g^({j}) is not finite in doubles: the mean is too near 0")

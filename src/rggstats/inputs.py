@@ -92,8 +92,6 @@ def poisson_pmf(mean: float) -> Pmf:
     rounds to 0, the pmf is ``N_CAP + 1`` zeros with tail 1.
     """
     mean = _as_mean("mean", mean)
-    if mean == 0.0:
-        return Pmf((1.0,))
     # Chernoff: each entry up to N_CAP is below exp(-d^2 / (2 mean)) < 2**-1075
     # and rounds to 0; d * (d / mean) cannot overflow where d**2 would
     d = mean - N_CAP
@@ -120,8 +118,6 @@ def thermal_pmf(mean: float) -> Pmf:
     glibc picks by CPU.
     """
     mean = _as_mean("mean", mean)
-    if mean == 0.0:
-        return Pmf((1.0,))
     q, first, probs = mean / (1.0 + mean), 1.0 / (1.0 + mean), []
     while (tail := q ** len(probs)) >= TAIL_TARGET and len(probs) <= N_CAP:
         probs.append(first * tail)

@@ -42,8 +42,9 @@ the next, so
 
 Error bars come from a delete-one-block jackknife over 100 equal blocks of
 frames: correlations are ratios of moments, so naive per-frame variance
-propagation would be both messy and wrong.  The replicates' moments are
-summed in the fixed order of ``correlation_report``, the same on every CPU.
+propagation would be both messy and wrong.  The run and its replicates are
+the rows of one count matrix, each divided by its own sum, and one moment
+pass sums every row in numpy's pairwise order, the same on every CPU.
 """
 
 from __future__ import annotations
@@ -53,10 +54,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CorrelationReport, InputStateSpec, MCRunResult, Pmf, ZeroMean
-from .core import _as_int, _moments, _stored
+from .core import CorrelationReport, InputStateSpec, MCRunResult, _as_int, _moments, _stored
 from .inputs import input_pmf
-from .transform import correlation_report
 
 __all__ = [
     "MCConfig",
@@ -260,21 +259,18 @@ class EmpiricalReport:
 
 def empirical_report(result: MCRunResult, order: int = 2) -> EmpiricalReport:
     """Estimate mean and g^(2)..g^(order) from a run, with jackknife errors."""
-    total = np.asarray(result.histogram, dtype=np.int64)
-    full = correlation_report(Pmf(total / result.frames, 0.0), order)
+    order = _as_int("order", order, 2)
+    counts = np.array([result.histogram], dtype=np.int64)
     n_blocks = 0 if result.block_histograms is None else len(result.block_histograms)
+    if n_blocks >= 2:  # then the delete-one-block replicates, one row each
+        counts = np.vstack((counts, counts - np.array(result.block_histograms, dtype=np.int64)))
+    moments, g = _moments(counts / counts.sum(axis=1, keepdims=True), order)
+    report = CorrelationReport(moments[0][0], [m[0] for m in moments], [x[0] for x in g], order)
     if n_blocks < 2:
         nan = float("nan")
-        return EmpiricalReport(full, nan, (nan,) * (order - 1), result.frames, n_blocks)
+        return EmpiricalReport(report, nan, (nan,) * (order - 1), result.frames, n_blocks)
 
-    # delete-one-block replicates, one pmf per row
-    kept = total - np.array(result.block_histograms, dtype=np.int64)
-    replicates = kept / kept.sum(axis=1, keepdims=True)
-    try:
-        moments, g = _moments(replicates, order)
-    except ZeroMean:  # a replicate without photons has no g
-        moments, g = _moments(replicates, 1)[0], [np.full(n_blocks, np.nan)] * (order - 1)
-    estimates = np.column_stack((moments[0], *g))  # mean, g2, g3, ... per replicate
+    estimates = np.column_stack([x[1:] for x in (moments[0], *g)])  # mean, g2, ... per replicate
     deviations = estimates - estimates.mean(axis=0)
     se = np.sqrt((n_blocks - 1) / n_blocks * (deviations**2).sum(axis=0)).tolist()
-    return EmpiricalReport(full, se[0], tuple(se[1:]), result.frames, n_blocks)
+    return EmpiricalReport(report, se[0], tuple(se[1:]), result.frames, n_blocks)

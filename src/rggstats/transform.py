@@ -57,7 +57,9 @@ def cascade_pmf(input_pmf: Pmf, M: int, stages: int) -> Pmf:
     stages = _as_int("stages", stages, 1)
     out = input_pmf
     for _ in range(stages):
-        out = scatter_pmf(out, M)
+        out, previous = scatter_pmf(out, M), out
+        if out == previous:  # a fixed point: every later stage returns it too
+            break
     return out
 
 

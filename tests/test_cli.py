@@ -151,6 +151,15 @@ class TestScatterCommand:
         expected = scatter_pmf(Pmf((0.25, 0.5, 0.25)), 3)
         assert column(header, rows, "p_exact") == list(expected.probs)
 
+    def test_huge_stage_count_stops_at_the_fixed_point(self, tmp_path):
+        # the cascade reaches its fixed point within ~1100 stages and stops there
+        argv = ["scatter", "--kind", "thermal", "--mean", "3", "--M", "2", "--stages", str(10**30)]
+        assert main([*argv, "--out", str(tmp_path / "huge")]) == 0
+        assert main([*argv[:-1], "2000", "--out", str(tmp_path / "finite")]) == 0
+        _, _, rows = read_csv(tmp_path / "huge" / "scatter.csv")
+        _, _, finite = read_csv(tmp_path / "finite" / "scatter.csv")
+        assert rows == finite
+
 
 class TestGnCommand:
     def test_headline_value(self, tmp_path):
@@ -945,21 +954,25 @@ class TestImportPath:
 # --- fuzz: argv and INI files drawn from the settings tables ----------------------
 
 # sizes that loop or allocate in proportion to their value never get a huge
-# one (10**30 stages, orders, m_max or n_sweep_max run for ever); every other
-# int setting does, and is refused before any work in its size
+# one (10**30 orders, m_max or n_sweep_max, or stages of gn, run for ever);
+# scatter's stages do, as its cascade stops at its fixed point, and so does
+# every other int setting, which is refused before any work in its size
 _LOOPING = {"stages", "order", "m_max", "n_sweep_max"}
 _CSV_FILES = {"good.csv": "n,p\n0,0.25\n1,0.5\n2,0.25\n", "bad.csv": "n,p\n0,abc\n"}
 # strings that no flag's type takes; they reach the settings through INI files
 _WRONG_TYPE = ["abc", "yes", "true", "off", "1.5", "", "0x10", "nan", "inf", "1e30"]
 
 
-def _fuzz_value(key, in_ini, clean):
+def _fuzz_value(key, in_ini, clean, command=None):
     """A value of ``key`` as text: valid and small, or else also out of range or wrong-typed."""
     kind = cli._KEYS[key][0]
+    huge = [str(10**30)] if (key, command) == ("stages", "scatter") else []
     if clean:
         valid = {"kind": st.sampled_from(list(cli._KINDS)), "pmf_csv": st.just("good.csv"),
                  "tail_mass": st.just("0.0"), "seed": st.integers(0, 2**64 - 1).map(str),
                  "order": st.integers(2, 6).map(str), "frames": st.integers(200, 400).map(str)}
+        if huge:  # the cascade stops at its fixed point
+            valid["stages"] = st.one_of(st.integers(1, 12).map(str), st.sampled_from(huge))
         return valid.get(key, st.integers(1, 12).map(str) if kind is int
                          else st.floats(0.1, 4.0).map(repr))
     if key == "kind":  # the flag takes only the kinds themselves
@@ -967,7 +980,7 @@ def _fuzz_value(key, in_ini, clean):
     elif key == "pmf_csv":
         values = st.sampled_from([*_CSV_FILES, "missing.csv"])
     elif kind is int:
-        huge = [] if key in _LOOPING else [str(10**30), str(2**63)]
+        huge = huge if key in _LOOPING else [str(10**30), str(2**63)]
         values = st.one_of(st.integers(0, 12).map(str), st.sampled_from(["-1", "-7", *huge]))
     else:  # float: supports of at most ~150 entries, so any M stays cheap
         special = ["-1.0", "-0.0", "nan", "inf", "-inf", "1e30", "5e-324"]
@@ -1009,10 +1022,10 @@ def _cli_runs(draw):
                 if kind is bool:
                     argv.append(draw(st.sampled_from([flag, f"--no-{flag[2:]}"])))
                 else:
-                    value = state if key == "kind" else draw(_fuzz_value(key, False, clean))
+                    value = state if key == "kind" else draw(_fuzz_value(key, False, clean, head))
                     argv.append(f"{flag}={value}")
             elif where != "none":
-                value = state if key == "kind" else draw(_fuzz_value(key, True, clean))
+                value = state if key == "kind" else draw(_fuzz_value(key, True, clean, head))
                 ini.setdefault(section, {})[key] = draw(bools) if kind is bool else value
     if not clean:
         section, key = draw(st.sampled_from([("input", "colour"), ("mc", "m"), ("extra", "n")]))

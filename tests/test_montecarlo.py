@@ -5,6 +5,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from rggstats import (
@@ -25,6 +28,7 @@ from rggstats import (
     scatter_pmf,
 )
 from rggstats import montecarlo
+from rggstats.core import _moments
 from rggstats.montecarlo import _replay_frame
 
 
@@ -417,6 +421,16 @@ def float_histogram_report(result, order):
     return full, float(se[0]), tuple(float(x) for x in se[1:])
 
 
+@st.composite
+def count_rows(draw):
+    """Histogram rows of one width, each with frames at n = 0; some rows have no photons."""
+    rows, width = draw(st.integers(1, 6)), draw(st.integers(1, 300))
+    counts = draw(arrays(np.int64, (rows, width), elements=st.integers(0, 2**40)))
+    counts[:, 0] += 1
+    counts[draw(arrays(bool, rows)), 1:] = 0
+    return counts
+
+
 class TestEmpiricalReport:
     @pytest.mark.parametrize(
         "spec, M", [(Coherent(8.0), 8), (Thermal(3.0), 5), (Fock(6), 3), (Coherent(0.5), 2)]
@@ -461,6 +475,37 @@ class TestEmpiricalReport:
         rep = empirical_report(run_mc(MCConfig(Coherent(8.0), 8, 20_000, seed=1)), 3)
         expected = (0.0096778135835309, 0.023914805514549987, 0.15513277028867692)
         assert (rep.mean_se, *rep.g_se) == expected
+
+    @given(count_rows(), st.integers(2, 6))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_moments_of_stacked_rows_match_each_row_alone(self, counts, order):
+        # the one-pass estimator rests on this: numpy sums each row of a matrix
+        # as it sums that row alone, whichever SIMD loop it picks
+        rows = counts / counts.sum(axis=1, keepdims=True)
+        no_photons = ~rows[:, 1:].any(axis=1)
+        if no_photons[0]:
+            with pytest.raises(ZeroMean):
+                _moments(rows, order)
+            return
+        moments, g = _moments(rows, order)
+        for i, row in enumerate(rows):
+            if no_photons[i]:
+                assert all(m[i] == 0.0 for m in moments) and all(np.isnan(x[i]) for x in g)
+            else:
+                alone = _moments(row, order)
+                assert [m[i] for m in moments] == alone[0] and [x[i] for x in g] == alone[1]
+
+    def test_one_moment_pass_per_report(self, monkeypatch):
+        shapes = []
+
+        def spy(arr, order):
+            shapes.append(arr.shape)
+            return _moments(arr, order)
+
+        monkeypatch.setattr(montecarlo, "_moments", spy)
+        result = run_mc(MCConfig(Coherent(8.0), 8, 2000, seed=3))
+        empirical_report(result, 3)
+        assert shapes == [(101, len(result.histogram))]  # the run, then 100 replicates
 
     def test_single_block_run_reports_from_histogram(self):
         result = run_mc(MCConfig(Fock(4), 1, 1, seed=0))

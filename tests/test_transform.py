@@ -825,6 +825,11 @@ class TestCascade:
             expected = g2_in * (2.0 * 100 / 101) ** stages
             assert abs(correlation_report(out, 2).g2 - expected) < 1e-9
 
+    def test_huge_stage_count_returns_the_fixed_point(self):
+        p = thermal_pmf(3.0)
+        assert cascade_pmf(p, 2, 10**30) == cascade_pmf(p, 2, 2000)
+        assert cascade_pmf(p, 1, 10**30) is p
+
     def test_stage_validation(self):
         with pytest.raises(ValueError):
             cascade_pmf(fock_pmf(1), 3, 0)
