@@ -14,8 +14,8 @@ Conventions
   *never* silently renormalize; fixing up an unnormalized histogram is the
   caller's job.
 * Probabilities are doubles.  Exact rational arithmetic lives where it is
-  needed (``combinatorics``, ``plimit``, the laws); by the time numbers
-  reach a :class:`Pmf` they are floats.
+  needed (``combinatorics``, ``plimit``, the laws, the Monte Carlo
+  estimates); by the time numbers reach a :class:`Pmf` they are floats.
 """
 
 from __future__ import annotations
@@ -80,18 +80,22 @@ def _as_mean(name: str, value) -> float:
 
 
 def _law(order: int, g_in, numerator: int, denominator: int):
-    """The law ``g_in * numerator / denominator`` of g^(order), exact.
-
-    A Fraction ``g_in`` gives a Fraction; any other is rounded once, and
-    :class:`OverflowError` names the order of a value past the doubles.
+    """The law ``g_in * numerator / denominator`` of g^(order), exact: a Fraction for
+    a Fraction ``g_in``, else rounded once by :func:`_ratio`, which names the order.
     """
     g_numerator, g_denominator = g_in.as_integer_ratio()
+    numerator, denominator = g_numerator * numerator, g_denominator * denominator
     if isinstance(g_in, Fraction):
-        return Fraction(g_numerator * numerator, g_denominator * denominator)
+        return Fraction(numerator, denominator)
+    return _ratio("the law's g^({})", order, numerator, denominator)
+
+
+def _ratio(name: str, order: int, numerator: int, denominator: int) -> float:
+    """``numerator / denominator`` rounded once; OverflowError names ``name.format(order)``."""
     try:  # int / int rounds once
-        return g_numerator * numerator / (g_denominator * denominator)
+        return numerator / denominator
     except OverflowError:
-        raise OverflowError(f"the law's g^({order}) is too large for a double") from None
+        raise OverflowError(f"{name.format(order)} is too large for a double") from None
 
 
 class InvalidPmf(ValueError):
@@ -349,31 +353,28 @@ class MCRunResult:
 # --- pmf operations -----------------------------------------------------------
 
 def _moments(arr: np.ndarray, order: int) -> tuple[list, list]:
-    """Factorial moments 1..order and g^(2)..g^(order) of one pmf (1-d) or one per row.
+    """Factorial moments 1..order and g^(2)..g^(order) of one pmf.
 
-    Moment j is numpy's pairwise sum along the row of ``arr`` times ``n (n-1)
-    ... (n-j+1)``, and g^(j) divides it by ``mean**j`` taken as repeated
-    products.  No BLAS or numpy power enters, whose kernels are picked by CPU,
-    so the bits are the same on every CPU.  Raises :class:`ZeroMean` when an
-    order >= 2 meets a zero mean in the first row (a 1-d pmf is its own first
-    row); a later zero-mean row gets nan for its g.  :class:`OverflowError`
-    names the first order whose factorial moment overflows or whose g is not
-    finite in a row with a nonzero mean.
+    Moment j is numpy's pairwise sum of ``arr`` times ``n (n-1) ... (n-j+1)``,
+    and g^(j) divides it by ``mean**j`` taken as repeated products: no BLAS or
+    numpy power, whose kernels the CPU picks.  Raises :class:`ZeroMean` for a
+    zero mean at order >= 2; :class:`OverflowError` names the first order
+    whose factorial moment or g is not finite.
     """
-    n = np.arange(arr.shape[-1], dtype=float)
+    n = np.arange(len(arr), dtype=float)
     falling, terms, moments = np.ones_like(n), np.empty_like(arr), []
     with np.errstate(all="ignore"):  # what leaves the doubles is named below
         for j in range(order):
             falling *= n - j  # exactly 0 for every n <= j
-            moments.append(np.multiply(falling, arr, out=terms).sum(axis=-1))
-        if order > 1 and np.ravel(moments[0])[0] == 0.0:
+            moments.append(np.multiply(falling, arr, out=terms).sum())
+        if order > 1 and moments[0] == 0.0:
             raise ZeroMean("correlations are undefined for a zero-mean distribution")
         g, power = [], moments[0]
         for j, moment in enumerate(moments[1:], 2):
             power = power * moments[0]
-            g.append(moment / power)  # 0 / 0 = nan in a zero-mean row
-            if (~np.isfinite(g[-1]) & (moments[0] != 0.0)).any():
-                if not np.isfinite(moment).all():
+            g.append(moment / power)
+            if not np.isfinite(g[-1]):
+                if not np.isfinite(moment):
                     raise OverflowError(f"factorial moment {j} overflows in doubles")
                 raise OverflowError(f"g^({j}) is not finite in doubles: the mean is too near 0")
     return moments, g

@@ -168,7 +168,7 @@ def squeezed_coherent_pmf(params: SqueezedCoherent) -> Pmf:
     e = round(w_real / _LN2)
     v_prev, v = 0j, cmath.exp(complex(w_real - e * _LN2, w_imag)) / math.sqrt(math.cosh(params.r))
 
-    probs = [math.ldexp(abs(v) ** 2, 2 * e)]
+    probs = [math.ldexp(v.real * v.real + v.imag * v.imag, 2 * e)]  # |v|^2 without libm
     cum = probs[0]
     n = 0
     while 1.0 - cum >= TAIL_TARGET and n < N_CAP:
@@ -178,7 +178,7 @@ def squeezed_coherent_pmf(params: SqueezedCoherent) -> Pmf:
         if not 2.0**-300 <= top <= 2.0**300:
             k = math.frexp(top)[1]
             v_prev, v, e = v_prev * 2.0**-k, v * 2.0**-k, e + k
-        p = math.ldexp(abs(v) ** 2, 2 * e)
+        p = math.ldexp(v.real * v.real + v.imag * v.imag, 2 * e)
         if p > 1.0 + 1e-6:
             raise UnstableEvaluation(f"|c_{n}|^2 = {p!r} exceeds 1; recurrence lost validity")
         probs.append(p)

@@ -42,9 +42,8 @@ the next, so
 
 Error bars come from a delete-one-block jackknife over 100 equal blocks of
 frames: correlations are ratios of moments, so naive per-frame variance
-propagation would be both messy and wrong.  The run and its replicates are
-the rows of one count matrix, each divided by its own sum, and one moment
-pass sums every row in numpy's pairwise order, the same on every CPU.
+propagation would be both messy and wrong.  Each estimate, of the run or a
+replicate, is an exact ratio of the histogram's integer sums, rounded once.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CorrelationReport, InputStateSpec, MCRunResult, _as_int, _moments, _stored
+from .core import CorrelationReport, InputStateSpec, MCRunResult, ZeroMean, _as_int, _ratio, _stored
 from .inputs import input_pmf
 
 __all__ = [
@@ -260,17 +259,24 @@ class EmpiricalReport:
 def empirical_report(result: MCRunResult, order: int = 2) -> EmpiricalReport:
     """Estimate mean and g^(2)..g^(order) from a run, with jackknife errors."""
     order = _as_int("order", order, 2)
-    counts = np.array([result.histogram], dtype=np.int64)
-    n_blocks = 0 if result.block_histograms is None else len(result.block_histograms)
-    if n_blocks >= 2:  # then the delete-one-block replicates, one row each
-        counts = np.vstack((counts, counts - np.array(result.block_histograms, dtype=np.int64)))
-    moments, g = _moments(counts / counts.sum(axis=1, keepdims=True), order)
-    report = CorrelationReport(moments[0][0], [m[0] for m in moments], [x[0] for x in g], order)
+    width = max(n for n, count in enumerate(result.histogram) if count) + 1
+    if width == 1:
+        raise ZeroMean("correlations are undefined for a run with no photons")
+    falling = np.cumprod(np.arange(width, dtype=object)[:, None] - np.arange(order), 1)  # n^(k)
+    totals = (np.array(result.histogram[:width], dtype=object) @ falling).tolist()  # T_k
+    rows, n_blocks = [(totals, result.frames)], len(result.block_histograms or ())
+    if n_blocks >= 2:  # leaving out block i keeps S_k = T_k - B_ik over F - F_i frames
+        dtype = np.int64 if max(totals) < 2**63 else object  # no B_ik exceeds its T_k
+        blocks = np.array(result.block_histograms, dtype=dtype)[:, :width]
+        kept = np.array(totals, dtype=dtype) - blocks @ falling.astype(dtype)
+        rows += zip(kept.tolist(), (result.frames - blocks.sum(axis=1)).tolist())
+    moments = [_ratio("factorial moment {}", k, t, result.frames) for k, t in enumerate(totals, 1)]
+    # per row, the mean S_1 / F and g^(k) = S_k F^(k-1) / S_1^k, each one int/int division
+    estimates = np.array([[S1 / F] + [_ratio("g^({})", k, s * F ** (k - 1), S1**k) if S1 else np.nan
+                                      for k, s in enumerate(S, 2)] for (S1, *S), F in rows])
+    report = CorrelationReport(moments[0], moments, estimates[0, 1:].tolist(), order)
     if n_blocks < 2:
-        nan = float("nan")
-        return EmpiricalReport(report, nan, (nan,) * (order - 1), result.frames, n_blocks)
-
-    estimates = np.column_stack([x[1:] for x in (moments[0], *g)])  # mean, g2, ... per replicate
-    deviations = estimates - estimates.mean(axis=0)
+        return EmpiricalReport(report, np.nan, (np.nan,) * (order - 1), result.frames, n_blocks)
+    deviations = estimates[1:] - estimates[1:].mean(axis=0)  # mean, g2, ...
     se = np.sqrt((n_blocks - 1) / n_blocks * (deviations**2).sum(axis=0)).tolist()
     return EmpiricalReport(report, se[0], tuple(se[1:]), result.frames, n_blocks)

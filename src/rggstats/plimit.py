@@ -107,7 +107,10 @@ def gn_limit(g_in: float, order: int, stages: int = 1) -> float:
     """
     order = _as_int("order", order, 2)
     stages = _as_int("stages", stages, 1)
-    return _law(order, g_in, math.factorial(order) ** stages, 1)
+    factor = math.factorial(order)
+    if not isinstance(g_in, Fraction) and stages * (factor.bit_length() - 1) >= 2098:
+        factor, stages = 2, 2098  # 2**2098 takes any nonzero double past the doubles
+    return _law(order, g_in, factor**stages, 1)
 
 
 # Top bits of w_n and of F_n kept when an entry is rounded; R has one or two more.

@@ -230,6 +230,15 @@ class TestGnCommand:
         assert err.count("\n") == 1 and "g^(2)" in err
         assert not (tmp_path / "gn.json").exists()
 
+    def test_a_deep_limit_past_the_doubles_fails_at_once(self, tmp_path, capsys):
+        # M = 1 keeps the input; 2**(10**12) g^(2) is refused before 2**(10**12) is formed
+        argv = ["gn", "--kind", "thermal", "--mean", "3", "--M", "1", "--stages", str(10**12),
+                "--out", str(tmp_path)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "numeric failure: the law's g^(2) is too large for a double\n"
+        )
+
     @pytest.mark.parametrize(
         "kind, mean", [("thermal", "3"), ("thermal", "10"), ("coherent", "10")]
     )
@@ -487,16 +496,19 @@ class TestFigureCommand:
 # last bit, so they move with the CPU.  Every file embeds the engine version.
 # squeezed/gn.json was re-recorded when the law's g^(3) became its exact
 # rational rounded once: 2.9510592334323813, where the old float expression,
-# rounded at each step, gave 2.951059233432381.
+# rounded at each step, gave 2.951059233432381.  mc.json and mc-thermal/mc.json
+# were re-recorded when the Monte Carlo estimates became exact ratios of the
+# histogram's integer sums, each rounded once: the thermal run's second
+# factorial moment reads 62.58462, where the float sum gave 62.584619999999994.
 README_DIGESTS = {
     "big/scatter.csv": "4c8f9141aa83036e8ea47bfa82516465384f2c18616ace550a4e1da7da8b78d4",
     "deep/plimit.csv": "b8a7cf30a0363d0b404ffe65c6f20cb714d030cb0a3b31138fffb91d401b5952",
     "deep/plimit.json": "142e3e760a8902aa47733a00375371e54798b9f698664cc483a2b5e5d0880edf",
     "fig3a.csv": "379bf76fd61298d38eca99620c534a6b522d17da58c9ced6ed84226715658da4",
     "gn.json": "46563f800015fe619dd32d264d2e8a3cdd8a45f385167ec36a7f79e105eafe3d",
-    "mc-thermal/mc.json": "638374773ceafcf329fec15b671cba9ed70ce92581904a44468ccddcf5442858",
+    "mc-thermal/mc.json": "90c6b9e4a80f0a1bbc656a34bea21da2d14ea0883911a33b266f8879bfc6207c",
     "mc.csv": "58c7897707bbc457964368ebfb12fe6e865f16765da3b820bacdcc177d0d5f5e",
-    "mc.json": "7d67ab8f4795b1033d0ab1a633fe63541cd4f06ebbdc6d70cf0ae79233dc7c56",
+    "mc.json": "220128f4bb36044f277499a139a3186eeb659217599db2dd58ba9edaec246cc6",
     "plimit.csv": "38ece09efe5e95e3c311766af1e77dcda1593c88081afcadf427974de7dce678",
     "plimit.json": "d2cd0dfa853317608c86b34232a575099825faef7b37d319a2517e0ef05daf2e",
     "scatter.csv": "b6e6326f1fa6ddc649c2ae6970aa17da5b49e446efc7080811e2034ffce70114",
@@ -954,9 +966,10 @@ class TestImportPath:
 # --- fuzz: argv and INI files drawn from the settings tables ----------------------
 
 # sizes that loop or allocate in proportion to their value never get a huge
-# one (10**30 orders, m_max or n_sweep_max, or stages of gn, run for ever);
-# scatter's stages do, as its cascade stops at its fixed point, and so does
-# every other int setting, which is refused before any work in its size
+# one (10**30 orders, m_max or n_sweep_max run for ever); the stages of scatter
+# and gn do, as the cascade stops at its fixed point and the deep-cascade limit
+# knows when it is past the doubles, and so does every other int setting,
+# which is refused before any work in its size
 _LOOPING = {"stages", "order", "m_max", "n_sweep_max"}
 _CSV_FILES = {"good.csv": "n,p\n0,0.25\n1,0.5\n2,0.25\n", "bad.csv": "n,p\n0,abc\n"}
 # strings that no flag's type takes; they reach the settings through INI files
@@ -966,12 +979,12 @@ _WRONG_TYPE = ["abc", "yes", "true", "off", "1.5", "", "0x10", "nan", "inf", "1e
 def _fuzz_value(key, in_ini, clean, command=None):
     """A value of ``key`` as text: valid and small, or else also out of range or wrong-typed."""
     kind = cli._KEYS[key][0]
-    huge = [str(10**30)] if (key, command) == ("stages", "scatter") else []
+    huge = [str(10**30)] if key == "stages" and command in ("scatter", "gn") else []
     if clean:
         valid = {"kind": st.sampled_from(list(cli._KINDS)), "pmf_csv": st.just("good.csv"),
                  "tail_mass": st.just("0.0"), "seed": st.integers(0, 2**64 - 1).map(str),
                  "order": st.integers(2, 6).map(str), "frames": st.integers(200, 400).map(str)}
-        if huge:  # the cascade stops at its fixed point
+        if huge:  # the cascade stops at its fixed point, and the limit past the doubles
             valid["stages"] = st.one_of(st.integers(1, 12).map(str), st.sampled_from(huge))
         return valid.get(key, st.integers(1, 12).map(str) if kind is int
                          else st.floats(0.1, 4.0).map(repr))

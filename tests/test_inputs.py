@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import sys
@@ -247,6 +248,13 @@ class TestSqueezedCoherent:
         # the support ends where the tail drops below target, not at N_CAP
         assert len(p) <= 1121
         assert p.tail_mass < TAIL_TARGET
+
+    def test_bright_state_pinned(self):
+        # |v|^2 is a sum of IEEE products, not libm's hypot and pow, whose
+        # variants glibc picks by CPU: at |alpha| = 13.6 they moved these bits
+        p = squeezed_coherent_pmf(SqueezedCoherent(13.6, 0.0, 1.01, 3.1))
+        digest = hashlib.sha256(repr((p.probs, p.tail_mass)).encode()).hexdigest()
+        assert digest == "e295a4e86ff17cc98094857d6b1ee88d91ebb665e262a03d9fe0121b3080c664"
 
 
 def _recurrence_at_50_digits(state, count):

@@ -1,17 +1,20 @@
 import hashlib
 import math
+import sys
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from rggstats import (
     Coherent,
+    CorrelationReport,
     Custom,
     Fock,
     MCConfig,
@@ -28,7 +31,6 @@ from rggstats import (
     scatter_pmf,
 )
 from rggstats import montecarlo
-from rggstats.core import _moments
 from rggstats.montecarlo import _replay_frame
 
 
@@ -394,41 +396,47 @@ def loop_jackknife_errors(result, order):
     return np.sqrt((n - 1) / n * ((estimates - estimates.mean(axis=0)) ** 2).sum(axis=0))
 
 
-def float_histogram_report(result, order):
-    """Reference: the full report and the jackknife on float copies of the counts.
+def oracle_estimates(histogram, order):
+    """Reference: factorial moments and g^(2)..g^(order) of a histogram, Fractions rounded once."""
+    frames = sum(histogram)
+    sums = [sum(c * math.perm(n, k) for n, c in enumerate(histogram)) for k in range(1, order + 1)]
+    moments = [float(Fraction(s, frames)) for s in sums]
+    g = [float(Fraction(s * frames ** (k - 1), sums[0] ** k)) if sums[0] else math.nan
+         for k, s in enumerate(sums[1:], 2)]
+    return moments, g
 
-    Each replicate's factorial moments are an elementwise product and a
-    pairwise sum along its row, its mean powers repeated products, one
-    replicate at a time.
-    """
-    total = np.asarray(result.histogram, dtype=float)
-    full = correlation_report(Pmf(total / result.frames, 0.0), order)
-    kept = total - np.asarray(result.block_histograms, dtype=float)
-    n = len(kept)
-    k = np.arange(len(total), dtype=float)
+
+def oracle_report(blocks, order):
+    """Reference: the run's report and the jackknife over replicates taken from the oracle."""
+    blocks = [list(map(int, block)) for block in blocks]
+    total = [sum(column) for column in zip(*blocks)]
+    moments, g = oracle_estimates(total, order)
+    report = CorrelationReport(moments[0], moments, g, order)
     estimates = []
-    for row in kept / kept.sum(axis=1, keepdims=True):
-        falling = k.copy()
-        mean = power = (falling * row).sum()
-        estimate = [mean]
-        for j in range(1, order):
-            falling = falling * (k - j)
-            power = power * mean
-            estimate.append((falling * row).sum() / power)
-        estimates.append(estimate)
+    for block in blocks:
+        moments, g = oracle_estimates([t - b for t, b in zip(total, block)], order)
+        estimates.append([moments[0], *g])
     estimates = np.array(estimates)
-    se = np.sqrt((n - 1) / n * ((estimates - estimates.mean(axis=0)) ** 2).sum(axis=0))
-    return full, float(se[0]), tuple(float(x) for x in se[1:])
+    n = len(estimates)
+    se = np.sqrt((n - 1) / n * ((estimates - estimates.mean(axis=0)) ** 2).sum(axis=0)).tolist()
+    return report, se[0], tuple(se[1:])
 
 
 @st.composite
-def count_rows(draw):
-    """Histogram rows of one width, each with frames at n = 0; some rows have no photons."""
-    rows, width = draw(st.integers(1, 6)), draw(st.integers(1, 300))
-    counts = draw(arrays(np.int64, (rows, width), elements=st.integers(0, 2**40)))
+def block_counts(draw):
+    """Block histograms of one width, each with a frame at n = 0; some blocks have no photons."""
+    n_blocks, width = draw(st.integers(2, 8)), draw(st.integers(1, 40))
+    top = draw(st.sampled_from([3, 1000, 2**40]))  # 2**40 takes the Python-int product
+    counts = draw(arrays(np.int64, (n_blocks, width), elements=st.integers(0, top)))
     counts[:, 0] += 1
-    counts[draw(arrays(bool, rows)), 1:] = 0
+    counts[draw(arrays(bool, n_blocks)), 1:] = 0
     return counts
+
+
+# 9 empty frames and one of 200 photons: 200 (199) ... (52) is past the doubles,
+# but the run's 149th factorial moment and g^(149) are not
+PAST_THE_DOUBLES = np.zeros((10, 201), dtype=np.int64)
+PAST_THE_DOUBLES[0, 200] = PAST_THE_DOUBLES[1:, 0] = 1
 
 
 class TestEmpiricalReport:
@@ -444,25 +452,47 @@ class TestEmpiricalReport:
                 np.testing.assert_allclose((rep.mean_se, *rep.g_se), expected, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_bit_identical_to_float_histogram_reference(self, seed):
+    def test_run_matches_the_exact_oracle(self, seed):
         result = run_mc(MCConfig(Thermal(3.0), 6, 20_000, seed=seed))
         for order in (2, 3, 4):
             rep = empirical_report(result, order)
-            assert (rep.report, rep.mean_se, rep.g_se) == float_histogram_report(result, order)
+            assert (rep.report, rep.mean_se, rep.g_se) == oracle_report(result.block_histograms, order)
+
+    @given(block_counts(), st.integers(2, 6))
+    @example(np.array([[1, 0, 0], [2, 0, 0]]), 2)  # no photons: no report
+    @example(np.array([[1, 0, 2**40], [3, 0, 0]]), 6)  # Python ints; a replicate without photons
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_estimates_are_exact_ratios_rounded_once(self, blocks, order):
+        # the run's report directly; each replicate's mean and g through the
+        # jackknife errors, which the oracle forms from its own estimates
+        result = MCRunResult(blocks.sum(axis=0).tolist(), int(blocks.sum()), 0, 1, blocks)
+        if not blocks[:, 1:].any():
+            with pytest.raises(ZeroMean):
+                empirical_report(result, order)
+            return
+        rep = empirical_report(result, order)
+        expected = oracle_report(blocks, order)
+        assert rep.report == expected[0]
+        np.testing.assert_array_equal((rep.mean_se, *rep.g_se), expected[1:2] + expected[2])
+
+    def test_falling_factorials_past_the_doubles(self):
+        assert math.perm(200, 149) > sys.float_info.max
+        result = MCRunResult(PAST_THE_DOUBLES.sum(axis=0).tolist(), 10, 0, 1, PAST_THE_DOUBLES)
+        rep = empirical_report(result, 149)
+        expected = oracle_report(PAST_THE_DOUBLES, 149)
+        assert rep.report == expected[0] and math.isfinite(rep.report.g_at(149))
+        assert rep.mean_se == expected[1] and all(math.isnan(x) for x in rep.g_se)
 
     @pytest.mark.parametrize(
         "spec, M, expected",
         [
-            (Coherent(8.0), 8, (0.0032741110795166195, 0.030151517927068997, 0.592408046425881)),
-            (Thermal(3.0), 6, (0.0017934045744365662, 0.141330670276171, 6.056966885873512)),
+            (Coherent(8.0), 8, (0.0032741110795166195, 0.030151517927068997, 0.5924080464258814)),
+            (Thermal(3.0), 6, (0.0017934045744365662, 0.141330670276171, 6.056966885873514)),
         ],
     )
     def test_order3_errors_pinned(self, spec, M, expected):
-        # 17 blocks of 2**22 frames: each replicate keeps 2**26 frames, so its
-        # factorial moments are exact dyadic sums that no summation order (BLAS
-        # picks its kernel by CPU) can move.  Scaling the counts by 1000 gives
-        # the mean enough bits that its cube rounds, and the mean powers come
-        # by repeated products, as numpy's power picks its kernel by CPU too
+        # 17 blocks of 2**22 frames, the counts scaled by 1000: a run far longer
+        # than the suite samples, with every estimate an exact ratio rounded once
         blocks = 1000 * np.array([run_mc(MCConfig(spec, M, 2000, seed)).histogram for seed in range(17)])
         blocks[:, 0] += 2**22 - blocks.sum(axis=1)
         result = MCRunResult(blocks.sum(axis=0).tolist(), 17 * 2**22, 0, M, blocks)
@@ -470,42 +500,11 @@ class TestEmpiricalReport:
         assert (rep.mean_se, *rep.g_se) == expected
 
     def test_order3_errors_of_a_run_pinned(self):
-        # an ordinary run, whose replicate sums round: only their fixed order
-        # keeps these bits the same on every CPU
+        # an ordinary run, whose replicate moments are not dyadic: each is an
+        # exact ratio rounded once, and only the jackknife's sums of them remain
         rep = empirical_report(run_mc(MCConfig(Coherent(8.0), 8, 20_000, seed=1)), 3)
-        expected = (0.0096778135835309, 0.023914805514549987, 0.15513277028867692)
+        expected = (0.00967781358353091, 0.023914805514549987, 0.15513277028867659)
         assert (rep.mean_se, *rep.g_se) == expected
-
-    @given(count_rows(), st.integers(2, 6))
-    @settings(max_examples=100, deadline=None, derandomize=True)
-    def test_moments_of_stacked_rows_match_each_row_alone(self, counts, order):
-        # the one-pass estimator rests on this: numpy sums each row of a matrix
-        # as it sums that row alone, whichever SIMD loop it picks
-        rows = counts / counts.sum(axis=1, keepdims=True)
-        no_photons = ~rows[:, 1:].any(axis=1)
-        if no_photons[0]:
-            with pytest.raises(ZeroMean):
-                _moments(rows, order)
-            return
-        moments, g = _moments(rows, order)
-        for i, row in enumerate(rows):
-            if no_photons[i]:
-                assert all(m[i] == 0.0 for m in moments) and all(np.isnan(x[i]) for x in g)
-            else:
-                alone = _moments(row, order)
-                assert [m[i] for m in moments] == alone[0] and [x[i] for x in g] == alone[1]
-
-    def test_one_moment_pass_per_report(self, monkeypatch):
-        shapes = []
-
-        def spy(arr, order):
-            shapes.append(arr.shape)
-            return _moments(arr, order)
-
-        monkeypatch.setattr(montecarlo, "_moments", spy)
-        result = run_mc(MCConfig(Coherent(8.0), 8, 2000, seed=3))
-        empirical_report(result, 3)
-        assert shapes == [(101, len(result.histogram))]  # the run, then 100 replicates
 
     def test_single_block_run_reports_from_histogram(self):
         result = run_mc(MCConfig(Fock(4), 1, 1, seed=0))

@@ -81,6 +81,19 @@ class TestMomentMaps:
         with pytest.raises(OverflowError, match=r"g\^\(100\)"):
             gn_limit(2.0, 100, 3)
 
+    def test_gn_limit_at_any_depth(self):
+        # (order!)**stages >= 2**2098 takes any nonzero double past the doubles,
+        # so a deeper cascade is refused, or gives 0, without forming the power
+        assert gn_limit(5e-324, 2, 2097) == 2.0**1023
+        for g, stages in ((5e-324, 2098), (2.0, 2098), (1e-300, 10**30)):
+            with pytest.raises(OverflowError, match=r"g\^\(2\)"):
+                gn_limit(g, 2, stages)
+        assert gn_limit(0.0, 3, 10**30) == 0.0
+        with pytest.raises(ValueError, match="NaN"):
+            gn_limit(math.nan, 2, 10**30)
+        with pytest.raises(OverflowError, match="Infinity"):
+            gn_limit(-math.inf, 2, 10**30)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             gn_limit(1.0, 1)
