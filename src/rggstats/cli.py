@@ -8,13 +8,14 @@ plimit    N-photon single-diffuser pmf vs. deep-cascade limit, CSV + JSON
 mc        Monte Carlo run with jackknife error bars, CSV + JSON
 figure    canned parameter recipes reproducing the standard plots
 
-Each setting is declared once, in the tables ``_KEYS``, ``_KINDS``,
-``_FIGURES`` and ``_COMMANDS``; the flags, the keys each INI section accepts
-and the resolution (flag, then ``--config`` file, then default) follow from
-them.  Flags the chosen subcommand, recipe or input kind does not read, and
-sections no subcommand reads (a ``[DEFAULT]`` with keys among them), are
-configuration errors, found before any numeric work; the sections of other
-subcommands are ignored.
+Each setting is declared once, in the tables ``_KEYS``, ``_BOUNDS``,
+``_KINDS``, ``_FIGURES`` and ``_COMMANDS``; the flags, the keys each INI
+section accepts, the range of each size and the resolution (flag, then
+``--config`` file, then default) follow from them.  Flags the chosen
+subcommand, recipe or input kind does not read, and sections no subcommand
+reads (a ``[DEFAULT]`` with keys among them), are configuration errors,
+found before any numeric work; the sections of other subcommands are
+ignored.
 
 Every output file embeds the fully resolved configuration and the engine
 version, and rerunning a command with the same resolved configuration
@@ -140,6 +141,8 @@ _KEYS = {
     "m_max": (int, None, None),
     "n_sweep_max": (int, None, None),
 }
+
+_BOUNDS = {"order": (2, 500), "m_max": (1, 10**5), "n_sweep_max": (1, 10**5)}  # (min, max)
 
 # input kind: (state constructor, {[input] key: default})
 _KINDS = {
@@ -335,13 +338,8 @@ def _fig3a(cfg: dict, spec, out: Path) -> None:
     _write_csv(out / "fig3a.csv", cfg, ["n", "p_fock", "p_poisson", "p_thermal"], columns)
 
 
-def _sweep(cfg: dict, key: str) -> range:
-    """1, ..., the [figure] key: a sweep with at least one point."""
-    return range(1, _at_least(cfg, key, 1) + 1)
-
-
 def _fig3b(cfg: dict, spec, out: Path) -> None:
-    cells = _sweep(cfg, "m_max")
+    cells = range(1, cfg["figure"]["m_max"] + 1)
     # Fock inputs of 2, 5 and 10 photons, then a Poissonian input of any mean
     g2_inputs = [1.0 - 1.0 / n_in for n_in in (2, 5, 10)] + [1.0]
     columns = [cells, *([g2_out_predicted(g2, M) for M in cells] for g2 in g2_inputs)]
@@ -350,7 +348,7 @@ def _fig3b(cfg: dict, spec, out: Path) -> None:
 
 
 def _fig3c(cfg: dict, spec, out: Path) -> None:
-    M, n_sweep = cfg["figure"]["m"], _sweep(cfg, "n_sweep_max")
+    M, n_sweep = cfg["figure"]["m"], range(1, cfg["figure"]["n_sweep_max"] + 1)
     g2_in = [1.0 - 1.0 / n_in for n_in in n_sweep]
     columns = [n_sweep, g2_in, [g2_out_predicted(g2, M) for g2 in g2_in]]
     _write_csv(out / "fig3c.csv", cfg, ["N", "g2_in", "g2_out"], columns)
@@ -470,6 +468,9 @@ def _settings(cp, args, section: str, defaults: dict) -> dict:
             if default is _REQUIRED:
                 raise ConfigError(f"missing required setting [{section}] {key} (or its flag)")
             value = default
+        low, high = _BOUNDS.get(key, (None, None))
+        if high is not None and _as_int(f"[{section}] {key}", value, low) > high:
+            raise ConfigError(f"[{section}] {key} must be <= {high}, got {value}")
         values[key] = value
     return values
 
@@ -545,7 +546,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"rggstats {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, reads_input, sections, help) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help)
+        bounds = ", ".join("[{}] {} from {} to {}".format(section, key, *_BOUNDS[key])
+                           for section, keys in sections.items() for key in keys if key in _BOUNDS)
+        p = sub.add_parser(command, help=help, epilog=bounds and f"bounds: {bounds}")
         p.add_argument("--config", help="INI config file; flags override it")
         p.add_argument("--out", default=".", help="output directory (default: .)")
         if command == "figure":

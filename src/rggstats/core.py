@@ -36,7 +36,6 @@ __all__ = [
     "Custom",
     "InputStateSpec",
     "CorrelationReport",
-    "MCRunResult",
     "InvalidPmf",
     "TailTooHeavy",
     "ZeroMean",
@@ -310,44 +309,6 @@ class CorrelationReport:
         if self.order < 3:
             raise OutOfRange("report was built with order < 3")
         return self.g[1]
-
-
-@dataclass(frozen=True)
-class MCRunResult:
-    """Outcome of a Monte Carlo run: single-pixel photon-count histogram.
-
-    ``histogram[n]`` counts frames in which the watched pixel saw exactly
-    ``n`` photons; the counts sum to ``frames``.  ``block_histograms``
-    partitions the same counts into contiguous blocks of frames for
-    jackknife error bars.  ``configuration_counts`` (optional, small runs
-    only) tallies complete pixel-occupation patterns for uniformity tests.
-    """
-
-    histogram: tuple[int, ...]
-    frames: int
-    seed: int
-    M: int
-    block_histograms: tuple[tuple[int, ...], ...] | None = None
-    configuration_counts: tuple[tuple[tuple[int, ...], int], ...] | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "frames", _as_int("frames", self.frames, 1))
-        object.__setattr__(self, "M", _as_int("M", self.M, 1))
-        object.__setattr__(self, "histogram", tuple(int(c) for c in self.histogram))
-        if any(c < 0 for c in self.histogram):
-            raise ValueError("histogram counts must be >= 0")
-        if sum(self.histogram) != self.frames:
-            raise ValueError(
-                f"histogram sums to {sum(self.histogram)}, expected frames={self.frames}"
-            )
-        if self.block_histograms is not None:
-            width = len(self.histogram)
-            if any(len(b) != width for b in self.block_histograms):
-                raise ValueError("every block histogram must have the same width as the total")
-            blocks = np.asarray(self.block_histograms, dtype=np.int64).reshape(-1, width)
-            object.__setattr__(self, "block_histograms", tuple(map(tuple, blocks.tolist())))
-            if tuple(blocks.sum(axis=0).tolist()) != self.histogram:
-                raise ValueError("block histograms must sum to the total histogram")
 
 
 # --- pmf operations -----------------------------------------------------------

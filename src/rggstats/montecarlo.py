@@ -49,15 +49,16 @@ replicate, is an exact ratio of the histogram's integer sums, rounded once.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CorrelationReport, InputStateSpec, MCRunResult, ZeroMean, _as_int, _ratio, _stored
+from .core import CorrelationReport, InputStateSpec, ZeroMean, _as_int, _ratio, _stored
 from .inputs import input_pmf
 
 __all__ = [
     "MCConfig",
+    "MCRunResult",
     "EmpiricalReport",
     "run_mc",
     "empirical_report",
@@ -95,6 +96,47 @@ class MCConfig:
         object.__setattr__(self, "seed", _as_int("seed", self.seed))
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
+
+
+@dataclass(frozen=True, eq=False)
+class MCRunResult:
+    """Outcome of a Monte Carlo run: the watched pixel's photon counts, block by block.
+
+    ``block_histograms[i, n]`` counts the frames of block ``i``, a contiguous
+    run of frames, in which the watched pixel saw ``n`` photons.  This
+    read-only int64 matrix is the only copy of the counts; ``histogram`` (its
+    column sums) and ``frames`` (its total) derive from it.  Each block holds a
+    frame, and all fewer than ``2**63``, so no int64 sum of the counts wraps.
+    ``configuration_counts`` (small runs only) tallies whole occupation patterns.
+    """
+
+    block_histograms: np.ndarray
+    seed: int
+    M: int
+    configuration_counts: tuple[tuple[tuple[int, ...], int], ...] | None = None
+    histogram: tuple[int, ...] = field(init=False)
+    frames: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "M", _as_int("M", self.M, 1))
+        blocks = np.array(self.block_histograms, dtype=np.int64)  # a copy, which no caller holds
+        if blocks.ndim != 2 or not blocks.size or (blocks < 0).any():
+            raise ValueError(f"need a non-empty matrix of block counts >= 0, got {blocks!r}")
+        # max * size bounds every sum; only past 2**63 is the exact total needed
+        if int(blocks.max()) * blocks.size >= 2**63 and blocks.sum(dtype=object) >= 2**63:
+            raise ValueError("block_histograms must hold fewer than 2**63 frames in all")
+        frames = blocks.sum(axis=1)
+        if not frames.all():
+            raise ValueError(f"block {int(np.argmin(frames))} of block_histograms holds no frames")
+        blocks.flags.writeable = False
+        object.__setattr__(self, "block_histograms", blocks)
+        object.__setattr__(self, "histogram", tuple(blocks.sum(axis=0).tolist()))
+        object.__setattr__(self, "frames", int(frames.sum()))
+
+    def __eq__(self, other) -> bool:  # the generated one would compare arrays elementwise
+        return (isinstance(other, MCRunResult) and (self.seed, self.M, self.configuration_counts)
+                == (other.seed, other.M, other.configuration_counts)
+                and np.array_equal(self.block_histograms, other.block_histograms))
 
 
 # SplitMix64 constants (Steele, Lea & Flood 2014): the Weyl increment and
@@ -229,15 +271,8 @@ def run_mc(cfg: MCConfig) -> MCRunResult:
         block = frames * n_blocks // cfg.frames
         blocks += np.bincount(block * width + pixel0, minlength=n_blocks * width)
 
-    blocks = blocks.reshape(n_blocks, width)
-    return MCRunResult(
-        histogram=blocks.sum(axis=0).tolist(),
-        frames=cfg.frames,
-        seed=cfg.seed,
-        M=cfg.M,
-        block_histograms=blocks,
-        configuration_counts=tuple(sorted(patterns.items())) if record else None,
-    )
+    patterns = tuple(sorted(patterns.items())) if record else None
+    return MCRunResult(blocks.reshape(n_blocks, width), cfg.seed, cfg.M, patterns)
 
 
 @dataclass(frozen=True)
@@ -264,10 +299,10 @@ def empirical_report(result: MCRunResult, order: int = 2) -> EmpiricalReport:
         raise ZeroMean("correlations are undefined for a run with no photons")
     falling = np.cumprod(np.arange(width, dtype=object)[:, None] - np.arange(order), 1)  # n^(k)
     totals = (np.array(result.histogram[:width], dtype=object) @ falling).tolist()  # T_k
-    rows, n_blocks = [(totals, result.frames)], len(result.block_histograms or ())
-    if n_blocks >= 2:  # leaving out block i keeps S_k = T_k - B_ik over F - F_i frames
+    rows, n_blocks = [(totals, result.frames)], len(result.block_histograms)
+    if n_blocks >= 2:  # leaving out block i keeps S_k = T_k - B_ik over F - F_i > 0 frames
         dtype = np.int64 if max(totals) < 2**63 else object  # no B_ik exceeds its T_k
-        blocks = np.array(result.block_histograms, dtype=dtype)[:, :width]
+        blocks = result.block_histograms[:, :width].astype(dtype, copy=False)
         kept = np.array(totals, dtype=dtype) - blocks @ falling.astype(dtype)
         rows += zip(kept.tolist(), (result.frames - blocks.sum(axis=1)).tolist())
     moments = [_ratio("factorial moment {}", k, t, result.frames) for k, t in enumerate(totals, 1)]

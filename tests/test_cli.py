@@ -809,6 +809,16 @@ class TestOptionSurface:
             "figure": {"m", "nbar", "n", "r", "alpha_phase", "m_max", "n_sweep_max"},
         }
 
+    @pytest.mark.parametrize(
+        "argv, bounds",
+        [(["gn"], "[gn] order from 2 to 500"), (["mc"], "[mc] order from 2 to 500"),
+         (["figure"], "[figure] m_max from 1 to 100000, [figure] n_sweep_max from 1 to 100000")],
+    )
+    def test_help_states_the_bounds(self, capsys, argv, bounds):
+        with pytest.raises(SystemExit):
+            main([*argv, "--help"])
+        assert " ".join(capsys.readouterr().out.split()).endswith(f"bounds: {bounds}")
+
 
 class TestUnreadSettings:
     @pytest.mark.parametrize(
@@ -904,6 +914,29 @@ class TestChecksPrecedeCompute:
         monkeypatch.setattr(cli, heavy, refuse)
         assert main([*argv, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "argv, ini, message",
+        [
+            (["gn", "--kind", "thermal", "--mean", "3", "--M", "8", "--order", "501"], "",
+             "[gn] order must be <= 500, got 501"),
+            (["mc", "--kind", "fock", "--n", "5", "--M", "2", "--order", str(10**30)], "",
+             f"[mc] order must be <= 500, got {10**30}"),
+            (["figure", "fig3b"], "m_max = 100001", "[figure] m_max must be <= 100000, got 100001"),
+            (["figure", "fig3c"], f"n_sweep_max = {10**30}",
+             f"[figure] n_sweep_max must be <= 100000, got {10**30}"),
+        ],
+    )
+    def test_size_past_its_maximum_exits_before_any_work(self, monkeypatch, tmp_path,
+                                                          capsys, argv, ini, message):
+        for heavy in ("correlation_report", "g2_out_predicted", "input_pmf"):
+            monkeypatch.setattr(cli, heavy, None)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[figure]\n{ini}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
+
 
 class TestImportPath:
     def test_cli_import_leaves_heavy_scipy_modules_out(self):
@@ -965,12 +998,10 @@ class TestImportPath:
 
 # --- fuzz: argv and INI files drawn from the settings tables ----------------------
 
-# sizes that loop or allocate in proportion to their value never get a huge
-# one (10**30 orders, m_max or n_sweep_max run for ever); the stages of scatter
-# and gn do, as the cascade stops at its fixed point and the deep-cascade limit
-# knows when it is past the doubles, and so does every other int setting,
-# which is refused before any work in its size
-_LOOPING = {"stages", "order", "m_max", "n_sweep_max"}
+# every int setting gets a huge value: the stages of scatter and gn run, as
+# the cascade stops at its fixed point and the deep-cascade limit knows when it
+# is past the doubles; order, m_max and n_sweep_max have a stated maximum, and
+# the other settings are refused before any work in their size
 _CSV_FILES = {"good.csv": "n,p\n0,0.25\n1,0.5\n2,0.25\n", "bad.csv": "n,p\n0,abc\n"}
 # strings that no flag's type takes; they reach the settings through INI files
 _WRONG_TYPE = ["abc", "yes", "true", "off", "1.5", "", "0x10", "nan", "inf", "1e30"]
@@ -993,7 +1024,7 @@ def _fuzz_value(key, in_ini, clean, command=None):
     elif key == "pmf_csv":
         values = st.sampled_from([*_CSV_FILES, "missing.csv"])
     elif kind is int:
-        huge = huge if key in _LOOPING else [str(10**30), str(2**63)]
+        huge = huge or [str(10**30), str(2**63)]
         values = st.one_of(st.integers(0, 12).map(str), st.sampled_from(["-1", "-7", *huge]))
     else:  # float: supports of at most ~150 entries, so any M stays cheap
         special = ["-1.0", "-0.0", "nan", "inf", "-inf", "1e30", "5e-324"]

@@ -13,7 +13,6 @@ from rggstats import (
     Custom,
     Fock,
     InvalidPmf,
-    MCRunResult,
     OutOfRange,
     Pmf,
     SqueezedCoherent,
@@ -215,50 +214,6 @@ class TestCorrelationReport:
         rep = CorrelationReport(mean=1.0, factorial_moments=(1.0, 1.0), g=(1.0,), order=2)
         with pytest.raises(OutOfRange):
             rep.g3
-
-
-class TestMCRunResult:
-    def test_counts_must_sum_to_frames(self):
-        MCRunResult(histogram=(3, 7), frames=10, seed=0, M=2)
-        with pytest.raises(ValueError):
-            MCRunResult(histogram=(3, 7), frames=11, seed=0, M=2)
-        with pytest.raises(ValueError, match="counts must be >= 0"):
-            MCRunResult(histogram=(-1, 11), frames=10, seed=0, M=2)
-
-    def test_frames_and_cells_must_be_integers(self):
-        with pytest.raises(TypeError, match="frames must be an integer"):
-            MCRunResult(histogram=(3, 7), frames=10.0, seed=0, M=2)
-        with pytest.raises(TypeError, match="M must be an integer"):
-            MCRunResult(histogram=(3, 7), frames=10, seed=0, M=2.0)
-        with pytest.raises(ValueError, match="frames must be >= 1, got 0"):
-            MCRunResult(histogram=(), frames=0, seed=0, M=2)
-        with pytest.raises(ValueError, match="M must be >= 1, got 0"):
-            MCRunResult(histogram=(3, 7), frames=10, seed=0, M=0)
-
-    def test_blocks_must_sum_to_total(self):
-        MCRunResult(
-            histogram=(2, 2),
-            frames=4,
-            seed=0,
-            M=2,
-            block_histograms=((1, 1), (1, 1)),
-        )
-        with pytest.raises(ValueError):
-            MCRunResult(
-                histogram=(2, 2),
-                frames=4,
-                seed=0,
-                M=2,
-                block_histograms=((1, 1), (1, 0)),
-            )
-        with pytest.raises(ValueError, match="same width as the total"):
-            MCRunResult(
-                histogram=(2, 2),
-                frames=4,
-                seed=0,
-                M=2,
-                block_histograms=((1, 1), (1, 1, 0)),
-            )
 
 
 class TestPackageApi:

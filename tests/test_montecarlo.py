@@ -193,7 +193,7 @@ class TestRunMC:
         # must reproduce a shorter run's frames exactly
         short = run_mc(MCConfig(Coherent(2.0), 4, 20, seed=77))
         long = run_mc(MCConfig(Coherent(2.0), 4, 40, seed=77))
-        assert short.block_histograms == long.block_histograms[:20]
+        assert np.array_equal(short.block_histograms, long.block_histograms[:20])
 
     def test_recording_does_not_disturb_the_stream(self):
         plain = run_mc(MCConfig(Fock(3), 3, 300, seed=5))
@@ -273,7 +273,7 @@ class TestRunMC:
             plain = run_mc(MCConfig(spec, M, 5000, seed=31))
             recorded = run_mc(MCConfig(spec, M, 5000, seed=31, record_configurations=True))
             assert plain.histogram == recorded.histogram, (spec, M)
-            assert plain.block_histograms == recorded.block_histograms, (spec, M)
+            assert np.array_equal(plain.block_histograms, recorded.block_histograms), (spec, M)
         assert plain.histogram[7] > 0  # Fock(7): frames whose every star came before the bar
 
     def test_pixel0_builds_no_patterns(self):
@@ -319,7 +319,8 @@ class TestRunMC:
     def test_histograms_pinned(self, cfg, digest):
         # digests recorded on the sequential-reveal sampler
         result = run_mc(cfg)
-        data = repr((result.histogram, result.block_histograms)).encode()
+        blocks = tuple(map(tuple, result.block_histograms.tolist()))
+        data = repr((result.histogram, blocks)).encode()
         assert hashlib.sha256(data).hexdigest() == digest
 
     @pytest.mark.parametrize(
@@ -352,7 +353,8 @@ class TestRunMC:
         # every cell of every recorded frame, not pixel 0 alone; digests
         # recorded on the slot-by-slot sampler
         result = run_mc(cfg)
-        data = repr((result.histogram, result.block_histograms, result.configuration_counts))
+        blocks = tuple(map(tuple, result.block_histograms.tolist()))
+        data = repr((result.histogram, blocks, result.configuration_counts))
         assert hashlib.sha256(data.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize(
@@ -439,6 +441,58 @@ PAST_THE_DOUBLES = np.zeros((10, 201), dtype=np.int64)
 PAST_THE_DOUBLES[0, 200] = PAST_THE_DOUBLES[1:, 0] = 1
 
 
+class TestMCRunResult:
+    def test_counts_must_be_non_negative(self):
+        assert MCRunResult([[3, 7]], seed=0, M=2).frames == 10
+        with pytest.raises(ValueError, match="counts >= 0"):
+            MCRunResult([[-1, 11]], seed=0, M=2)
+
+    def test_cells_must_be_an_integer(self):
+        with pytest.raises(TypeError, match="M must be an integer"):
+            MCRunResult([[3, 7]], seed=0, M=2.0)
+        with pytest.raises(ValueError, match="M must be >= 1, got 0"):
+            MCRunResult([[3, 7]], seed=0, M=0)
+
+    @pytest.mark.parametrize("blocks", [[[1, 1], [1, 1, 0]], [3, 7], [], [[]], [[[3, 7]]]])
+    def test_blocks_must_form_a_non_empty_matrix(self, blocks):
+        with pytest.raises(ValueError, match="matrix|inhomogeneous"):
+            MCRunResult(blocks, seed=0, M=2)
+
+    def test_every_block_holds_a_frame(self):
+        # a replicate without the one block that holds every frame has no frames
+        with pytest.raises(ValueError, match="block 1 of block_histograms holds no frames"):
+            MCRunResult([[3, 2], [0, 0]], 0, 1)
+        with pytest.raises(ValueError, match="block 0 of"):
+            MCRunResult(np.zeros((100, 4), dtype=np.int64), 0, 1)
+
+    def test_frames_stay_below_2_63(self):
+        # MCConfig's limit on frames: no int64 sum of the counts may wrap
+        assert MCRunResult([[2**62, 2**62 - 1]], 0, 1).frames == 2**63 - 1
+        assert MCRunResult([[2**60] + [0] * 8], 0, 1).frames == 2**60  # max * size past 2**63
+        for blocks in ([[2**62, 0], [2**62, 0]], [[2**56]] * 128, [[2**63 - 1, 2**63 - 1]]):
+            with pytest.raises(ValueError, match="fewer than 2\\*\\*63 frames"):
+                MCRunResult(blocks, 0, 1)
+
+    @given(block_counts(), st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_the_matrix_is_the_one_copy_of_the_counts(self, blocks, data):
+        given_blocks = blocks.copy()
+        result = MCRunResult(blocks, 0, 1)
+        assert result.histogram == tuple(int(c) for c in blocks.sum(axis=0))
+        assert all(type(c) is int for c in result.histogram)
+        assert result.frames == int(blocks.sum())
+        assert result.block_histograms.dtype == np.int64
+        with pytest.raises(ValueError, match="read-only"):
+            result.block_histograms[0, 0] = 0
+        blocks += 1  # the caller's array, written after the result was made
+        assert np.array_equal(result.block_histograms, given_blocks)
+        assert result == MCRunResult(given_blocks.tolist(), 0, 1)
+        i = data.draw(st.integers(0, len(blocks) - 1))
+        j = data.draw(st.integers(0, blocks.shape[1] - 1))
+        given_blocks[i, j] += 1
+        assert result != MCRunResult(given_blocks, 0, 1)
+
+
 class TestEmpiricalReport:
     @pytest.mark.parametrize(
         "spec, M", [(Coherent(8.0), 8), (Thermal(3.0), 5), (Fock(6), 3), (Coherent(0.5), 2)]
@@ -465,7 +519,7 @@ class TestEmpiricalReport:
     def test_estimates_are_exact_ratios_rounded_once(self, blocks, order):
         # the run's report directly; each replicate's mean and g through the
         # jackknife errors, which the oracle forms from its own estimates
-        result = MCRunResult(blocks.sum(axis=0).tolist(), int(blocks.sum()), 0, 1, blocks)
+        result = MCRunResult(blocks, 0, 1)
         if not blocks[:, 1:].any():
             with pytest.raises(ZeroMean):
                 empirical_report(result, order)
@@ -477,7 +531,7 @@ class TestEmpiricalReport:
 
     def test_falling_factorials_past_the_doubles(self):
         assert math.perm(200, 149) > sys.float_info.max
-        result = MCRunResult(PAST_THE_DOUBLES.sum(axis=0).tolist(), 10, 0, 1, PAST_THE_DOUBLES)
+        result = MCRunResult(PAST_THE_DOUBLES, 0, 1)
         rep = empirical_report(result, 149)
         expected = oracle_report(PAST_THE_DOUBLES, 149)
         assert rep.report == expected[0] and math.isfinite(rep.report.g_at(149))
@@ -495,7 +549,7 @@ class TestEmpiricalReport:
         # than the suite samples, with every estimate an exact ratio rounded once
         blocks = 1000 * np.array([run_mc(MCConfig(spec, M, 2000, seed)).histogram for seed in range(17)])
         blocks[:, 0] += 2**22 - blocks.sum(axis=1)
-        result = MCRunResult(blocks.sum(axis=0).tolist(), 17 * 2**22, 0, M, blocks)
+        result = MCRunResult(blocks, 0, M)
         rep = empirical_report(result, 3)
         assert (rep.mean_se, *rep.g_se) == expected
 
