@@ -142,7 +142,9 @@ _KEYS = {
     "n_sweep_max": (int, None, None),
 }
 
-_BOUNDS = {"order": (2, 500), "m_max": (1, 10**5), "n_sweep_max": (1, 10**5)}  # (min, max)
+# (min, max); n and nbar leave their minimum to the input state or recipe
+_BOUNDS = {"order": (2, 500), "m_max": (1, 10**5), "n_sweep_max": (1, 10**5),
+           "n": (None, 10**5), "nbar": (None, 10**5)}
 
 # input kind: (state constructor, {[input] key: default})
 _KINDS = {
@@ -538,6 +540,11 @@ def _add_flags(group, defaults: dict) -> None:
         group.add_argument(flag, dest=key, type=kind, choices=choices, help=help)
 
 
+def _bound(section: str, key: str) -> str:
+    low, high = _BOUNDS[key]
+    return f"[{section}] {key} " + (f"at most {high}" if low is None else f"from {low} to {high}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rggstats",
@@ -546,8 +553,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"rggstats {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, reads_input, sections, help) in _COMMANDS.items():
-        bounds = ", ".join("[{}] {} from {} to {}".format(section, key, *_BOUNDS[key])
-                           for section, keys in sections.items() for key in keys if key in _BOUNDS)
+        read = {"input": _INPUT_KEYS, **sections} if reads_input else sections
+        bounds = ", ".join(_bound(section, key)
+                           for section, keys in read.items() for key in keys if key in _BOUNDS)
         p = sub.add_parser(command, help=help, epilog=bounds and f"bounds: {bounds}")
         p.add_argument("--config", help="INI config file; flags override it")
         p.add_argument("--out", default=".", help="output directory (default: .)")

@@ -23,7 +23,8 @@ hands floats only to exactly one of two compensated kernels, neither of
 which falls back or sees an integer.  As ``sum_k b_k x**k = (1 - x)**-(M
 - 1)``, the mixture is M - 1 suffix sums of w: O(L M) for L entries, each
 entry rounded about once.  It is also one Toeplitz sum of w, rounded once,
-times the ``b_k``: O(L**2), within a few units in the last place.
+times the ``b_k``: O(L**2), within a few units in the last place.  Both
+take w times one power of two per stage, which keeps every term in range.
 
 :func:`fock_scatter_fractions` returns the exact rationals themselves.
 """
@@ -119,9 +120,6 @@ _BLOCK_ELEMENTS = 1 << 16
 #: The binary exponents of b_k within one block stay at most this far above
 #: the block's anchor, so the scaled weights and numerators stay in range.
 _BLOCK_EXPONENT_SPAN = 256
-#: :func:`_toeplitz_mixture` builds the columns of weights below this from
-#: their w divided by it (exactly).
-_TINY_WEIGHT = 2.0**-700
 #: Cost rule of :func:`_mixture_array`, in seconds, for a support of L
 #: entries: one suffix pass costs ``_SUFFIX_PASS_S + _SUFFIX_ENTRY_S * L``;
 #: the Toeplitz sum costs ``L * (_TOEPLITZ_ENTRY_S + _TOEPLITZ_TERM_S * L)``
@@ -160,16 +158,19 @@ def _mixture_array(weights: np.ndarray, M: int) -> np.ndarray:
     A single nonzero weight gives that weight times its exact row.  More
     share ``b = _numerators(L, M)`` for a support of L entries and their
     running sums z_N, built and split (:func:`_split`) here once each, so
-    the kernels take floats only.  z_N's top bits are ``h * 2**e`` plus
-    their rounding error ``low``; for ``weights[N] = m * 2**f'``, ``w_N =
-    weights[N] / z_N`` is formed once as ``(q + corr) * 2**f``, ``q = m /
-    h``, where Dekker's TwoProduct on Veltkamp halves gives ``corr = (m - q
-    h - err - q low) / h``, err that of ``q h``.  :func:`_suffix_mixture`,
-    O(L M), takes this double-double times one exact ``2**shift`` that puts
-    the weights' total just below 2**1020, where the cost rule says that M
-    - 1 suffix passes beat ~L**2 Toeplitz terms and no nonzero scaled q
-    falls below 2**-969, where its low part would lose bits to underflow;
-    else :func:`_toeplitz_mixture`, O(L**2), takes ``q + corr``, rounded once.
+    the kernels take floats only.  Both routes work in one exact scale,
+    the ``2**shift`` that puts the weights' total just below 2**1020.  z_N's
+    top bits are ``h * 2**e`` plus their rounding error ``low``; for
+    ``weights[N] = m * 2**f'``, ``w_N * 2**shift = weights[N] * 2**shift /
+    z_N`` is formed once as ``(q + corr) * 2**f``, ``q = m / h``, where
+    Dekker's TwoProduct on Veltkamp halves gives ``corr = (m - q h - err -
+    q low) / h``, err that of ``q h``.  :func:`_suffix_mixture`, O(L M),
+    takes this double-double where the cost rule says that M - 1 suffix
+    passes beat ~L**2 Toeplitz terms and no nonzero scaled q falls below
+    2**-969, where its low part would lose bits to underflow; else
+    :func:`_toeplitz_mixture`, O(L**2), takes ``q + corr``, rounded once.
+    One scaling by ``2**-shift`` undoes the scale for both routes, and
+    rounds again only where an entry is subnormal.
     """
     out = np.zeros(len(weights))
     nonzero = np.flatnonzero(weights)
@@ -180,7 +181,8 @@ def _mixture_array(weights: np.ndarray, M: int) -> np.ndarray:
         head, b = weights[:top], _numerators(top, M)
         h, e, tops, shifts = _split(list(accumulate(b)))
         m, f = np.frexp(head)
-        q, f = m / h, f - e  # w_N = (q + corr) * 2**f
+        shift = 1020 - math.frexp(float(head.sum()))[1]
+        q, f = m / h, f - e + shift  # w_N * 2**shift = (q + corr) * 2**f
         # t = upper 2**53 + lower, and (upper 2**53 - t rounded) + lower is exact
         upper = np.fromiter(map(operator.rshift, tops, repeat(53)), float, top)
         lower = np.fromiter(map(operator.and_, tops, repeat((1 << 53) - 1)), float, top)
@@ -189,15 +191,14 @@ def _mixture_array(weights: np.ndarray, M: int) -> np.ndarray:
         product = q * h
         err = ((q1 * h1 - product) + q1 * h2 + q2 * h1) + q2 * h2
         corr = ((m - product) - err - q * low) / h
-        shift = 1020 - math.frexp(float(head.sum()))[1]
-        hi = np.ldexp(q, f + shift)
+        hi = np.ldexp(q, f)
         toeplitz = top * (_TOEPLITZ_ENTRY_S + _TOEPLITZ_TERM_S * top)
         cheaper = M - 1 < toeplitz / (_SUFFIX_PASS_S + _SUFFIX_ENTRY_S * top)
         if not cheaper or hi[head > 0].min() < 2.0**-969:
-            tiny = (head > 0) & (head < _TINY_WEIGHT)
-            out[:top] = _toeplitz_mixture(q + corr, f, tiny, *_split(b)[:2])
+            mixed = _toeplitz_mixture(q + corr, f, *_split(b)[:2])
         else:
-            out[:top] = np.ldexp(_suffix_mixture(hi, np.ldexp(corr, f + shift), M - 1), -shift)
+            mixed = _suffix_mixture(hi, np.ldexp(corr, f), M - 1)
+        out[:top] = np.ldexp(mixed, -shift)
     return out
 
 
@@ -242,23 +243,22 @@ def _suffix_mixture(hi: np.ndarray, lo: np.ndarray, passes: int) -> np.ndarray:
 
 
 def _toeplitz_mixture(
-    w: np.ndarray, f: np.ndarray, tiny: np.ndarray, b_mant: np.ndarray, b_exp: np.ndarray
+    w: np.ndarray, f: np.ndarray, b_mant: np.ndarray, b_exp: np.ndarray
 ) -> np.ndarray:
     """The mixture of the rows over M >= 2 cells as one Toeplitz sum of ``w_N b_{N-n}``.
 
     The router hands it floats only: ``w_N = weights[N] / z_N`` rounded
-    once, as ``w[N] * 2**f[N]``, the rows ``tiny`` whose weights lie below
-    ``_TINY_WEIGHT`` = 2**-700, and the numerators of M cells, one per
-    weight, as ``b_k = b_mant[k] * 2**b_exp[k]``; entry n is ``sum_{N >= n}
-    w_N b_{N-n}``.  Rows N go in blocks that share an anchor exponent c,
-    b_exp at the block's first row: the block's terms are the column ``w[N]
-    * 2**(f[N] + c)`` times a zero-copy Toeplitz view of ``b_mant[k] *
-    2**(b_exp[k] - c)``.  Scaling by powers of two is exact, so a term is
-    the same double in any block, and underflows only where its true value
-    does.  As ``z_N = b_N (N + M - 1) / (M - 1)``, the column reaches down
-    to ``weight * 2**-(257 + log2((N + M - 1) / (M - 1)))``, so tiny rows
-    build it from ``w / _TINY_WEIGHT``, normal at any N < 2**50, and their
-    terms are scaled back after the block's product (exact unless subnormal).
+    once and times the stage's scale ``2**shift``, as ``w[N] * 2**f[N]``,
+    and the numerators of M cells, one per weight, as ``b_k = b_mant[k] *
+    2**b_exp[k]``; entry n is ``sum_{N >= n} w_N b_{N-n}``, still scaled.
+    Rows N go in blocks that share an anchor exponent c, b_exp at the
+    block's first row: the block's terms are the column ``w[N] * 2**(f[N]
+    + c)`` times a zero-copy Toeplitz view of ``b_mant[k] * 2**(b_exp[k] -
+    c)``.  Scaling by powers of two is exact, so a term is the same double
+    in any block.  For a ``Pmf``, shift >= 1019, and ``2**(c - 1) <= b_N <
+    2**(c + 256)`` with ``z_N = b_N (N + M - 1) / (M - 1)``, so at any N <
+    2**50 every column lies in [2**-362, 2**1021] and every term, at most
+    ``weight * 2**shift``, below 2**1020: no row needs a scale of its own.
 
     Each entry adds its terms in ascending N and also adds up, exactly by
     Fast2Sum, the rounding error of every addition; the sum of those errors
@@ -269,7 +269,6 @@ def _toeplitz_mixture(
     """
     top = len(w)
     out = np.zeros(top)
-    scaled = np.where(tiny, w / _TINY_WEIGHT, w)
     carry = np.zeros_like(out)  # summed rounding errors of out
     # work space shared by the blocks, so that no block faults in fresh pages
     space = np.empty((3, max(_BLOCK_ELEMENTS, top) + top))
@@ -289,10 +288,8 @@ def _toeplitz_mixture(
         padded = np.zeros(2 * stop - 1)
         padded[stop - 1 :] = np.ldexp(b_mant[:stop], b_exp[:stop] - anchor)
         toeplitz = sliding_window_view(padded, stop)[start:stop]
-        column = np.ldexp(scaled[start:stop], f[start:stop] + anchor)
+        column = np.ldexp(w[start:stop], f[start:stop] + anchor)
         np.multiply(column[:, None], toeplitz, out=terms)
-        if tiny[start:stop].any():
-            terms[tiny[start:stop]] *= _TINY_WEIGHT
         partial[0] = out[stop - 1 :: -1]
         # row by row: add.accumulate(axis=0) runs column by column, ~5x slower
         for previous, term, current in zip(partial, terms, partial[1:]):

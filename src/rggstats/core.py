@@ -246,6 +246,8 @@ class SqueezedCoherent:
             raise ValueError(f"alpha_mag must be >= 0, got {self.alpha_mag}")
         if self.r < 0.0:
             raise ValueError(f"squeezing magnitude r must be >= 0, got {self.r}")
+        if self.r > math.acosh(np.finfo(float).max):  # the pmf divides by sqrt(cosh(r))
+            raise ValueError(f"squeezing magnitude r = {self.r}: cosh(r) overflows")
 
     @property
     def mean_photons(self) -> float:

@@ -119,12 +119,20 @@ class MCRunResult:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "M", _as_int("M", self.M, 1))
-        blocks = np.array(self.block_histograms, dtype=np.int64)  # a copy, which no caller holds
-        if blocks.ndim != 2 or not blocks.size or (blocks < 0).any():
-            raise ValueError(f"need a non-empty matrix of block counts >= 0, got {blocks!r}")
+        counts = self.block_histograms
+        if not isinstance(counts, np.ndarray):  # each entry keeps its type: no bool cast to 1
+            counts = np.array(counts, dtype=object)
+        if counts.ndim == 2 and counts.dtype == object:
+            for count in counts.flat:
+                _as_int("a block count", count)
+        elif counts.dtype.kind not in "iuO":
+            raise TypeError(f"a block count must be an integer, got dtype {counts.dtype}")
+        if counts.ndim != 2 or not counts.size or counts.min() < 0:
+            raise ValueError(f"need a non-empty matrix of block counts >= 0, got {counts!r}")
         # max * size bounds every sum; only past 2**63 is the exact total needed
-        if int(blocks.max()) * blocks.size >= 2**63 and blocks.sum(dtype=object) >= 2**63:
+        if int(counts.max()) * counts.size >= 2**63 and counts.sum(dtype=object) >= 2**63:
             raise ValueError("block_histograms must hold fewer than 2**63 frames in all")
+        blocks = np.array(counts, dtype=np.int64)  # a copy, which no caller holds
         frames = blocks.sum(axis=1)
         if not frames.all():
             raise ValueError(f"block {int(np.argmin(frames))} of block_histograms holds no frames")

@@ -811,8 +811,11 @@ class TestOptionSurface:
 
     @pytest.mark.parametrize(
         "argv, bounds",
-        [(["gn"], "[gn] order from 2 to 500"), (["mc"], "[mc] order from 2 to 500"),
-         (["figure"], "[figure] m_max from 1 to 100000, [figure] n_sweep_max from 1 to 100000")],
+        [(["gn"], "[input] n at most 100000, [gn] order from 2 to 500"),
+         (["mc"], "[input] n at most 100000, [mc] order from 2 to 500"),
+         (["scatter"], "[input] n at most 100000"), (["plimit"], "[plimit] n at most 100000"),
+         (["figure"], "[figure] nbar at most 100000, [figure] m_max from 1 to 100000, "
+                      "[figure] n_sweep_max from 1 to 100000, [figure] n at most 100000")],
     )
     def test_help_states_the_bounds(self, capsys, argv, bounds):
         with pytest.raises(SystemExit):
@@ -924,11 +927,21 @@ class TestChecksPrecedeCompute:
             (["figure", "fig3b"], "m_max = 100001", "[figure] m_max must be <= 100000, got 100001"),
             (["figure", "fig3c"], f"n_sweep_max = {10**30}",
              f"[figure] n_sweep_max must be <= 100000, got {10**30}"),
+            # sizes that numpy or libm would refuse in words of their own
+            (["scatter", "--kind", "fock", "--n", str(10**30), "--M", "4"], "",
+             f"[input] n must be <= 100000, got {10**30}"),
+            (["plimit", "--n", str(10**30), "--M", "4"], "",
+             f"[plimit] n must be <= 100000, got {10**30}"),
+            (["figure", "fig5a"], f"n = {10**30}", f"[figure] n must be <= 100000, got {10**30}"),
+            (["figure", "fig2", "--M", "4", "--nbar", "100001"], "",
+             "[figure] nbar must be <= 100000, got 100001"),
+            (["gn", "--kind", "squeezed", "--r", "1e30", "--M", "4"], "",
+             "invalid input state: squeezing magnitude r = 1e+30: cosh(r) overflows"),
         ],
     )
     def test_size_past_its_maximum_exits_before_any_work(self, monkeypatch, tmp_path,
                                                           capsys, argv, ini, message):
-        for heavy in ("correlation_report", "g2_out_predicted", "input_pmf"):
+        for heavy in ("correlation_report", "g2_out_predicted", "input_pmf", "fock_scatter_pmf"):
             monkeypatch.setattr(cli, heavy, None)
         cfg = tmp_path / "run.ini"
         cfg.write_text(f"[figure]\n{ini}\n", encoding="utf-8")
@@ -1000,8 +1013,9 @@ class TestImportPath:
 
 # every int setting gets a huge value: the stages of scatter and gn run, as
 # the cascade stops at its fixed point and the deep-cascade limit knows when it
-# is past the doubles; order, m_max and n_sweep_max have a stated maximum, and
-# the other settings are refused before any work in their size
+# is past the doubles; order, m_max, n_sweep_max, n and nbar have a stated
+# maximum, and the other settings are refused before any work in their size;
+# every float setting gets 1e30, past where cosh(r) overflows
 _CSV_FILES = {"good.csv": "n,p\n0,0.25\n1,0.5\n2,0.25\n", "bad.csv": "n,p\n0,abc\n"}
 # strings that no flag's type takes; they reach the settings through INI files
 _WRONG_TYPE = ["abc", "yes", "true", "off", "1.5", "", "0x10", "nan", "inf", "1e30"]

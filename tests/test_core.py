@@ -174,6 +174,9 @@ class TestInputStateSpecs:
             SqueezedCoherent(1.0, 0.0, 0.5, float("nan"))
         with pytest.raises(ValueError, match="alpha_mag must be finite, got inf"):
             SqueezedCoherent(float("inf"), 0.0, 0.5, 0.0)
+        assert SqueezedCoherent(0.0, 0.0, 710.0, 0.0).r == 710.0
+        with pytest.raises(ValueError, match=r"r = 711.0: cosh\(r\) overflows"):
+            SqueezedCoherent(0.0, 0.0, 711.0, 0.0)
 
     def test_custom_requires_pmf(self):
         Custom(Pmf((1.0,)))

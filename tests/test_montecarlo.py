@@ -458,6 +458,20 @@ class TestMCRunResult:
         with pytest.raises(ValueError, match="matrix|inhomogeneous"):
             MCRunResult(blocks, seed=0, M=2)
 
+    @pytest.mark.parametrize("blocks", [
+        [[1.7, 2]], [[True, 2]], [[2, np.float64(3.0)]], np.ones((2, 2)), np.ones((1, 3), bool),
+    ])
+    def test_counts_must_be_integers(self, blocks):
+        # numpy's int64 cast would floor 1.7 and take True for 1
+        with pytest.raises(TypeError, match="a block count must be an integer"):
+            MCRunResult(blocks, seed=0, M=2)
+
+    @pytest.mark.parametrize("blocks", [[[2**63]], [[1, 2**64]], np.array([[2**63]], np.uint64)])
+    def test_an_oversized_count_is_refused_by_name(self, blocks):
+        # not numpy's "Python int too large to convert to C long", nor a wrap
+        with pytest.raises(ValueError, match="fewer than 2\\*\\*63 frames"):
+            MCRunResult(blocks, seed=0, M=2)
+
     def test_every_block_holds_a_frame(self):
         # a replicate without the one block that holds every frame has no frames
         with pytest.raises(ValueError, match="block 1 of block_histograms holds no frames"):

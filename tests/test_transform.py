@@ -4,6 +4,7 @@ import sys
 from fractions import Fraction
 from contextlib import ExitStack
 from functools import partial
+from itertools import accumulate
 from unittest import mock
 
 import numpy as np
@@ -220,10 +221,11 @@ class TestMixtureKernel:
         args = calls["_toeplitz_mixture"]
         assert all(isinstance(arg, np.ndarray) for arg in args)
         w, f = args[:2]
+        shift = 1020 - math.frexp(float(weights.sum()))[1]  # the stage's scale, in f
         z = 0
         for N, weight in enumerate(weights):
             z += math.comb(N + M - 2, M - 2)
-            assert w[N] == float(Fraction(weight) / z / Fraction(2) ** int(f[N]))
+            assert w[N] == float(Fraction(weight) / z / Fraction(2) ** int(f[N] - shift))
 
     def test_two_cells_round_each_entry_once(self, monkeypatch):
         # M = 2 is one suffix pass: entry n is sum_{N >= n} P(N) / (N + 1)
@@ -237,12 +239,12 @@ class TestMixtureKernel:
 
     @pytest.mark.parametrize("M", [3, 8, 20])
     def test_suffix_route_keeps_tiny_weights(self, monkeypatch, M):
-        # weights near 1e-300, all below _TINY_WEIGHT, one of them subnormal
+        # weights near 1e-300, all below 2**-700, one of them subnormal
         probs = np.zeros(81)
         probs[:40] = np.random.default_rng(6).dirichlet(np.ones(40))
         probs[50], probs[60], probs[80] = 1e-250, 3e-300, 1e-310
         p = Pmf(probs)
-        assert probs[80] < probs[60] < probs[50] < combinatorics._TINY_WEIGHT
+        assert probs[80] < probs[60] < probs[50] < 2.0**-700
         assert worst_relative_error(p, suffix_kernel(probs, M), M) <= 2**-53
         monkeypatch.setattr(combinatorics, "_toeplitz_mixture", None)
         assert worst_relative_error(p, scatter_pmf(p, M).as_array(), M) < 4e-16
@@ -343,12 +345,40 @@ class TestMixtureKernel:
 
     @pytest.mark.parametrize("M", [25000, 10**6])
     def test_tiny_weights_keep_their_precision(self, M):
-        # the weight column reaches 2**-256 of a weight, where these would
-        # be subnormal; the entries n >= 1 come from them alone
+        # unscaled, these weights' Toeplitz columns would be subnormal at
+        # 2**-256 of a weight; the entries n >= 1 come from them alone
         probs = np.zeros(41)
         probs[0], probs[20], probs[40] = 1.0, 1e-250, 1e-280
         p = Pmf(probs)
         assert worst_relative_error(p, scatter_pmf(p, M).as_array(), M) < 4e-16
+
+    @pytest.mark.parametrize("M", [400, 1300])
+    def test_subnormal_band_is_within_an_ulp(self, M):
+        # powers of two down to 2**-1074, a Toeplitz stage: every entry below
+        # 2**-969, up to one past the last nonzero one, is within one ulp of
+        # the exact mixture; up to 18.2 and 20.7 ulp off while tiny rows took
+        # their own scale and the sums ran unscaled through the subnormals
+        weights = np.append(np.ldexp(1.0, -np.arange(1, 1075)), 2.0**-1074)
+        out = toeplitz_kernel(weights, M)
+        assert out.tobytes() == scatter_pmf(Pmf(weights), M).as_array().tobytes()
+        top = len(weights)
+        b = [math.comb(k + M - 2, M - 2) for k in range(top)]
+        z = list(accumulate(b))
+        # each weights[N] / z_N in fixed point, so that the truncation, at most
+        # b_{N-n} 2**-S a term, stays below 2**-1200 an entry
+        S = z[-1].bit_length() + top.bit_length() + 1200
+        scaled = []
+        for N, weight in enumerate(weights.tolist()):
+            num, den = weight.as_integer_ratio()
+            scaled.append((num << S) // (den * z[N]))
+        stop = int(np.flatnonzero(out)[-1]) + 2
+        band = np.flatnonzero(out[:stop] < 2.0**-969).tolist()
+        assert stop <= top and len(band) > 2
+        for n in band:
+            exact = sum(scaled[N] * b[N - n] for N in range(n, top))  # exact * 2**S
+            ulp = max(exact.bit_length() - S - 53, -1074)
+            num, den = float(out[n]).as_integer_ratio()
+            assert abs((num << S) - exact * den) <= den << (S + ulp), n
 
     def test_no_weight_scatters_to_nothing(self):
         assert scatter_pmf(Pmf((0.0, 0.0, 0.0), 1.0), 7) == Pmf((0.0, 0.0, 0.0), 1.0)
@@ -361,11 +391,11 @@ class TestMixtureKernel:
              "da1680a87adb1cb780894c78c6a08b9707b0c357d94a7a53664025a41f6a6a56"),
             # the Toeplitz route
             (thermal_pmf(40.0), 4096, 1,
-             "0c3ea0b79b41ba236d43344af2f8c06b9b41c2425700b331faf8f7c9aa834d90"),
-            # the second stage has weights below _TINY_WEIGHT, on the Toeplitz route
+             "6c0ad1795082a897ace58cb7a77f22699ff9735388551e4974b89aa7fb5b382f"),
+            # the second stage has weights below 2**-700, on the Toeplitz route
             (poisson_pmf(300.0), 25000, 2,
-             "fc6fdbdacde54831e5d3f7943f4dd209af91acd3c0fe3ff205a5837b93aba956"),
-            # the third stage has weights below _TINY_WEIGHT, on the suffix route
+             "ab90cf7531f0897dfdb708afeb52d9b10a81febe9a405f4c5e7090c8845ed8e7"),
+            # the third stage has weights below 2**-700, on the suffix route
             (poisson_pmf(300.0), 98, 3,
              "f19285ddd899259c2987d7c1034a27430dada0e265beba70dde0aa84621ad28e"),
         ],
@@ -374,9 +404,10 @@ class TestMixtureKernel:
     def test_mixtures_pinned(self, p, M, stages, digest):
         # suffix recorded before both kernels took z_N from one numerator
         # recurrence, tiny-suffix when each stage first took one kernel, and
-        # the two Toeplitz stages when that route took w rounded once, not
-        # twice; thermal_pmf's entries are Python float powers, so the
-        # thermal digests hold whichever numpy kernels the CPU selects
+        # the two Toeplitz stages when that route took the suffix route's
+        # power-of-two scale, which moved subnormal entries only; thermal_pmf's
+        # entries are Python float powers, so the thermal digests hold
+        # whichever numpy kernels the CPU selects
         data = repr(cascade_pmf(p, M, stages).probs).encode()
         assert hashlib.sha256(data).hexdigest() == digest
 
@@ -387,15 +418,15 @@ class TestMixtureKernel:
         "p, digest",
         [
             (poisson_pmf(2.0), "95e58b54704d5606878dd272d3ecca57541de639ecf851448185ab79ea59f592"),
-            (poisson_pmf(30.0), "75f13bf793ca8af78f933853acf06f942b3d4b4c156f29dfd24d6f184150b6bd"),
+            (poisson_pmf(30.0), "09f09ce584fb4509017e421ee1437b18613f7ab1eb5bb8cf4288c20206a32efe"),
             (poisson_pmf(300.0),
-             "50a4802facc740fe7a38a3d20fafd922d04088f9231dd96e86a091a5722d7373"),
+             "0cb5d46532d56a5d6ce16ae1715479874c5232e99e350b7982d3e162c5796ca5"),
             (Pmf(np.bincount([2, 2, 17, 120], minlength=121) / 4),
-             "21ca75f0bdfd390eeb342f1191553fa18d2e1a7fbe3e9e7301642335b4f4861d"),
+             "05993d3c02b54bf85899c236a451e4a1978b0542490ee25a25dab8350c2960b2"),
             (Pmf(np.arange(1, 301) / (300 * 301 // 2)),
-             "5cfda26db248a5cf80c7963f0a8910e63f66bf7215b3455c42122bf99b0805bc"),
+             "22e69650e2582ee206523fb70ea78d90d21c698f08e5a2145c3f8f2f917b1d68"),
             (Pmf(np.append(np.ldexp(1.0, -np.arange(1, 1075)), 2.0**-1074)),
-             "057f91941415aa7b2f1afcacaa39a0248eaf64b7d32469c85bd00ebb109dc223"),
+             "69b664666434096ea80758bd9b07bbd18fc8b6b1979175bcda415a24a906e8a0"),
         ],
         ids=["poisson-2", "poisson-30", "poisson-300", "fock-mixture", "ramp", "powers-of-two"],
     )
@@ -403,8 +434,9 @@ class TestMixtureKernel:
         # each stage of a three-stage cascade at each cell count: 91 stages
         # take the suffix route and 125 the Toeplitz route, two of them (the
         # powers of two at M = 300 and 400) refused the suffix route for
-        # range, and 68 mix weights below _TINY_WEIGHT; digests recorded
-        # when the Toeplitz route took w_N rounded once, not twice
+        # range, and 68 mix weights below 2**-700; digests recorded when the
+        # Toeplitz route took the suffix route's power-of-two scale, which
+        # moved subnormal entries only
         data = hashlib.sha256()
         for M in (2, 3, 8, 17, 45, 98, 245, 300, 400, 1300, 4096, 25275):
             stage = p
@@ -546,10 +578,9 @@ class TestRouterProperties:
         weights = np.zeros(L)
         z_top = math.comb(L + M - 2, M - 1)
         weights[0], weights[-1] = 0.5, 2.0 ** (offset - 969 - 1020 + math.log2(z_top))
-        # w as the router forms it, scaled as on the suffix route
-        w, f, _, _, _ = routed(weights, M, "_toeplitz_mixture")[1]["_toeplitz_mixture"]
-        shift = 1020 - math.frexp(float(weights.sum()))[1]
-        least = np.ldexp(w, f + shift)[weights > 0].min()
+        # w as the router forms it, in the one scale that both routes take
+        w, f, _, _ = routed(weights, M, "_toeplitz_mixture")[1]["_toeplitz_mixture"]
+        least = np.ldexp(w, f)[weights > 0].min()
         _, calls = routed(weights, M, "_suffix_mixture")  # what the cost rule picks here
         assert list(calls) == ["_suffix_mixture" if least >= 2.0**-969 else "_toeplitz_mixture"]
 
