@@ -28,8 +28,7 @@ Exit codes: 0 success, 2 configuration error, 3 numeric failure,
 from __future__ import annotations
 
 import argparse
-import configparser
-import json
+import gc
 import math
 import sys
 from fractions import Fraction
@@ -48,6 +47,7 @@ from .core import (
     OutOfRange,
     Pmf,
     SqueezedCoherent,
+    TAIL_CEILING,
     TailTooHeavy,
     Thermal,
     ZeroMean,
@@ -68,7 +68,7 @@ from .transform import (
     scatter_pmf,
 )
 
-__all__ = ["ConfigError", "main"]
+__all__ = ["ConfigError", "entry", "main"]
 
 _ENGINE = {"name": "rggstats", "version": __version__}
 
@@ -186,6 +186,8 @@ def _write_csv(path: Path, cfg: dict, header: list[str], columns) -> None:
 
 
 def _write_json(path: Path, cfg: dict, payload: dict) -> None:
+    import json  # loaded by the commands that write JSON only
+
     with _open(path) as handle:
         document = {"engine": _ENGINE, "config": cfg, **payload}
         json.dump(document, handle, sort_keys=True, indent=2)
@@ -195,6 +197,36 @@ def _write_json(path: Path, cfg: dict, payload: dict) -> None:
 def _pmf_columns(*pmfs) -> list:
     """An n column as long as the longest pmf, then the entries of each."""
     return [range(max(map(len, pmfs))), *(p.probs for p in pmfs)]
+
+
+def _named(section: str, settings: dict, keys) -> str:
+    """``[section] key = value, ...``: the settings that a message names."""
+    return f"[{section}] " + ", ".join(f"{key} = {_cell(settings[key])}" for key in keys)
+
+
+def _whole(pmf: Pmf, what: str) -> Pmf:
+    """``pmf``, or :class:`TailTooHeavy` naming ``what`` if its stored tail reaches TAIL_CEILING.
+
+    Each input pmf passes here before a mixture or the sampler reads it, and
+    each thermal reference before it is written; the scattered pmfs carry
+    their input's tail and the rows have none, so no column that the CLI
+    writes or reports silently sums to less than ``1 - TAIL_CEILING``.
+    """
+    if pmf.tail_mass >= TAIL_CEILING:
+        raise TailTooHeavy(f"{what} leaves out tail mass {pmf.tail_mass!r} >= "
+                           f"{TAIL_CEILING:g} beyond n = {len(pmf) - 1}")
+    return pmf
+
+
+def _input_named(cfg: dict) -> str:
+    """``[input] kind = ..., ...``: the input kind and the values it reads."""
+    settings = cfg["input"]
+    return _named("input", settings, ["kind", *_KINDS[settings["kind"]][1]])
+
+
+def _source(cfg: dict, spec) -> Pmf:
+    """The pmf of the [input] state, checked by :func:`_whole`."""
+    return _whole(input_pmf(spec), f"the input state {_input_named(cfg)}")
 
 
 def _limit(cfg: dict, spec, out: Path) -> None:
@@ -224,7 +256,7 @@ def cmd_scatter(cfg: dict, spec, out: Path) -> None:
             raise ConfigError("the small-n approximation applies to a single stage only")
         _as_int("[scatter] m", M, 3)  # the approximation's own limit, named as a setting
 
-    source = input_pmf(spec)
+    source = _source(cfg, spec)
     if approx:
         # before the cascade, so that N >= 1 is checked before the heavy work
         n_eff = spec.n if isinstance(spec, Fock) else round(pmf_mean(source))
@@ -234,7 +266,11 @@ def cmd_scatter(cfg: dict, spec, out: Path) -> None:
         approximate = approx_scatter_pmf(n_eff, M)
         settings["approx_n"] = n_eff
     scattered = cascade_pmf(source, M, stages)
-    pmfs = [scattered, thermal_pmf(pmf_mean(scattered))]
+    mean = pmf_mean(scattered)
+    named = f"{_input_named(cfg)} and {_named('scatter', settings, ['m', 'stages'])}"
+    reference = _whole(thermal_pmf(mean), f"the p_thermal_ref column, the thermal pmf of "
+                       f"the output mean {mean!r} of {named},")
+    pmfs = [scattered, reference]
     header = ["n", "p_exact", "p_thermal_ref"]
     if approx:
         pmfs.append(approximate)
@@ -250,7 +286,7 @@ def _report_as_dict(report) -> dict:
 
 def cmd_gn(cfg: dict, spec, out: Path) -> None:
     M, stages, order = cfg["scatter"]["m"], cfg["scatter"]["stages"], cfg["gn"]["order"]
-    source = input_pmf(spec)
+    source = _source(cfg, spec)
     incoming = correlation_report(source, order)
     outgoing = correlation_report(cascade_pmf(source, M, stages), order)
 
@@ -279,7 +315,7 @@ def _finite_or_none(x: float) -> float | None:
 def cmd_mc(cfg: dict, spec, out: Path) -> None:
     M, settings = cfg["scatter"]["m"], cfg["mc"]
     frames, order = settings["frames"], settings["order"]
-    source = input_pmf(spec)
+    source = _source(cfg, spec)
     config = MCConfig(Custom(source), M, frames, settings["seed"])
     # the exact side is cheap and checks the order before the sampler runs
     exact_pmf = scatter_pmf(source, M)
@@ -321,9 +357,13 @@ def _fig2(cfg: dict, spec, out: Path) -> None:
     M, nbar = cfg["figure"]["m"], _at_least(cfg, "nbar", 0)
     if M >= 3 and nbar < 1:
         raise ConfigError(f"the p_fock_approx column needs [figure] nbar >= 1, got {nbar}")
-    fock_out = fock_scatter_pmf(nbar, M)
-    poisson_out = scatter_pmf(input_pmf(Coherent(float(nbar))), M)
-    columns = _pmf_columns(fock_out, poisson_out, thermal_pmf(nbar / M))
+    fock_out = fock_scatter_pmf(nbar, M)  # checks M
+    named = _named("figure", cfg["figure"], ["nbar", "m"])
+    coherent = _whole(input_pmf(Coherent(float(nbar))),
+                      f"the p_poisson column's input at {named},")
+    reference = _whole(thermal_pmf(nbar / M),
+                       f"the p_thermal_ref column, the thermal pmf of mean nbar / m at {named},")
+    columns = _pmf_columns(fock_out, scatter_pmf(coherent, M), reference)
     header = ["n", "p_fock", "p_poisson", "p_thermal_ref"]
     if M >= 3:
         columns.append(approx_scatter_pmf(nbar, M).probs)
@@ -333,10 +373,12 @@ def _fig2(cfg: dict, spec, out: Path) -> None:
 
 def _fig3a(cfg: dict, spec, out: Path) -> None:
     M, nbar = cfg["figure"]["m"], _at_least(cfg, "nbar", 0)
-    fock_out = fock_scatter_pmf(nbar, M)
-    poisson_out = scatter_pmf(input_pmf(Coherent(float(nbar))), M)
-    thermal_out = scatter_pmf(input_pmf(Thermal(float(nbar))), M)
-    columns = _pmf_columns(fock_out, poisson_out, thermal_out)
+    fock_out = fock_scatter_pmf(nbar, M)  # checks M
+    named = _named("figure", cfg["figure"], ["nbar"])
+    coherent = _whole(input_pmf(Coherent(float(nbar))),
+                      f"the p_poisson column's input at {named},")
+    thermal = _whole(input_pmf(Thermal(float(nbar))), f"the p_thermal column's input at {named},")
+    columns = _pmf_columns(fock_out, scatter_pmf(coherent, M), scatter_pmf(thermal, M))
     _write_csv(out / "fig3a.csv", cfg, ["n", "p_fock", "p_poisson", "p_thermal"], columns)
 
 
@@ -362,18 +404,23 @@ def _fig3d(cfg: dict, spec, out: Path) -> None:
     M, nbar, r = settings["m"], _at_least(cfg, "nbar", 1), settings["r"]
     try:
         squeezed = math.sinh(r) ** 2  # the mean photon number of the squeezing alone
-    except OverflowError:  # from |r| ~ 355.4 on
+    except OverflowError:  # from |r| ~ 355.58 on
         squeezed = math.inf
     if not squeezed <= nbar:  # r = nan too
         raise ConfigError(f"[figure] r = {r}: sinh(r)**2 must be a number <= nbar = {nbar}")
     alpha_mag = settings["alpha_mag"] = math.sqrt(nbar - squeezed)
+    named = _named("figure", settings, ["nbar", "r"])
+    thetas = [float(theta) for theta in np.linspace(0.0, 2.0 * math.pi, 65)]
+    sources = [  # every input checked before the first mixture
+        _whole(input_pmf(SqueezedCoherent(alpha_mag, settings["alpha_phase"], r, theta)),
+               f"the squeezed input at theta = {theta!r} of {named},")
+        for theta in thetas
+    ]
     rows = []
-    for theta in np.linspace(0.0, 2.0 * math.pi, 65):
-        state = SqueezedCoherent(alpha_mag, settings["alpha_phase"], r, float(theta))
-        source = input_pmf(state)
+    for theta, source in zip(thetas, sources):
         g2_in = correlation_report(source, 2).g2
         g2_out = correlation_report(scatter_pmf(source, M), 2).g2
-        rows.append([float(theta), g2_in, g2_out, g2_out_predicted(g2_in, M)])
+        rows.append([theta, g2_in, g2_out, g2_out_predicted(g2_in, M)])
     header = ["theta", "g2_in", "g2_out", "g2_out_law"]
     _write_csv(out / "fig3d.csv", cfg, header, zip(*rows))
 
@@ -436,6 +483,8 @@ def _accepted_keys() -> dict[str, set[str]]:
 def _load_config(path: str | None) -> configparser.ConfigParser | None:
     if path is None:
         return None
+    import configparser  # loaded by --config runs only
+
     file = Path(path)
     if not file.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -592,5 +641,18 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-if __name__ == "__main__":
+def entry() -> None:
+    """Run ``main`` as a process: the console script and ``python -m rggstats.cli``.
+
+    ``gc.freeze()`` first moves the objects that the imports made into the
+    permanent generation, so the collections at interpreter exit no longer
+    walk them; streams and files still flush and close, and atexit handlers
+    run.  ``main`` itself leaves the collector alone: a caller in the same
+    process keeps its garbage collectable.
+    """
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

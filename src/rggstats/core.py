@@ -251,7 +251,12 @@ class SqueezedCoherent:
 
     @property
     def mean_photons(self) -> float:
-        return self.alpha_mag**2 + math.sinh(self.r) ** 2
+        try:
+            squeezed = math.sinh(self.r) ** 2
+        except OverflowError:  # the constructor takes r up to ~710.48, where cosh(r) overflows
+            raise OverflowError(f"mean photon number of squeezing magnitude r = {self.r}: "
+                                "sinh(r)**2 overflows a double past r ~ 355.58") from None
+        return self.alpha_mag**2 + squeezed
 
 
 @dataclass(frozen=True)

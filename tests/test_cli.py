@@ -7,6 +7,7 @@ guarantee are all exercised exactly as a shell user would hit them.
 
 import argparse
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -489,6 +490,57 @@ class TestFigureCommand:
         assert header == ["n", "p_single_stage", "p_limit"]
 
 
+class TestTailRefusal:
+    # the support cap cuts these pmfs, so their columns would sum to less than
+    # 1 - TAIL_CEILING; each run exits 3, names the settings and writes nothing
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["scatter", "--kind", "coherent", "--mean", "3000", "--M", "2"],
+             "p_thermal_ref column, the thermal pmf of the output mean 1499.9999999983445 of "
+             "[input] kind = coherent, mean = 3000.0 and [scatter] m = 2, stages = 1,"),
+            (["figure", "fig2", "--M", "8", "--nbar", "5000"],
+             "the p_poisson column's input at [figure] nbar = 5000, m = 8,"),
+            (["figure", "fig2", "--M", "8", "--nbar", "4000"],
+             "the p_poisson column's input at [figure] nbar = 4000, m = 8,"),
+            (["figure", "fig2", "--M", "1", "--nbar", "400"],
+             "the p_thermal_ref column, the thermal pmf of mean nbar / m at "
+             "[figure] nbar = 400, m = 1,"),
+            (["figure", "fig3a", "--nbar", "1000"],
+             "the p_thermal column's input at [figure] nbar = 1000,"),
+            (["figure", "fig3d", "--nbar", "5000"],
+             "the squeezed input at theta = 0.0 of [figure] nbar = 5000, r = 1.0,"),
+            (["gn", "--kind", "squeezed", "--r", "19", "--M", "4"],
+             "the input state [input] kind = squeezed, alpha_mag = 0.0, alpha_phase = 0.0, "
+             "r = 19.0, theta = 0.0"),
+            (["gn", "--kind", "squeezed", "--r", "400", "--M", "4"], "r = 400.0, theta = 0.0"),
+            (["gn", "--kind", "squeezed", "--r", "710", "--M", "4"], "r = 710.0, theta = 0.0"),
+            (["scatter", "--kind", "thermal", "--mean", "5000", "--M", "2"],
+             "the input state [input] kind = thermal, mean = 5000.0"),
+            (["mc", "--kind", "thermal", "--mean", "500", "--M", "2", "--frames", "100"],
+             "the input state [input] kind = thermal, mean = 500.0"),
+        ],
+    )
+    def test_cut_pmf_is_refused_by_its_settings(self, tmp_path, capsys, argv, named):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: ") and err.count("\n") == 1, err
+        assert named in err and ">= 1e-06 beyond n = 4096" in err, err
+        assert not out.exists()
+
+    def test_custom_tail_is_named_by_its_file(self, tmp_path, capsys):
+        src = tmp_path / "input.csv"
+        src.write_text("n,p\n0,0.5\n1,0.2\n", encoding="utf-8")
+        argv = ["scatter", "--kind", "custom", "--pmf-csv", str(src), "--tail-mass", "0.3",
+                "--M", "4", "--out", str(tmp_path / "out")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            f"numeric failure: the input state [input] kind = custom, pmf_csv = {src}, "
+            "tail_mass = 0.3 leaves out tail mass 0.3 >= 1e-06 beyond n = 1\n"
+        )
+
+
 # SHA-256 of each file that the README's "Command line" block writes, recorded
 # before the router took over the suffix route's range test.  Three files are
 # left out: bright/scatter.csv, fig2.csv and mc-thermal/mc.csv hold entries
@@ -918,6 +970,26 @@ class TestChecksPrecedeCompute:
         assert main([*argv, "--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize(
+        "argv, heavy",
+        [
+            (["scatter", "--kind", "thermal", "--mean", "5000", "--M", "2"], "cascade_pmf"),
+            (["gn", "--kind", "squeezed", "--r", "19", "--M", "4"], "cascade_pmf"),
+            # the exact side runs before the sampler
+            (["mc", "--kind", "thermal", "--mean", "500", "--M", "2", "--frames", "100"],
+             "scatter_pmf"),
+            (["figure", "fig2", "--M", "8", "--nbar", "5000"], "scatter_pmf"),
+            (["figure", "fig3a", "--nbar", "1000"], "scatter_pmf"),
+            (["figure", "fig3d", "--nbar", "5000"], "scatter_pmf"),
+        ],
+    )
+    def test_cut_input_exits_before_the_mixture(self, monkeypatch, tmp_path, argv, heavy):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{heavy} ran before the input's tail was checked")
+
+        monkeypatch.setattr(cli, heavy, refuse)
+        assert main([*argv, "--out", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize(
         "argv, ini, message",
         [
             (["gn", "--kind", "thermal", "--mean", "3", "--M", "8", "--order", "501"], "",
@@ -951,19 +1023,85 @@ class TestChecksPrecedeCompute:
         assert not out.exists()
 
 
+def _fresh_python(code, *args, cwd=None):
+    """Run ``python -c code`` in a fresh interpreter that imports the package under test."""
+    env = dict(os.environ)
+    src = str(Path(rggstats.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
+
+
 class TestImportPath:
+    def test_cli_import_leaves_configparser_and_json_out(self):
+        # a call without --config reads no INI file, and half the commands write
+        # no JSON; each module loads where it is first used
+        proc = _fresh_python(
+            "import sys, rggstats.cli; "
+            "print([m for m in ('configparser', 'json') if m in sys.modules])"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_config_and_json_runs_in_a_fresh_process(self, tmp_path):
+        # the modules loaded on first use give the files of an in-process run
+        ini = "[input]\nkind = coherent\nmean = 8\n[scatter]\nm = 8\n"
+        (tmp_path / "run.ini").write_text(ini, encoding="utf-8")
+        argv = ["gn", "--config", "run.ini", "--order", "3"]
+        proc = _fresh_python("import rggstats.cli; rggstats.cli.entry()",
+                             *argv, "--out", "fresh", cwd=tmp_path)
+        assert proc.returncode == 0 and proc.stdout == proc.stderr == "", proc.stderr
+        argv[2] = str(tmp_path / "run.ini")
+        assert main([*argv, "--out", str(tmp_path / "here")]) == 0
+        fresh = (tmp_path / "fresh" / "gn.json").read_bytes()
+        assert fresh == (tmp_path / "here" / "gn.json").read_bytes()
+        assert json.loads(fresh)["config"]["input"] == {"kind": "coherent", "mean": 8.0}
+
+    def test_main_leaves_the_collector_alone(self, tmp_path):
+        # freezing belongs to the process entry: here it would keep the
+        # caller's cyclic garbage for the rest of the process
+        before = gc.get_freeze_count()
+        assert main(["plimit", "--n", "6", "--M", "12", "--out", str(tmp_path)]) == 0
+        assert main(["scatter", "--kind", "fock", "--n", "0", "--M", "8", "--approx",
+                     "--out", str(tmp_path)]) == 2
+        assert gc.get_freeze_count() == before
+
+    def test_entry_freezes_the_import_heap_before_main(self):
+        # the console script and `python -m rggstats.cli` both run entry(),
+        # which freezes what the imports made, then exits with main's code; a
+        # --version run exits inside main, so a freeze after it would not be seen
+        code = (
+            "import gc, runpy, sys\n"
+            "freeze, freezes = gc.freeze, []\n"
+            "gc.freeze = lambda: freezes.append(gc.get_freeze_count())\n"
+            "sys.argv = ['rggstats', '--version']\n"
+            "try:\n"
+            "    runpy.run_module('rggstats.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    print(freezes, exc.code)\n"
+            "gc.freeze = freeze\n"
+            "import rggstats.cli as cli\n"
+            "seen = []\n"
+            "cli.main = lambda: seen.append(gc.get_freeze_count()) or 2\n"
+            "frozen = gc.get_freeze_count()\n"
+            "try:\n"
+            "    cli.entry()\n"
+            "except SystemExit as exc:\n"
+            "    print(frozen, seen[0] > 0, exc.code)\n"
+        )
+        proc = _fresh_python(code)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        assert proc.stdout.splitlines() == [f"rggstats {rggstats.__version__}", "[0] 0",
+                                            "0 True 2"]
+        scripts = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+        assert 'rggstats = "rggstats.cli:entry"' in scripts.split("[project.scripts]")[1]
+
     def test_cli_import_leaves_heavy_scipy_modules_out(self):
         # scipy.stats and scipy.linalg cost most of a CLI call's start-up;
         # only the squeezed-state oracle needs one of them, on demand
-        env = dict(os.environ)
-        src = str(Path(rggstats.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        code = (
+        proc = _fresh_python(
             "import sys, rggstats.cli; "
             "print([m for m in ('scipy.stats', 'scipy.linalg') if m in sys.modules])"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
@@ -971,9 +1109,6 @@ class TestImportPath:
     def test_coherent_commands_load_no_scipy(self, tmp_path):
         # the production paths run on numpy and math alone; scipy serves only
         # the squeezed-state oracle and the float64 measuring stick
-        env = dict(os.environ)
-        src = str(Path(rggstats.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         coherent = ["--kind", "coherent", "--mean", "6.0", "--M", "4"]
         commands = [
             ["scatter", *coherent],
@@ -987,9 +1122,7 @@ class TestImportPath:
             f"    assert rggstats.cli.main([*argv, '--out', {str(tmp_path)!r} + f'/{{i}}']) == 0\n"
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-        )
+        proc = _fresh_python(code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip().splitlines()[-1] == "[]"
 
@@ -1019,30 +1152,36 @@ class TestImportPath:
 _CSV_FILES = {"good.csv": "n,p\n0,0.25\n1,0.5\n2,0.25\n", "bad.csv": "n,p\n0,abc\n"}
 # strings that no flag's type takes; they reach the settings through INI files
 _WRONG_TYPE = ["abc", "yes", "true", "off", "1.5", "", "0x10", "nan", "inf", "1e30"]
+# valid values whose input or reference pmf the support cap cuts for some
+# kind, recipe or M, so that the run exits 3 naming its settings
+_CUT = {"mean": ["500.0", "3000.0", "5000.0"], "alpha_mag": ["70.0"], "r": ["19.0", "400.0"],
+        "nbar": ["1000", "5000"]}
 
 
 def _fuzz_value(key, in_ini, clean, command=None):
     """A value of ``key`` as text: valid and small, or else also out of range or wrong-typed."""
     kind = cli._KEYS[key][0]
     huge = [str(10**30)] if key == "stages" and command in ("scatter", "gn") else []
+    cut = [st.sampled_from(_CUT[key])] if key in _CUT else []
     if clean:
         valid = {"kind": st.sampled_from(list(cli._KINDS)), "pmf_csv": st.just("good.csv"),
                  "tail_mass": st.just("0.0"), "seed": st.integers(0, 2**64 - 1).map(str),
                  "order": st.integers(2, 6).map(str), "frames": st.integers(200, 400).map(str)}
         if huge:  # the cascade stops at its fixed point, and the limit past the doubles
             valid["stages"] = st.one_of(st.integers(1, 12).map(str), st.sampled_from(huge))
-        return valid.get(key, st.integers(1, 12).map(str) if kind is int
-                         else st.floats(0.1, 4.0).map(repr))
+        return st.one_of(valid.get(key, st.integers(1, 12).map(str) if kind is int
+                                   else st.floats(0.1, 4.0).map(repr)), *cut)
     if key == "kind":  # the flag takes only the kinds themselves
         values = st.sampled_from([*cli._KINDS, *(["FOCK", "laser"] if in_ini else [])])
     elif key == "pmf_csv":
         values = st.sampled_from([*_CSV_FILES, "missing.csv"])
     elif kind is int:
         huge = huge or [str(10**30), str(2**63)]
-        values = st.one_of(st.integers(0, 12).map(str), st.sampled_from(["-1", "-7", *huge]))
-    else:  # float: supports of at most ~150 entries, so any M stays cheap
+        values = st.one_of(st.integers(0, 12).map(str), st.sampled_from(["-1", "-7", *huge]),
+                           *cut)
+    else:  # float: supports of at most ~150 entries but for the cut ones, so any M stays cheap
         special = ["-1.0", "-0.0", "nan", "inf", "-inf", "1e30", "5e-324"]
-        values = st.one_of(st.floats(0.0, 4.0).map(repr), st.sampled_from(special))
+        values = st.one_of(st.floats(0.0, 4.0).map(repr), st.sampled_from(special), *cut)
     return st.one_of(values, st.sampled_from(_WRONG_TYPE)) if in_ini else values
 
 

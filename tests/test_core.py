@@ -178,6 +178,17 @@ class TestInputStateSpecs:
         with pytest.raises(ValueError, match=r"r = 711.0: cosh\(r\) overflows"):
             SqueezedCoherent(0.0, 0.0, 711.0, 0.0)
 
+    @pytest.mark.parametrize("r", [400.0, 710.0])
+    def test_squeezed_mean_past_the_doubles_names_r(self, r):
+        # sinh(r)**2 leaves the doubles from r ~ 355.58, cosh(r) only at ~710.48
+        assert SqueezedCoherent(0.0, 0.0, 355.0, 0.0).mean_photons == math.sinh(355.0) ** 2
+        state = SqueezedCoherent(1.0, 0.0, r, 0.0)
+        message = rf"r = {r}: sinh\(r\)\*\*2 overflows a double past r ~ 355\.58$"
+        with pytest.raises(OverflowError, match=message):
+            state.mean_photons
+        with pytest.raises(OverflowError, match=message):
+            rggstats.recommended_oracle_dim(state)
+
     def test_custom_requires_pmf(self):
         Custom(Pmf((1.0,)))
         with pytest.raises(TypeError):
